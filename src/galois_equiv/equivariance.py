@@ -22,8 +22,8 @@ from .errors import (
     Singular,
     Unsupported,
 )
-from .field import FieldElement, canonical_lambda, is_norm, norm, norm_witness
-from .linalg import Mat, apply_sigma_mat, inverse, matrix_norm, solve_sylvester_space
+from .field import CyclicExtension, FieldElement, canonical_lambda, is_norm, norm, norm_witness
+from .linalg import Mat, inverse, matrix_norm, solve_sylvester_space
 from .rep import Representation, evaluate_word
 
 _LCG_MULT = 6364136223846793005
@@ -52,7 +52,7 @@ def twisted_images(rep: Representation) -> list[tuple[Mat, Mat]]:
     pairs = []
     for k in range(len(rep.images)):
         word = rep.group.tau_inverse_apply(((k, 1),))
-        twisted = apply_sigma_mat(evaluate_word(rep, word))
+        twisted = evaluate_word(rep, word).galois()
         pairs.append((rep.images[k], twisted))
     return pairs
 
@@ -65,12 +65,11 @@ def compute_X(rep: Representation) -> Mat:
     when the intertwiner space has L-dimension above 1.
     """
     basis = solve_sylvester_space(twisted_images(rep))
-    r = rep.ext.degree
     if not basis:
         raise NotEquivalent("rho is not equivalent to its sigma/tau twist")
-    if len(basis) // r > 1:
+    if len(basis) > 1:
         raise NotIrreducible(
-            f"intertwiner space has L-dimension {len(basis) // r}; rho is not absolutely irreducible"
+            f"intertwiner space has L-dimension {len(basis)}; rho is not absolutely irreducible"
         )
     x = basis[0]
     lead = next(e for e in x.flatten() if e)
@@ -105,17 +104,19 @@ def _witness_to_rescaler(witness: FieldElement, lam: Fraction) -> FieldElement:
 
 
 def lambda_invariant(rep: Representation, witness: Optional[FieldElement] = None) -> LambdaInvariant:
-    """(lambda_rep, lambda_canonical, is_trivial) for the intertwiner of rep.
+    """(lambda_rep, lambda_canonical, is_trivial) for the intertwiner of rep."""
+    return decide_lambda(_norm_scalar(compute_X(rep)), rep.ext, witness)
 
-    For quadratic extensions the class of lambda is decided by Hilbert
-    symbols.  For r > 2 a user witness is required; without one the decision
-    is Unsupported.
+
+def decide_lambda(lam: Fraction, ext: CyclicExtension, witness: Optional[FieldElement]) -> LambdaInvariant:
+    """The class of lambda mod norms, for lambda the twisted norm of X.
+
+    For quadratic extensions the class is decided by Hilbert symbols.  For
+    r > 2 a witness is required; without one the decision is Unsupported.
     """
-    x = compute_X(rep)
-    lam = _norm_scalar(x)
-    if rep.ext.degree == 2:
-        trivial = is_norm(lam, rep.ext)
-        return LambdaInvariant(lam, canonical_lambda(lam, rep.ext), trivial)
+    if ext.degree == 2:
+        trivial = is_norm(lam, ext)
+        return LambdaInvariant(lam, canonical_lambda(lam, ext), trivial)
     if witness is not None:
         _witness_to_rescaler(witness, lam)
         return LambdaInvariant(lam, Fraction(1), True)
@@ -148,7 +149,7 @@ def hilbert90(x: Mat, seed: int = 0, budget: int = 64) -> Mat:
         raise ValueError("hilbert90 needs matrix_norm(X) = I")
     bs = [Mat.identity(ext, n)]
     for _ in range(r - 1):
-        bs.append(apply_sigma_mat(bs[-1]) * x)
+        bs.append(bs[-1].galois() * x)
     gen = _LinearGenerator(seed)
     for _ in range(budget):
         c = Mat(
@@ -157,9 +158,9 @@ def hilbert90(x: Mat, seed: int = 0, budget: int = 64) -> Mat:
         )
         y = Mat.zeros(ext, n, n)
         for i in range(r):
-            y = y + apply_sigma_mat(c, i) * bs[i]
+            y = y + c.galois(i) * bs[i]
         try:
-            y_inv_sigma = inverse(apply_sigma_mat(y))
+            y_inv_sigma = inverse(y.galois())
         except Singular:
             continue
         if y_inv_sigma * y != x:
@@ -200,7 +201,7 @@ def equivariant_form(
     ext = rep.ext
 
     if replay_y is not None:
-        z = inverse(apply_sigma_mat(replay_y)) * replay_y
+        z = inverse(replay_y.galois()) * replay_y
         c = None
         for ze, xe in zip(z.flatten(), x.flatten()):
             if xe:
@@ -282,7 +283,7 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ce
         entries.append(("witness norm is lambda^-1", norm(cert.witness) * cert.lambda_rep == 1))
 
     if cert.y is not None:
-        lhs = inverse(apply_sigma_mat(cert.y)) * cert.y
+        lhs = inverse(cert.y.galois()) * cert.y
         entries.append(("Y solves sigma(Y)^-1 Y = mu X", lhs == cert.witness * cert.x))
 
     if cert.rho_prime is not None:
@@ -292,7 +293,7 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ce
         equi_ok = True
         for k in range(len(rep.images)):
             tau_word = rep.group.tau_apply(((k, 1),))
-            if evaluate_word(rp, tau_word) != apply_sigma_mat(rp.images[k]):
+            if evaluate_word(rp, tau_word) != rp.images[k].galois():
                 equi_ok = False
         entries.append(("rho' commutes with the sigma/tau twist", equi_ok))
 

@@ -510,10 +510,6 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return _trim(q), _trim(a)
 
 
-def apply_sigma(x: FieldElement, i: int = 1) -> FieldElement:
-    return x.galois(i)
-
-
 def norm(x: FieldElement) -> Fraction:
     """Product of all sigma-conjugates; must land in Q."""
     acc = x.ext.one()
@@ -580,7 +576,8 @@ def norm_witness(lam, ext: CyclicExtension, budget: int = 10**4) -> FieldElement
             mu = _direct_witness_search(-lam, ext, budget)
             if mu is not None:
                 out = unit * mu
-                assert norm(out) == lam
+                if norm(out) != lam:
+                    raise InternalInvariantViolation("unit-corrected witness does not have norm lambda")
                 return out
     raise NoWitnessFound(f"no witness for {lam} within numerator budget {budget}")
 
@@ -596,7 +593,8 @@ def _direct_witness_search(lam: Fraction, ext: CyclicExtension, budget: int):
     for j in range(1, 17):
         w = w0 * j
         tgt = lam * w * w
-        assert tgt.denominator == 1
+        if tgt.denominator != 1:
+            raise InternalInvariantViolation("denominator of lambda w^2 was not cleared")
         tgt = tgt.numerator
         qcap = budget
         if disc < 0:
@@ -630,7 +628,8 @@ def _direct_witness_search(lam: Fraction, ext: CyclicExtension, budget: int):
 def _negative_norm_unit(ext: CyclicExtension):
     """A unit of norm -1 in Z[sqrt(d)] via the continued fraction of sqrt(d), if one exists."""
     d = ext.disc_core
-    assert d is not None and d > 0
+    if d is None or d <= 0:
+        raise ValueError("a unit of norm -1 is only sought in a real quadratic field")
     a0 = math.isqrt(d)
     m, q, a = 0, 1, a0
     h_prev, h_cur = 1, a0

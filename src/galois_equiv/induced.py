@@ -2,7 +2,7 @@
 product endomorphisms, and the Schur index report.
 
 Elements over the tau coset are sigma-semilinear, carried as (matrix, k)
-pairs acting by v -> A sigma^k(v); their rational traces restrict scalars.
+pairs acting by v -> A sigma^k(v).
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EndomorphismCheckFailed, InternalInvariantViolation, Unsupported
-from .field import FieldElement, RationalClass, norm
-from .linalg import Mat, apply_sigma_mat, inverse, kernel_of_linear_maps
+from .field import FieldElement, RationalClass
+from .linalg import Mat, inverse, kernel_of_linear_maps
 from .rep import Representation, Word, evaluate_word
-from .equivariance import compute_X, lambda_invariant, _norm_scalar
+from .equivariance import compute_X, decide_lambda, _norm_scalar
 
 
 class SemilinearPair:
@@ -29,13 +29,13 @@ class SemilinearPair:
 
     def __mul__(self, other: "SemilinearPair") -> "SemilinearPair":
         return SemilinearPair(
-            self.mat * apply_sigma_mat(other.mat, self.power),
+            self.mat * other.mat.galois(self.power),
             self.power + other.power,
         )
 
     def inverse(self) -> "SemilinearPair":
         k = (-self.power) % self.mat.ext.degree
-        return SemilinearPair(apply_sigma_mat(inverse(self.mat), k), k)
+        return SemilinearPair(inverse(self.mat).galois(k), k)
 
     def __pow__(self, e: int) -> "SemilinearPair":
         if e < 0:
@@ -51,18 +51,6 @@ class SemilinearPair:
             and self.power == other.power
             and self.mat == other.mat
         )
-
-    def rational_trace(self) -> Fraction:
-        """Trace of the pair as a Q-linear map, by restriction of scalars."""
-        ext = self.mat.ext
-        r = ext.degree
-        total = Fraction(0)
-        for i in range(self.mat.nrows):
-            a = self.mat.rows[i][i]
-            for j in range(r):
-                basis = ext.element([0] * j + [1])
-                total += (a * basis.galois(self.power)).coeffs[j]
-        return total
 
     def __repr__(self):
         return f"SemilinearPair(power={self.power}, mat={self.mat!r})"
@@ -97,6 +85,7 @@ class InducedRep:
 
     rep: Representation
     blocks: tuple[Mat, ...]
+    inverses: tuple[Mat, ...]
     tau_pair: SemilinearPair
 
     @property
@@ -108,9 +97,8 @@ class InducedRep:
 
     def evaluate(self, word: Word) -> Mat:
         acc = Mat.identity(self.rep.ext, self.dim)
-        inverses = [inverse(b) for b in self.blocks]
         for g, e in word:
-            acc = acc * (self.blocks[g] if e > 0 else inverses[g])
+            acc = acc * (self.blocks[g] if e > 0 else self.inverses[g])
         return acc
 
 
@@ -128,10 +116,10 @@ def build_induced(rep: Representation) -> InducedRep:
         diag = []
         for i in range(r):
             word = group.tau_apply(((k, 1),), (r - i) % r)
-            diag.append(apply_sigma_mat(evaluate_word(rep, word), i))
+            diag.append(evaluate_word(rep, word).galois(i))
         blocks.append(_block_diag(ext, diag))
     tau_pair = SemilinearPair(_block_shift(ext, r, rep.dim), 1)
-    ind = InducedRep(rep, tuple(blocks), tau_pair)
+    ind = InducedRep(rep, tuple(blocks), tuple(inverse(b) for b in blocks), tau_pair)
 
     ident = Mat.identity(ext, ind.dim)
     for w in group.relations:
@@ -148,32 +136,20 @@ def build_induced(rep: Representation) -> InducedRep:
     return ind
 
 
-def trace_induced(rep: Representation, word: Word) -> Fraction:
-    """Character of the classical induced module on a word in H: the sum of
-    the traces of rho at all tau-translates.  Always rational."""
-    r = rep.ext.degree
-    acc = rep.ext.zero()
-    for i in range(r):
-        translated = rep.group.tau_apply(word, (r - i) % r)
-        acc = acc + evaluate_word(rep, translated).trace()
-    if not acc.is_rational():
-        raise InternalInvariantViolation("induced character value is not rational")
-    return acc.as_rational()
-
-
 class CrossedProduct:
     """The endomorphisms m_lambda and xi of the induced representation.
 
     m(lam) is diag(sigma^i(lam) I); xi has sigma^(i-1)(X) on the block
     subdiagonal and sigma^(r-1)(X) in the corner.  Both are verified to
     commute with every generator block and sigma-twist past the tau block.
+    lambda_rep is the twisted norm scalar of X, which xi^r must recover.
     """
 
-    def __init__(self, induced: InducedRep, x: Mat):
+    def __init__(self, induced: InducedRep, x: Mat, lambda_rep: Fraction):
         self.induced = induced
         self.x = x
         self.ext = induced.rep.ext
-        self.lambda_rep = _norm_scalar(x)
+        self.lambda_rep = lambda_rep
         self._check_endomorphism(self.xi(), "xi")
         self._check_endomorphism(self.m(self.ext.gen()), "m(t)")
 
@@ -190,7 +166,7 @@ class CrossedProduct:
         rows = [[ext.zero()] * (r * n) for _ in range(r * n)]
         for i in range(r):
             j = (i - 1) % r
-            blk = apply_sigma_mat(self.x, (i - 1) % r)
+            blk = self.x.galois((i - 1) % r)
             for a in range(n):
                 for b in range(n):
                     rows[i * n + a][j * n + b] = blk.rows[a][b]
@@ -201,7 +177,7 @@ class CrossedProduct:
         for d in self.induced.blocks:
             if e * d != d * e:
                 raise EndomorphismCheckFailed(f"{name} does not commute with a generator block")
-        if e * p != p * apply_sigma_mat(e):
+        if e * p != p * e.galois():
             raise EndomorphismCheckFailed(f"{name} does not twist past the tau block")
 
     def relation_report(self, lam1, lam2) -> list[tuple[str, bool]]:
@@ -224,18 +200,17 @@ class CrossedProduct:
 def build_crossed_product(rep: Representation, x: Optional[Mat] = None) -> CrossedProduct:
     if x is None:
         x = compute_X(rep)
-    return CrossedProduct(build_induced(rep), x)
+    return CrossedProduct(build_induced(rep), x, _norm_scalar(x))
 
 
-def endomorphism_dim(rep: Representation) -> int:
+def endomorphism_dim(ind: InducedRep) -> int:
     """Q-dimension of the algebra commuting with the induced representation,
     including the sigma-twisted condition at the tau block.  Equals r^2 for
     an absolutely irreducible rep satisfying the twist hypothesis."""
-    ind = build_induced(rep)
     p = ind.tau_pair.mat
     maps = [(lambda E, D=D: E * D - D * E) for D in ind.blocks]
-    maps.append(lambda E: E * p - p * apply_sigma_mat(E))
-    basis = kernel_of_linear_maps(maps, rep.ext, ind.dim, ind.dim)
+    maps.append(lambda E: E * p - p * E.galois())
+    basis = kernel_of_linear_maps(maps, ind.rep.ext, ind.dim, ind.dim)
     return len(basis)
 
 
@@ -246,12 +221,12 @@ class SchurReport:
     symbol: Optional[tuple[Fraction, int]]  # (canonical lambda, disc core) when index 2
 
 
-def schur_index(rep: Representation, witness: Optional[FieldElement] = None) -> SchurReport:
+def schur_index(cp: CrossedProduct, witness: Optional[FieldElement] = None) -> SchurReport:
     """Schur index of the induced representation over Q, decided through the
-    norm class of lambda.  Quadratic extensions are decided outright; r > 2
-    needs a witness and can only certify index 1."""
-    inv = lambda_invariant(rep, witness)
-    ext = rep.ext
+    norm class of the crossed product's lambda.  Quadratic extensions are
+    decided outright; r > 2 needs a witness and can only certify index 1."""
+    ext = cp.ext
+    inv = decide_lambda(cp.lambda_rep, ext, witness)
     cls = RationalClass(inv.lambda_rep, ext)
     if ext.degree == 2:
         if inv.is_trivial:

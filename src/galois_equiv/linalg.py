@@ -1,8 +1,10 @@
 """Exact matrices over a cyclic extension, plus the rational elimination engine.
 
 Matrices over L use straightforward Gaussian elimination with
-height-minimizing pivots (sizes here are tiny).  The large systems produced
-by restriction of scalars are rational, and go through fraction-free Bareiss
+height-minimizing pivots (sizes here are tiny).  L-linear systems, such as
+the intertwiner condition X A = B X, are solved over L in their n^2
+unknowns through IncrementalSpan.  The large systems produced by
+restriction of scalars are rational, and go through fraction-free Bareiss
 elimination on an integerized lift so intermediate entries stay minor-sized.
 """
 
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .errors import InternalInvariantViolation, Singular
+from .errors import Singular
 from .field import CyclicExtension, FieldElement
 
 
@@ -121,10 +123,6 @@ def _dot(row, col, ext) -> FieldElement:
     return acc
 
 
-def apply_sigma_mat(a: Mat, i: int = 1) -> Mat:
-    return a.galois(i)
-
-
 def matrix_norm(a: Mat) -> Mat:
     """sigma^(r-1)(A) ... sigma(A) A, the twisted norm of a square matrix."""
     if a.nrows != a.ncols:
@@ -169,53 +167,6 @@ def inverse(a: Mat) -> Mat:
     return Mat(ext, [row[n:] for row in aug])
 
 
-def _echelon_over_l(rows: list[list[FieldElement]], ncols: int):
-    """Reduced echelon form over L; returns (echelon_rows, pivot_cols)."""
-    echelon: list[list[FieldElement]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in zip(echelon, pivots):
-            if row[pcol]:
-                f = row[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((j for j in range(ncols) if row[j]), None)
-        if lead is None:
-            continue
-        inv = row[lead].inverse()
-        row = [a * inv for a in row]
-        for k, (prow, pcol) in enumerate(zip(echelon, pivots)):
-            if prow[lead]:
-                f = prow[lead]
-                echelon[k] = [a - f * b for a, b in zip(prow, row)]
-        echelon.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [echelon[k] for k in order], [pivots[k] for k in order]
-
-
-def rank(a: Mat) -> int:
-    ech, _ = _echelon_over_l([list(r) for r in a.rows], a.ncols)
-    return len(ech)
-
-
-def kernel(a: Mat) -> list[tuple[FieldElement, ...]]:
-    """Basis of the right kernel {v : A v = 0} over L."""
-    ext = a.ext
-    ech, pivots = _echelon_over_l([list(r) for r in a.rows], a.ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ext.zero()] * a.ncols
-        v[f] = ext.one()
-        for prow, pcol in zip(ech, pivots):
-            # row is reduced: entry at pcol is 1, zeros at other pivot cols
-            v[pcol] = -prow[f]
-        basis.append(tuple(v))
-    return basis
-
-
 class IncrementalSpan:
     """An L-subspace of L^width maintained in reduced echelon form."""
 
@@ -248,6 +199,23 @@ class IncrementalSpan:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    def kernel(self) -> list[list[FieldElement]]:
+        """L-basis of {v : row . v = 0 for every row of the span}, one vector
+        per non-pivot column, in column order."""
+        zero, one = self.ext.zero(), self.ext.one()
+        pivot_set = set(self.pivots)
+        basis = []
+        for f in range(self.width):
+            if f in pivot_set:
+                continue
+            v = [zero] * self.width
+            v[f] = one
+            # each row is 1 at its own pivot and 0 at every other pivot column
+            for row, pcol in zip(self.rows, self.pivots):
+                v[pcol] = -row[f]
+            basis.append(v)
+        return basis
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +364,24 @@ def kernel_of_linear_maps(
 
 
 def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
-    """Q-basis of {X : X A_k = B_k X for all k}.
+    """L-basis of {X : X A_k = B_k X for all k}.
 
-    The space is an L-subspace (the conditions are L-linear), so the returned
-    Q-dimension is always a multiple of deg L; closure under multiplication
-    by t is checked before returning.
+    The conditions are L-linear in the n^2 entries of X: entry (i, j) of
+    X A - B X is sum_m X_im A_mj - sum_m B_im X_mj, one row over L, and the
+    solutions are the kernel of the span of those rows.
     """
     if not pairs:
         raise ValueError("need at least one pair")
     a0, _ = pairs[0]
     ext = a0.ext
     n = a0.nrows
-    maps = [(lambda X, A=A, B=B: X * A - B * X) for A, B in pairs]
-    basis = kernel_of_linear_maps(maps, ext, n, n)
-    if basis:
-        t = ext.gen()
-        vecs = [mat_to_rational_vector(m) for m in basis]
-        for m in basis:
-            if not rational_in_span(vecs, mat_to_rational_vector(t * m)):
-                raise InternalInvariantViolation("solution space is not closed under L-scaling")
-        if len(basis) % ext.degree:
-            raise InternalInvariantViolation("solution space dimension is not a multiple of deg L")
-    return basis
+    span = IncrementalSpan(ext, n * n)
+    for a, b in pairs:
+        for i in range(n):
+            for j in range(n):
+                row = [ext.zero()] * (n * n)
+                for m in range(n):
+                    row[i * n + m] += a.rows[m][j]
+                    row[m * n + j] -= b.rows[i][m]
+                span.insert(row)
+    return [Mat(ext, [v[i * n:(i + 1) * n] for i in range(n)]) for v in span.kernel()]

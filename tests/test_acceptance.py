@@ -32,7 +32,7 @@ from galois_equiv.field import (
     is_norm,
     norm,
 )
-from galois_equiv.linalg import Mat, apply_sigma_mat, inverse, matrix_norm
+from galois_equiv.linalg import Mat, inverse, matrix_norm
 from galois_equiv.rep import Representation, evaluate_word, parse_word
 from galois_equiv.equivariance import (
     compute_X,
@@ -43,6 +43,7 @@ from galois_equiv.equivariance import (
 )
 from galois_equiv.induced import (
     build_crossed_product,
+    build_induced,
     endomorphism_dim,
     schur_index,
 )
@@ -125,7 +126,7 @@ def test_a5_pipeline_and_replayed_conjugation():
     # the constructed Y solves the twisted equation for the rescaled X
     cert = equivariant_form(rep, seed=0)
     assert cert.is_trivial is True
-    assert inverse(apply_sigma_mat(cert.y)) * cert.y == rescale_X(
+    assert inverse(cert.y.galois()) * cert.y == rescale_X(
         cert.x, cert.witness
     )
 
@@ -157,7 +158,7 @@ def test_a5_relations_hold_on_conjugated_representation():
     # c = sigma(b) lies in the image and satisfies the same relations as b
     conjugated = Representation(rep.group, ext, cert.rho_prime)
     c_p = evaluate_word(conjugated, parse_word(C_WORD, rep.group.gen_names))
-    assert apply_sigma_mat(b_p) == c_p
+    assert b_p.galois() == c_p
     assert c_p * c_p * c_p == ident
     ac = a_p * c_p
     assert ac * ac * ac * ac * ac == ident
@@ -182,7 +183,7 @@ def test_double_cover_of_a7_is_obstructed():
     assert trivial is False
     assert is_norm(Fraction(-2), rep.ext) is False
 
-    report = schur_index(rep)
+    report = schur_index(build_crossed_product(rep))
     assert report.index == 2
     assert report.symbol == (Fraction(-2), -7)
 
@@ -216,7 +217,7 @@ def test_crossed_product_relations_at_random_scalars():
 
 def test_endomorphism_algebra_has_dimension_four_on_all_examples():
     for build in (build_a5, build_c3, build_a7_double):
-        assert endomorphism_dim(build()) == 4
+        assert endomorphism_dim(build_induced(build())) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_invariant_agrees_with_schur_index_under_conjugation():
         rep = build()
         ext = rep.ext
         base = lambda_invariant(rep)
-        base_report = schur_index(rep)
+        base_report = schur_index(build_crossed_product(rep))
         assert base.is_trivial == (base_report.index == 1)
 
         for _ in range(count):
@@ -265,7 +266,7 @@ def test_invariant_agrees_with_schur_index_under_conjugation():
             conjugated = Representation(rep.group, ext, images)
 
             inv = lambda_invariant(conjugated)
-            report = schur_index(conjugated)
+            report = schur_index(build_crossed_product(conjugated))
             assert inv.is_trivial == (report.index == 1)
             assert inv.is_trivial == base.is_trivial
             # the canonical representative does not see the conjugation
@@ -295,9 +296,9 @@ def test_hilbert90_solves_seeded_random_cocycles():
         ext = fields[done % 2]
         n = 1 + done % 4
         z = random_invertible(ext, n, rng, spread=3)
-        x = inverse(apply_sigma_mat(z)) * z
+        x = inverse(z.galois()) * z
         y = hilbert90(x, seed=done, budget=64)
-        assert inverse(apply_sigma_mat(y)) * y == x
+        assert inverse(y.galois()) * y == x
         done += 1
 
 

@@ -1,6 +1,8 @@
 """Front-end behavior: file parsing, reports, exit codes, certificate round trips."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,8 @@ from galois_equiv.cli import (
     load_problem,
     main,
 )
-from galois_equiv.equivariance import verify_certificate
+from galois_equiv.equivariance import compute_X, verify_certificate
+from galois_equiv.induced import build_induced
 
 A5 = fixture_path("a5_3dim.json")
 C3 = fixture_path("c3_inversion.json")
@@ -231,3 +234,36 @@ def test_witness_flag_is_parsed(capsys):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["lambda", str(tmp_path / "nope.json")]) == 2
+
+
+def count_calls(monkeypatch, functions):
+    """Wrap each function in every galois_equiv module that holds it, so a
+    name copied by ``from .x import f`` is counted too."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("galois_equiv")]
+    for fn in functions:
+
+        def wrapper(*args, fn=fn, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return counts
+
+
+def test_each_command_computes_each_stage_once(monkeypatch, tmp_path, capsys):
+    counts = count_calls(monkeypatch, [compute_X, build_induced, verify_certificate])
+    assert main(["induce", A5]) == 0
+    assert counts == {"compute_X": 1, "build_induced": 1}
+    capsys.readouterr()
+    counts.clear()
+    assert main(["equivariant", A5]) == 0
+    assert report_of(capsys)["verified"] is True
+    assert counts == {"compute_X": 1, "verify_certificate": 1}
+    counts.clear()
+    # --out adds exactly the re-verification of the certificate read back
+    assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
+    assert counts == {"compute_X": 1, "verify_certificate": 2}

@@ -13,7 +13,7 @@ from galois_equiv.errors import (
     Unsupported,
 )
 from galois_equiv.field import CyclicExtension, norm
-from galois_equiv.linalg import Mat, apply_sigma_mat, inverse, matrix_norm
+from galois_equiv.linalg import Mat, inverse, matrix_norm
 from galois_equiv.rep import GroupData, Representation, evaluate_word
 from galois_equiv.equivariance import (
     compute_X,
@@ -40,7 +40,7 @@ def test_compute_x_matches_hand_computed_intertwiner(a5):
 
 def test_intertwiner_twisted_norm_is_minus_identity(a5):
     x = compute_X(a5)
-    assert apply_sigma_mat(x) * x == -1 * Mat.identity(a5.ext, 3)
+    assert x.galois() * x == -1 * Mat.identity(a5.ext, 3)
     assert matrix_norm(x) == -1 * Mat.identity(a5.ext, 3)
 
 
@@ -100,10 +100,10 @@ def test_hilbert90_solves_random_cocycles():
                         z = cand
                     except Exception:
                         pass
-                x = inverse(apply_sigma_mat(z)) * z
+                x = inverse(z.galois()) * z
                 assert matrix_norm(x).is_identity()
                 y = hilbert90(x, seed=trial)
-                assert inverse(apply_sigma_mat(y)) * y == x
+                assert inverse(y.galois()) * y == x
 
 
 def test_hilbert90_rejects_bad_norm(a5):
@@ -130,7 +130,7 @@ def test_equivariant_form_end_to_end_on_a5(a5):
     rp = Representation(a5.group, a5.ext, list(cert.rho_prime))
     for k in range(2):
         tau_word = a5.group.tau_apply(((k, 1),))
-        assert evaluate_word(rp, tau_word) == apply_sigma_mat(rp.images[k])
+        assert evaluate_word(rp, tau_word) == rp.images[k].galois()
 
 
 def test_equivariant_form_is_deterministic(a5):

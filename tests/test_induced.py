@@ -20,7 +20,6 @@ from galois_equiv.induced import (
     build_induced,
     endomorphism_dim,
     schur_index,
-    trace_induced,
 )
 
 
@@ -65,26 +64,6 @@ def test_broken_tau_images_are_rejected(a5):
         build_induced(rep)
 
 
-def test_induced_trace_is_rational(a5):
-    rng = random.Random(11)
-    names = a5.group.gen_names
-    assert trace_induced(a5, parse_word("a", names)) == Fraction(-2)
-    assert trace_induced(a5, ()) == Fraction(6)
-    for _ in range(8):
-        word = tuple((rng.randrange(2), rng.choice([1, -1])) for _ in range(rng.randint(1, 7)))
-        value = trace_induced(a5, word)
-        assert isinstance(value, Fraction)
-
-
-def test_rational_trace_of_pairs(a5):
-    ind = build_induced(a5)
-    # the tau coset consists of twisted maps, whose Q-trace always vanishes
-    assert ind.tau_pair.rational_trace() == 0
-    assert (ind.tau_pair * ind.pair(0)).rational_trace() == 0
-    # on H itself the Q-trace is the field trace of the L-valued trace
-    assert ind.pair(0).rational_trace() == Fraction(-4)
-
-
 def test_crossed_product_relations_hold(a5):
     cp = build_crossed_product(a5)
     assert cp.lambda_rep == Fraction(-1)
@@ -116,21 +95,21 @@ def test_rescaled_intertwiner_is_still_an_endomorphism(a5):
 
 
 def test_endomorphism_dimension_is_r_squared(a5, c3):
-    assert endomorphism_dim(a5) == 4
-    assert endomorphism_dim(c3) == 4
+    assert endomorphism_dim(build_induced(a5)) == 4
+    assert endomorphism_dim(build_induced(c3)) == 4
 
 
 def test_schur_index_trivial_cases(a5, c3):
-    report = schur_index(a5)
+    report = schur_index(build_crossed_product(a5))
     assert report.index == 1
     assert report.symbol is None
     assert report.lambda_class.value == Fraction(-1)
     assert report.lambda_class.is_trivial()
-    assert schur_index(c3).index == 1
+    assert schur_index(build_crossed_product(c3)).index == 1
 
 
 def test_schur_index_of_the_double_cover(a7d):
-    report = schur_index(a7d)
+    report = schur_index(build_crossed_product(a7d))
     assert report.index == 2
     assert report.symbol == (Fraction(-2), -7)
     assert not report.lambda_class.is_trivial()
@@ -148,9 +127,10 @@ def test_schur_index_beyond_quadratic_needs_witness():
     ext = CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
     group = GroupData.from_strings(["g"], ["g"], {"g": "g"}, tau_order=3)
     rep = Representation(group, ext, [Mat(ext, [[1]])])
+    cp = build_crossed_product(rep)
     with pytest.raises(Unsupported):
-        schur_index(rep)
-    report = schur_index(rep, witness=ext.one())
+        schur_index(cp)
+    report = schur_index(cp, witness=ext.one())
     assert report.index == 1
 
 

@@ -42,7 +42,7 @@ from galois_equiv.rep import (
     check_relations,
 )
 from galois_equiv.equivariance import lambda_invariant
-from galois_equiv.induced import endomorphism_dim, schur_index
+from galois_equiv.induced import build_crossed_product, endomorphism_dim, schur_index
 
 DIM = 6  # dimension of the sum-zero subspace of Q^7
 
@@ -411,9 +411,10 @@ def main():
     print(f"    lambda_rep = {inv.lambda_rep}, canonical = {inv.lambda_canonical}")
     assert inv.lambda_canonical == Fraction(-2) and not inv.is_trivial
 
-    report = schur_index(rep)
+    cp = build_crossed_product(rep)
+    report = schur_index(cp)
     assert report.index == 2 and report.symbol == (Fraction(-2), -7)
-    dim = endomorphism_dim(rep)
+    dim = endomorphism_dim(cp.induced)
     assert dim == 4, f"endomorphism dimension {dim}, expected 4"
     print(f"[{time.time()-t0:6.1f}s] invariant, Schur index, endomorphism dimension verified")
 
