@@ -3,7 +3,6 @@
 from .field import (
     CyclicExtension,
     FieldElement,
-    RationalClass,
     canonical_lambda,
     factor,
     hilbert_symbol,
@@ -52,7 +51,6 @@ __all__ = [
     "InducedRep",
     "LambdaInvariant",
     "Mat",
-    "RationalClass",
     "Representation",
     "SchurReport",
     "SemilinearPair",

@@ -141,10 +141,16 @@ def load_problem(path: str) -> Problem:
     if not isinstance(grp, dict):
         raise ParseError("group must be an object", "group")
     generators = _require(grp, "generators", "group")
-    if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
-        raise ParseError("generators must be a list of names", "group.generators")
+    if not isinstance(generators, list) or not generators or not all(isinstance(g, str) for g in generators):
+        raise ParseError("generators must be a non-empty list of names", "group.generators")
+    if len(set(generators)) != len(generators):
+        raise ParseError("generator names must be distinct", "group.generators")
     relations = _require(grp, "relations", "group")
+    if not isinstance(relations, list) or not all(isinstance(w, str) for w in relations):
+        raise ParseError("relations must be a list of words", "group.relations")
     tau = _require(grp, "tau", "group")
+    if not isinstance(tau, dict) or not all(isinstance(w, str) for w in tau.values()):
+        raise ParseError("tau must be an object mapping generator names to words", "group.tau")
     tau_order = _as_int(_require(grp, "tau_order", "group"), "group.tau_order")
     declared = grp.get("order")
     if declared is not None:

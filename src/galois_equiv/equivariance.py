@@ -200,45 +200,31 @@ def equivariant_form(
     lam = _norm_scalar(x)
     ext = rep.ext
 
+    # mu, the scalar rescaling X to twisted norm 1, when the caller supplies it
+    mu = None
     if replay_y is not None:
         z = inverse(replay_y.galois()) * replay_y
-        c = None
         for ze, xe in zip(z.flatten(), x.flatten()):
             if xe:
-                c = ze * xe.inverse()
+                mu = ze * xe.inverse()
                 break
-        if c is None or z != c * x:
+        if mu is None or z != mu * x:
             raise BadWitness("replayed Y does not solve the twisted equation for X")
-        if norm(c) * lam != 1:
+        if norm(mu) * lam != 1:
             raise BadWitness("replayed Y implies an incompatible scalar")
-        mu = c
-        y = replay_y
-        canonical = canonical_lambda(lam, ext) if ext.degree == 2 else Fraction(1)
-        rho_prime = _conjugate(rep, y)
-        cert = EquivarianceCertificate(x, lam, canonical, True, mu, y, rho_prime, seed)
-        _require_valid(cert, rep)
-        return cert
-
-    if witness is not None:
+    elif witness is not None:
         mu = _witness_to_rescaler(witness, lam)
-        trivial = True
-        canonical = canonical_lambda(lam, ext) if ext.degree == 2 else Fraction(1)
-    elif ext.degree == 2:
-        trivial = is_norm(lam, ext)
-        canonical = canonical_lambda(lam, ext)
-        mu = norm_witness(lam, ext, budget=witness_budget).inverse() if trivial else None
-    else:
-        raise Unsupported("r > 2 needs a user-supplied witness")
 
-    if not trivial:
-        cert = EquivarianceCertificate(x, lam, canonical, False, None, None, None, seed)
+    inv = decide_lambda(lam, ext, mu)
+    if not inv.is_trivial:
+        cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, False, None, None, None, seed)
         _require_valid(cert, rep)
         return cert
 
-    x_unit = rescale_X(x, mu)
-    y = hilbert90(x_unit, seed=seed, budget=budget)
-    rho_prime = _conjugate(rep, y)
-    cert = EquivarianceCertificate(x, lam, canonical, True, mu, y, rho_prime, seed)
+    if mu is None:
+        mu = norm_witness(lam, ext, budget=witness_budget).inverse()
+    y = replay_y if replay_y is not None else hilbert90(rescale_X(x, mu), seed=seed, budget=budget)
+    cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, True, mu, y, _conjugate(rep, y), seed)
     _require_valid(cert, rep)
     return cert
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     FactorizationIncomplete,
@@ -400,16 +400,19 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
+        """x^-1 = sigma(x) sigma^2(x) ... sigma^(r-1)(x) / N(x)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        g, u = _poly_half_ext_gcd(list(self.coeffs), list(self.ext.min_poly))
-        # g is a nonzero constant since min_poly is irreducible
-        if len(g) != 1 or not g[0]:
+        conj = self.galois(1)
+        for i in range(2, self.ext.degree):
+            conj = conj * self.galois(i)
+        n = self * conj
+        # N(x) is a nonzero rational since min_poly is irreducible
+        if not n or not n.is_rational():
             raise InternalInvariantViolation(
-                "element shares a factor with min_poly; extension data invalid"
+                "element has no nonzero rational norm; extension data invalid"
             )
-        inv = [c / g[0] for c in u]
-        return FieldElement(self.ext, self.ext._reduce(inv))
+        return FieldElement(self.ext, tuple(c / n.coeffs[0] for c in conj.coeffs))
 
     def galois(self, i: int = 1) -> "FieldElement":
         """Apply sigma^i."""
@@ -455,59 +458,6 @@ class FieldElement:
                 var = "t" if k == 1 else f"t^{k}"
                 terms.append(var if c == 1 else f"{rational_to_string(c)}*{var}")
         return " + ".join(terms) if terms else "0"
-
-
-def _poly_half_ext_gcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, u) with u*a = g mod b, by the extended Euclidean algorithm."""
-    r0, r1 = _trim(a), _trim(b)
-    u0, u1 = [Fraction(1)], [Fraction(0)]
-    while r1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _trim(_poly_sub(u0, _poly_mul_plain(q, u1)))
-    return r0, u0
-
-
-def _trim(p: Iterable[Fraction]) -> list[Fraction]:
-    out = list(p)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul_plain(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for k in range(len(b)):
-            a[shift + k] -= c * b[k]
-        a.pop()
-    return _trim(q), _trim(a)
 
 
 def norm(x: FieldElement) -> Fraction:
@@ -684,23 +634,3 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
                     return Fraction(cand)
         k += 1
     raise InternalInvariantViolation("no canonical representative found below 10^7")
-
-
-class RationalClass:
-    """A rational number considered modulo norms from a quadratic extension."""
-
-    def __init__(self, value, ext: CyclicExtension):
-        self.value = Fraction(value)
-        self.ext = ext
-
-    def is_trivial(self) -> bool:
-        return is_norm(self.value, self.ext)
-
-    def same_class(self, other: "RationalClass") -> bool:
-        return is_norm(self.value / other.value, self.ext)
-
-    def canonical(self) -> Fraction:
-        return canonical_lambda(self.value, self.ext)
-
-    def __repr__(self):
-        return f"RationalClass({rational_to_string(self.value)} mod norms)"

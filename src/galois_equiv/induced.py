@@ -12,10 +12,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EndomorphismCheckFailed, InternalInvariantViolation, Unsupported
-from .field import FieldElement, RationalClass
+from .field import FieldElement
 from .linalg import Mat, inverse, kernel_of_linear_maps
 from .rep import Representation, Word, evaluate_word
-from .equivariance import compute_X, decide_lambda, _norm_scalar
+from .equivariance import LambdaInvariant, compute_X, decide_lambda, _norm_scalar
 
 
 class SemilinearPair:
@@ -217,7 +217,7 @@ def endomorphism_dim(ind: InducedRep) -> int:
 @dataclass
 class SchurReport:
     index: int
-    lambda_class: RationalClass
+    invariant: LambdaInvariant
     symbol: Optional[tuple[Fraction, int]]  # (canonical lambda, disc core) when index 2
 
 
@@ -225,11 +225,7 @@ def schur_index(cp: CrossedProduct, witness: Optional[FieldElement] = None) -> S
     """Schur index of the induced representation over Q, decided through the
     norm class of the crossed product's lambda.  Quadratic extensions are
     decided outright; r > 2 needs a witness and can only certify index 1."""
-    ext = cp.ext
-    inv = decide_lambda(cp.lambda_rep, ext, witness)
-    cls = RationalClass(inv.lambda_rep, ext)
-    if ext.degree == 2:
-        if inv.is_trivial:
-            return SchurReport(1, cls, None)
-        return SchurReport(2, cls, (inv.lambda_canonical, ext.disc_core))
-    return SchurReport(1, cls, None)
+    inv = decide_lambda(cp.lambda_rep, cp.ext, witness)
+    if inv.is_trivial:
+        return SchurReport(1, inv, None)
+    return SchurReport(2, inv, (inv.lambda_canonical, cp.ext.disc_core))

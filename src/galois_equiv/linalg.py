@@ -1,9 +1,8 @@
 """Exact matrices over a cyclic extension, plus the rational elimination engine.
 
-Matrices over L use straightforward Gaussian elimination with
-height-minimizing pivots (sizes here are tiny).  L-linear systems, such as
-the intertwiner condition X A = B X, are solved over L in their n^2
-unknowns through IncrementalSpan.  The large systems produced by
+Every elimination over L, from matrix inverses to L-linear systems such as
+the intertwiner condition X A = B X in its n^2 unknowns, goes through
+IncrementalSpan (sizes here are tiny).  The large systems produced by
 restriction of scalars are rational, and go through fraction-free Bareiss
 elimination on an integerized lift so intermediate entries stay minor-sized.
 """
@@ -133,40 +132,6 @@ def matrix_norm(a: Mat) -> Mat:
     return acc
 
 
-def _height(x: FieldElement) -> int:
-    h = 0
-    for c in x.coeffs:
-        h = max(h, abs(c.numerator), c.denominator)
-    return h
-
-
-def inverse(a: Mat) -> Mat:
-    """Gauss-Jordan inverse over L; raises Singular when rank is deficient."""
-    if a.nrows != a.ncols:
-        raise Singular("only square matrices are invertible")
-    n = a.nrows
-    ext = a.ext
-    aug = [list(row) + [ext.element(int(i == j)) for j in range(n)] for i, row in enumerate(a.rows)]
-    for col in range(n):
-        best = None
-        for r in range(col, n):
-            if aug[r][col]:
-                h = _height(aug[r][col])
-                if best is None or h < best[0]:
-                    best = (h, r)
-        if best is None:
-            raise Singular("matrix is singular")
-        r = best[1]
-        aug[col], aug[r] = aug[r], aug[col]
-        inv_piv = aug[col][col].inverse()
-        aug[col] = [e * inv_piv for e in aug[col]]
-        for r2 in range(n):
-            if r2 != col and aug[r2][col]:
-                f = aug[r2][col]
-                aug[r2] = [e - f * p for e, p in zip(aug[r2], aug[col])]
-    return Mat(ext, [row[n:] for row in aug])
-
-
 class IncrementalSpan:
     """An L-subspace of L^width maintained in reduced echelon form."""
 
@@ -216,6 +181,27 @@ class IncrementalSpan:
                 v[pcol] = -row[f]
             basis.append(v)
         return basis
+
+
+def inverse(a: Mat) -> Mat:
+    """A^-1 from the reduced echelon form of the rows of [A | I]; raises
+    Singular when A is not square or its rank is deficient.
+
+    The rows are independent, so their pivots are n distinct columns.  They
+    are the first n exactly when A is invertible, and then the reduced rows,
+    sorted by pivot, are [I | A^-1].
+    """
+    if a.nrows != a.ncols:
+        raise Singular("only square matrices are invertible")
+    n = a.nrows
+    ext = a.ext
+    span = IncrementalSpan(ext, 2 * n)
+    for i, row in enumerate(a.rows):
+        span.insert(list(row) + [ext.element(int(i == j)) for j in range(n)])
+    if sorted(span.pivots) != list(range(n)):
+        raise Singular("matrix is singular")
+    by_pivot = dict(zip(span.pivots, span.rows))
+    return Mat(ext, [by_pivot[i][n:] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,22 @@ def test_ragged_matrix_exits_2(tmp_path, capsys):
     assert "representation.g" in capsys.readouterr().err
 
 
-def test_unknown_generator_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "update",
+    [
+        pytest.param({"relations": ["g q"]}, id="unknown-generator"),
+        pytest.param({"generators": [], "relations": [], "tau": {}}, id="no-generators"),
+        pytest.param({"generators": ["g", "g"]}, id="duplicate-generators"),
+        pytest.param({"relations": "g g g"}, id="relations-not-a-list"),
+        pytest.param({"relations": [3]}, id="relation-not-a-word"),
+        pytest.param({"tau": "g"}, id="tau-a-string"),
+        pytest.param({"tau": ["g"]}, id="tau-a-list"),
+        pytest.param({"tau": {"g": 1}}, id="tau-image-not-a-word"),
+    ],
+)
+def test_malformed_group_exits_2(tmp_path, capsys, update):
     data = json.loads(open(C3).read())
-    data["group"]["relations"] = ["g q"]
+    data["group"].update(update)
     path = write_problem(tmp_path, data)
     assert main(["validate", path]) == 2
     assert "group" in capsys.readouterr().err

@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from galois_equiv.errors import FactorizationIncomplete, NoWitnessFound, Unsupported
+from galois_equiv.errors import (
+    FactorizationIncomplete,
+    InternalInvariantViolation,
+    NoWitnessFound,
+    Unsupported,
+)
 from galois_equiv.field import (
     INF,
     CyclicExtension,
-    RationalClass,
     canonical_lambda,
     factor,
     hilbert_symbol,
@@ -260,17 +264,30 @@ def test_extension_validation():
 
 
 def test_element_arithmetic_and_inverse():
-    ext = q5()
     rng = random.Random(3)
-    for _ in range(40):
-        x = ext.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)])
-        y = ext.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)])
-        assert (x + y) - y == x
-        assert x * y == y * x
-        if x:
-            assert x * x.inverse() == ext.one()
-        if y:
-            assert (x / y) * y == x
+    for ext in (q5(), qm7(), cyclic_cubic()):
+        r = ext.degree
+        for _ in range(40):
+            x = ext.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(r)])
+            y = ext.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(r)])
+            assert (x + y) - y == x
+            assert x * y == y * x
+            if x:
+                assert x * x.inverse() == ext.one()
+            if y:
+                assert (x / y) * y == x
+
+
+def test_inverse_in_a_reducible_cubic_rejects_zero_divisors():
+    # m = (t-1)(t-2)(t-3) and sigma cycles the roots 1 -> 2 -> 3 -> 1, so the
+    # constructor accepts it, but t - 1 is a zero divisor of Q[t]/(m)
+    ext = CyclicExtension([-6, 11, -6, 1], [-2, Fraction(11, 2), Fraction(-3, 2)])
+    t = ext.gen()
+    with pytest.raises(InternalInvariantViolation):
+        (t - 1).inverse()
+    u = t + 1
+    assert u * u.inverse() == ext.one()
+    assert u.inverse() * u == ext.one()
 
 
 def test_gen_satisfies_min_poly():
@@ -420,14 +437,6 @@ def test_canonical_lambda_is_idempotent_and_class_invariant():
             if mu:
                 assert canonical_lambda(lam * norm(mu), ext) == c
             assert (c == 1) == is_norm(lam, ext)
-
-
-def test_rational_class_wrapper():
-    cls = RationalClass(-8, qm7())
-    assert cls.canonical() == -2
-    assert not cls.is_trivial()
-    assert cls.same_class(RationalClass(-2, qm7()))
-    assert RationalClass(Fraction(1, 2), qm7()).is_trivial()
 
 
 def test_rational_string_round_trip():

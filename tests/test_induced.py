@@ -103,8 +103,8 @@ def test_schur_index_trivial_cases(a5, c3):
     report = schur_index(build_crossed_product(a5))
     assert report.index == 1
     assert report.symbol is None
-    assert report.lambda_class.value == Fraction(-1)
-    assert report.lambda_class.is_trivial()
+    assert report.invariant.lambda_rep == Fraction(-1)
+    assert report.invariant.is_trivial
     assert schur_index(build_crossed_product(c3)).index == 1
 
 
@@ -112,8 +112,8 @@ def test_schur_index_of_the_double_cover(a7d):
     report = schur_index(build_crossed_product(a7d))
     assert report.index == 2
     assert report.symbol == (Fraction(-2), -7)
-    assert not report.lambda_class.is_trivial()
-    assert report.lambda_class.canonical() == Fraction(-2)
+    assert not report.invariant.is_trivial
+    assert report.invariant.lambda_canonical == Fraction(-2)
 
 
 def test_double_cover_crossed_product(a7d):

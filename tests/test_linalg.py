@@ -30,6 +30,11 @@ def qm7():
     return CyclicExtension([7, 0, 1], [0, -1])
 
 
+def cyclic_cubic():
+    # maximal real subfield of Q(zeta_7): t = 2cos(2pi/7), sigma(t) = t^2 - 2
+    return CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
+
+
 def random_mat(ext, n, m, rng, span=4):
     return Mat(ext, [[ext.element([rng.randint(-span, span) for _ in range(ext.degree)])
                       for _ in range(m)] for _ in range(n)])
@@ -102,7 +107,7 @@ def test_rational_in_span():
 
 def test_matrix_arithmetic_and_inverse():
     rng = random.Random(41)
-    for ext in (q5(), qm7()):
+    for ext in (q5(), qm7(), cyclic_cubic()):
         for _ in range(10):
             n = rng.randint(1, 4)
             a = random_invertible(ext, n, rng)
@@ -118,6 +123,15 @@ def test_inverse_raises_on_singular():
     ext = q5()
     with pytest.raises(Singular):
         inverse(Mat(ext, [[1, 2], [2, 4]]))
+    ext = qm7()
+    t = ext.gen()
+    r1 = [ext.one(), t, ext.element([2, -1])]
+    r2 = [t, ext.element(3), ext.element([0, 1])]
+    r3 = [t * a - 2 * b for a, b in zip(r1, r2)]  # t * r1 - 2 * r2
+    with pytest.raises(Singular):
+        inverse(Mat(ext, [r1, r2, r3]))
+    with pytest.raises(Singular):
+        inverse(Mat(ext, [r1, [0, 0, 0], r2]))
 
 
 def test_rank_and_kernel_over_l():
