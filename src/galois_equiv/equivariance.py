@@ -22,7 +22,7 @@ from .errors import (
     Singular,
     Unsupported,
 )
-from .field import CyclicExtension, FieldElement, canonical_lambda, is_norm, norm, norm_witness
+from .field import CyclicExtension, FieldElement, canonical_lambda, norm, norm_witness
 from .linalg import Mat, inverse, matrix_norm, solve_sylvester_space
 from .rep import Representation, evaluate_word
 
@@ -111,15 +111,17 @@ def lambda_invariant(rep: Representation, witness: Optional[FieldElement] = None
 def decide_lambda(lam: Fraction, ext: CyclicExtension, witness: Optional[FieldElement]) -> LambdaInvariant:
     """The class of lambda mod norms, for lambda the twisted norm of X.
 
-    For quadratic extensions the class is decided by Hilbert symbols.  For
-    r > 2 a witness is required; without one the decision is Unsupported.
+    A supplied witness is checked first at every degree: one of norm lambda
+    or 1/lambda decides the class trivial, any other is a BadWitness.  Without
+    one, quadratic extensions are decided by Hilbert symbols and r > 2 is
+    Unsupported.
     """
-    if ext.degree == 2:
-        trivial = is_norm(lam, ext)
-        return LambdaInvariant(lam, canonical_lambda(lam, ext), trivial)
     if witness is not None:
         _witness_to_rescaler(witness, lam)
         return LambdaInvariant(lam, Fraction(1), True)
+    if ext.degree == 2:
+        canonical = canonical_lambda(lam, ext)
+        return LambdaInvariant(lam, canonical, canonical == 1)
     raise Unsupported("deciding lambda mod norms needs a witness when r > 2")
 
 
@@ -255,15 +257,9 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ce
     entries.append(("twisted norm of X is lambda_rep I", norm_x == cert.lambda_rep * ident))
 
     if ext.degree == 2:
-        entries.append(
-            ("is_trivial matches the norm test", cert.is_trivial == is_norm(cert.lambda_rep, ext))
-        )
-        entries.append(
-            (
-                "lambda_canonical matches",
-                cert.lambda_canonical == canonical_lambda(cert.lambda_rep, ext),
-            )
-        )
+        canonical = canonical_lambda(cert.lambda_rep, ext)
+        entries.append(("is_trivial matches the norm test", cert.is_trivial == (canonical == 1)))
+        entries.append(("lambda_canonical matches", cert.lambda_canonical == canonical))
 
     if cert.witness is not None:
         entries.append(("witness norm is lambda^-1", norm(cert.witness) * cert.lambda_rep == 1))

@@ -25,10 +25,6 @@ class UnknownGenerator(GaloisEquivError):
     """A word refers to a generator index or name that does not exist."""
 
 
-class CapExceeded(GaloisEquivError):
-    """Word-span growth did not stabilize within the length cap."""
-
-
 class NotEquivalent(GaloisEquivError):
     """No nonzero intertwiner exists: the twisted representation is not equivalent."""
 

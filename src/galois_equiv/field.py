@@ -9,6 +9,7 @@ witness search) lives at the bottom of the module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -484,23 +485,27 @@ def _require_quadratic(ext: CyclicExtension):
         raise Unsupported("norm membership is only decided for quadratic extensions")
 
 
-def _relevant_places(lam: Fraction, d: int) -> list:
-    places = [INF, 2]
-    primes = set()
-    for n in (lam.numerator * lam.denominator, d):
-        _, fs = factor(abs(n))
-        primes.update(p for p, _ in fs if p != 2)
-    return places + sorted(primes)
+def _primes_of(q) -> set[int]:
+    """The primes dividing the numerator or the denominator of q, factoring once."""
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("0 is not in Q*")
+    _, fs = factor(abs(q.numerator * q.denominator))
+    return {p for p, _ in fs}
+
+
+def _nonnorm_places(q: Fraction, d: int, primes) -> frozenset:
+    """The places v with (q, d)_v = -1.  Apart from inf and 2 the symbol is 1 at
+    every prime dividing neither q nor d, so primes must hold all those that do."""
+    return frozenset(v for v in {INF, 2, *primes} if hilbert_symbol(q, d, v) == -1)
 
 
 def is_norm(lam, ext: CyclicExtension) -> bool:
-    """Decide lam in N(L*) for quadratic L, via Hilbert symbols at all relevant places."""
+    """Decide lam in N(L*) for quadratic L: no place has Hilbert symbol (lam, d) = -1."""
     _require_quadratic(ext)
     lam = Fraction(lam)
-    if lam == 0:
-        raise ValueError("0 is not in Q*")
     d = ext.disc_core
-    return all(hilbert_symbol(lam, d, p) == 1 for p in _relevant_places(lam, d))
+    return not _nonnorm_places(lam, d, _primes_of(lam) | _primes_of(d))
 
 
 def norm_witness(lam, ext: CyclicExtension, budget: int = 10**4) -> FieldElement:
@@ -606,31 +611,29 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
     """A stable squarefree integer representative of lam mod N(L*).
 
     Trivial classes report 1.  A nontrivial class reports the
-    smallest-absolute-value squarefree integer with at least one prime
-    factor whose Hilbert symbols against d match those of lam at every
-    relevant place (ties broken toward positive sign).
+    smallest-absolute-value squarefree integer k with |k| >= 2 whose Hilbert
+    symbols against d match those of lam at every place (ties broken toward
+    positive sign).
     """
     _require_quadratic(ext)
     lam = Fraction(lam)
-    if is_norm(lam, ext):
-        return Fraction(1)
     d = ext.disc_core
-    base_places = _relevant_places(lam, d)
-    target = {p: hilbert_symbol(lam, d, p) for p in base_places}
-    k = 2
-    while k <= 10**7:
-        if squarefree_part(k) == k:
-            for cand in (k, -k):
-                places = set(base_places)
-                _, fs = factor(k)
-                places.update(p for p, _ in fs)
-                ok = True
-                for p in sorted(places):
-                    want = target.get(p, hilbert_symbol(lam, d, p))
-                    if hilbert_symbol(cand, d, p) != want:
-                        ok = False
-                        break
-                if ok:
-                    return Fraction(cand)
-        k += 1
-    raise InternalInvariantViolation("no canonical representative found below 10^7")
+    d_primes = _primes_of(d)
+    target = _nonnorm_places(lam, d, _primes_of(lam) | d_primes)
+    if not target:
+        return Fraction(1)
+    # At an odd p not dividing d, (k, d)_p = (d/p)^v_p(k), so every k in the
+    # class is a multiple of step.  The squarefree kernel of lam is in the
+    # class, and so is d when that kernel is -1, so the scan ends by
+    # max(|kernel of lam|, |d|, 2).
+    step = math.prod(p for p in target if p not in (INF, 2) and d % p)
+    for k in itertools.count(step, step):
+        if k < 2:
+            continue
+        _, fs = factor(k)
+        if any(e > 1 for _, e in fs):
+            continue
+        primes = d_primes | {p for p, _ in fs}
+        for cand in (Fraction(k), Fraction(-k)):
+            if _nonnorm_places(cand, d, primes) == target:
+                return cand

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CapExceeded, UnknownGenerator
+from .errors import UnknownGenerator
 from .field import CyclicExtension
 from .linalg import IncrementalSpan, Mat, inverse
 
@@ -185,11 +185,11 @@ def check_automorphism(group: GroupData, rep: Optional[Representation] = None) -
     return AutomorphismReport(entries, all(h for _, h in entries), True)
 
 
-def burnside_dim(rep: Representation, cap: int = 20) -> int:
+def burnside_dim(rep: Representation) -> int:
     """L-dimension of the span of all word images, grown by word length.
 
-    Returns the dimension once a full length pass adds nothing new; raises
-    CapExceeded if the span is still growing at the word-length cap.  The
+    Each pass extends only the products that enlarged the span, so a pass
+    that adds nothing ends the loop, after at most dim^2 passes.  The
     representation is absolutely irreducible iff this equals dim^2.
     """
     n = rep.dim
@@ -198,14 +198,12 @@ def burnside_dim(rep: Representation, cap: int = 20) -> int:
     span.insert(ident.flatten())
     frontier = [ident]
     multipliers = list(rep.images) + list(rep._inverses)
-    for _ in range(cap):
+    while frontier:
         new_frontier = []
         for m in frontier:
             for g in multipliers:
                 cand = m * g
                 if span.insert(cand.flatten()):
                     new_frontier.append(cand)
-        if not new_frontier:
-            return span.dim
         frontier = new_frontier
-    raise CapExceeded(f"span still growing at word length {cap}")
+    return span.dim

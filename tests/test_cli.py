@@ -1,19 +1,24 @@
 """Front-end behavior: file parsing, reports, exit codes, certificate round trips."""
 
 import json
+import random
 import sys
 from collections import Counter
 
 import pytest
 
+from galois_equiv import field
 from galois_equiv.cli import (
     certificate_from_json,
     fixture_path,
     load_problem,
     main,
 )
-from galois_equiv.equivariance import compute_X, verify_certificate
+from galois_equiv.equivariance import compute_X, lambda_invariant, verify_certificate
+from galois_equiv.errors import Singular
+from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
+from galois_equiv.linalg import Mat, inverse
 
 A5 = fixture_path("a5_3dim.json")
 C3 = fixture_path("c3_inversion.json")
@@ -245,6 +250,14 @@ def test_witness_flag_is_parsed(capsys):
     assert report_of(capsys)["is_trivial"] is True
 
 
+@pytest.mark.parametrize("command", ["lambda", "induce", "equivariant"])
+def test_every_command_checks_the_witness(command, capsys):
+    # lambda is -1 on A5: 1 + t has norm -4, 2 - t has norm -1
+    assert main([command, A5, "--witness", "1,1"]) == 1
+    assert "BadWitness" in capsys.readouterr().err
+    assert main([command, A5, "--witness", "2,-1"]) == 0
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["lambda", str(tmp_path / "nope.json")]) == 2
 
@@ -280,3 +293,52 @@ def test_each_command_computes_each_stage_once(monkeypatch, tmp_path, capsys):
     # --out adds exactly the re-verification of the certificate read back
     assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
     assert counts == {"compute_X": 1, "verify_certificate": 2}
+
+
+def write_conjugate(tmp_path, path, seed):
+    """The problem file at path with every image conjugated by a seeded random T."""
+    problem = load_problem(path)
+    ext = problem.ext
+    n = problem.matrices[0].nrows
+    rng = random.Random(seed)
+    while True:
+        t = Mat(ext, [[ext.element([rng.randint(-2, 2) for _ in range(ext.degree)]) for _ in range(n)] for _ in range(n)])
+        try:
+            t_inv = inverse(t)
+        except Singular:
+            continue
+        break
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["representation"] = {
+        name: [[[rational_to_string(c) for c in e.coeffs] for e in row] for row in (t * m * t_inv).rows]
+        for name, m in zip(problem.gen_names, problem.matrices)
+    }
+    return write_problem(tmp_path, data)
+
+
+@pytest.mark.parametrize(
+    "fixture, code, expected",
+    [
+        pytest.param(A7D, 3, {"lambda": 1, "induce": 1, "equivariant": 2}, id="2a7-obstruction"),
+        pytest.param(A5, 0, {"lambda": 1, "induce": 1, "equivariant": 3}, id="a5-trivial"),
+    ],
+)
+def test_each_decision_factors_lambda_once(monkeypatch, tmp_path, capsys, fixture, code, expected):
+    # equivariant re-decides lambda in verify_certificate, and norm_witness
+    # checks its own is_norm precondition on the trivial path
+    path = write_conjugate(tmp_path, fixture, seed=0)
+    lam = lambda_invariant(load_problem(path).representation()).lambda_rep
+    target = abs(lam.numerator * lam.denominator)
+    factored = []
+    factor = field.factor
+
+    def counting_factor(n, *args, **kwargs):
+        factored.append(abs(n))
+        return factor(n, *args, **kwargs)
+
+    monkeypatch.setattr(field, "factor", counting_factor)
+    for command, count in expected.items():
+        factored.clear()
+        assert main([command, path]) == code
+        assert factored.count(target) == count, command

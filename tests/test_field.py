@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,30 @@ def oracle_is_norm(lam: Fraction, b: Fraction, c: Fraction, bound: int = 50) -> 
                 if abs(p) <= bound and p * p - b * p * q + c * q * q == t:
                     return True
     return False
+
+
+def oracle_canonical_lambda(lam: Fraction, ext: CyclicExtension) -> Fraction:
+    """The linear scan canonical_lambda once ran: 1 for a norm, else the first
+    squarefree k = 2, 3, ... (k before -k) whose Hilbert symbols against d match
+    lam's at inf, 2 and every prime of lam, d and k.  The scan stops at
+    max(|squarefree kernel of lam|, |d|, 2), by which the class has a member."""
+    d = ext.disc_core
+
+    def odd_primes(n):
+        return {p for p, _ in factor(abs(n))[1] if p != 2}
+
+    base = {INF, 2} | odd_primes(lam.numerator * lam.denominator) | odd_primes(d)
+    if all(hilbert_symbol(lam, d, p) == 1 for p in base):
+        return Fraction(1)
+    limit = max(abs(squarefree_part(lam.numerator * lam.denominator)), abs(d), 2)
+    for k in range(2, limit + 1):
+        if squarefree_part(k) != k:
+            continue
+        places = base | odd_primes(k)
+        for cand in (k, -k):
+            if all(hilbert_symbol(cand, d, p) == hilbert_symbol(lam, d, p) for p in places):
+                return Fraction(cand)
+    raise AssertionError(f"no representative of {lam} up to {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +462,33 @@ def test_canonical_lambda_is_idempotent_and_class_invariant():
             if mu:
                 assert canonical_lambda(lam * norm(mu), ext) == c
             assert (c == 1) == is_norm(lam, ext)
+
+
+def test_canonical_lambda_matches_the_linear_scan():
+    exts = [
+        q5(),
+        qm7(),
+        qm3(),
+        CyclicExtension([-13, 0, 1], [0, -1]),
+        CyclicExtension([-2, 0, 1], [0, -1]),
+        CyclicExtension([1, 0, 1], [0, -1]),
+        CyclicExtension([2, -1, 1], [1, -1]),  # t^2 - t + 2, a root of which is (1 + sqrt(-7))/2
+        # the class of -1 is first met at -5 and at 6, so a scan letting -4 through would differ
+        CyclicExtension([5, 0, 1], [0, -1]),
+        CyclicExtension([-15, 0, 1], [0, -1]),
+    ]
+    for ext in exts:
+        for num in range(-30, 31):
+            for den in (1, 2, 3, 4, 9, 10):
+                if num:
+                    lam = Fraction(num, den)
+                    assert canonical_lambda(lam, ext) == oracle_canonical_lambda(lam, ext), (lam, ext)
+
+
+def test_canonical_lambda_of_a_product_of_two_inert_primes_is_fast():
+    started = time.monotonic()
+    assert canonical_lambda(1019 * 1031, CyclicExtension([1, 0, 1], [0, -1])) == 1050589
+    assert time.monotonic() - started < 0.5
 
 
 def test_rational_string_round_trip():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from galois_equiv.errors import CapExceeded, UnknownGenerator
+from galois_equiv.errors import UnknownGenerator
 from galois_equiv.field import CyclicExtension
 from galois_equiv.linalg import Mat
 from galois_equiv.rep import (
@@ -95,10 +95,6 @@ def test_burnside_dim_full_on_a5(a5):
     assert burnside_dim(a5) == 9
 
 
-def test_burnside_dim_stable_under_larger_caps(a5):
-    assert burnside_dim(a5, cap=8) == burnside_dim(a5, cap=30) == 9
-
-
 def test_burnside_dim_on_degree_one(c3):
     assert burnside_dim(c3) == 1
 
@@ -110,11 +106,6 @@ def test_burnside_dim_detects_reducible():
     omega2 = ["-1/2", "-1/2"]
     rep = Representation(group, ext, [Mat(ext, [[omega, 0], [0, omega2]])])
     assert burnside_dim(rep) == 2  # < 4, reducible
-
-
-def test_burnside_cap_exceeded(a5):
-    with pytest.raises(CapExceeded):
-        burnside_dim(a5, cap=1)
 
 
 def test_tau_squared_returns_to_generator_words(a5):

@@ -403,7 +403,7 @@ def main():
     assert check_relations(rep).ok
     aut = check_automorphism(group, rep)
     assert aut.ok and aut.verified
-    assert burnside_dim(rep, cap=16) == 16
+    assert burnside_dim(rep) == 16
     assert not my.trace().is_rational(), "7-element trace should generate L"
     print(f"[{time.time()-t0:6.1f}s] relations, automorphism, and Burnside span verified")
 
