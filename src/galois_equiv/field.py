@@ -198,8 +198,10 @@ class CyclicExtension:
     min_poly: coefficients [c0, ..., c_{r-1}, 1] of a monic m(t), low degree
     first.  sigma_image: coefficients of s(t) with sigma(t) = s(t).  The
     constructor checks that sigma is a well-defined automorphism of exact
-    order r.  Irreducibility of m is verified for r = 2; for r > 2 it is a
-    precondition the caller must guarantee.
+    order r, and that m is irreducible: by its discriminant for r = 2, and
+    for r > 2 by finding a prime below 1000 at which m stays irreducible (a
+    cyclic L has a positive density of such primes).  A failed check raises
+    ValueError.
     """
 
     def __init__(self, min_poly: Sequence, sigma_image: Sequence):
@@ -222,6 +224,10 @@ class CyclicExtension:
             if disc == 0 or _is_rational_square(disc):
                 raise ValueError("t^2 + bt + c must be irreducible over Q")
             self.disc_core = squarefree_part(disc.numerator * disc.denominator)
+        elif not _irreducible_mod_some_prime(mp):
+            raise ValueError(
+                f"min_poly must be irreducible over Q: it is reducible mod every prime below {_RABIN_BOUND}"
+            )
         self._sigma_iterates = self._build_sigma_iterates()
         self._power_tables: dict[int, list[tuple[Fraction, ...]]] = {}
 
@@ -309,6 +315,8 @@ class CyclicExtension:
         return self.element([0, 1])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, CyclicExtension)
             and self.min_poly == other.min_poly
@@ -320,6 +328,93 @@ class CyclicExtension:
 
     def __repr__(self):
         return f"CyclicExtension(deg={self.degree}, m={[str(c) for c in self.min_poly]})"
+
+
+# m of degree r > 2 is certified irreducible by a prime below this bound
+_RABIN_BOUND = 1000
+
+
+def _irreducible_mod_some_prime(min_poly: Sequence[Fraction]) -> bool:
+    """Whether the monic min_poly is irreducible mod some prime below
+    _RABIN_BOUND that divides none of its denominators.  Such a reduction
+    keeps the degree, and a factorization over Q would reduce to one mod p
+    (Gauss), so a True answer proves min_poly irreducible over Q."""
+    den = math.lcm(*(c.denominator for c in min_poly))
+    for p in range(2, _RABIN_BOUND):
+        if den % p == 0 or not is_prime(p):
+            continue
+        f = [c.numerator * pow(c.denominator, -1, p) % p for c in min_poly]
+        if _rabin_irreducible(f, p):
+            return True
+    return False
+
+
+def _rabin_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test: a monic f of degree n is irreducible over F_p iff
+    t^(p^n) = t mod f and gcd(t^(p^(n/q)) - t, f) = 1 for each prime q | n."""
+    n = len(f) - 1
+    t = [0, 1] + [0] * (n - 2)
+    frobenius = [t]  # frobenius[k] = t^(p^k) mod f
+    for _ in range(n):
+        frobenius.append(_powmod_fp(frobenius[-1], p, f, p))
+    if frobenius[n] != t:
+        return False
+    for q, _ in factor(n)[1]:
+        g = list(frobenius[n // q])
+        g[1] = (g[1] - 1) % p
+        if len(_gcd_fp(g, f, p)) != 1:
+            return False
+    return True
+
+
+def _mulmod_fp(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a b mod (f, p); a and b hold the n = deg f coefficients of a residue."""
+    n = len(f) - 1
+    out = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = out[k] % p
+        if c:
+            for i in range(n):
+                out[k - n + i] -= c * f[i]
+    return [x % p for x in out[:n]]
+
+
+def _powmod_fp(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    out = [1] + [0] * (len(f) - 2)
+    while e:
+        if e & 1:
+            out = _mulmod_fp(out, a, f, p)
+        a = _mulmod_fp(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def _gcd_fp(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of two polynomials over F_p, low degree first, trimmed of
+    leading zeros: [] is 0 and a nonzero constant has length 1."""
+    a = _trim_fp(a, p)
+    b = _trim_fp(b, p)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            off = len(a) - len(b)
+            for i, y in enumerate(b):
+                a[off + i] = (a[off + i] - c * y) % p
+            a = _trim_fp(a, p)
+        a, b = b, a
+    return a
+
+
+def _trim_fp(a: list[int], p: int) -> list[int]:
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _is_rational_square(q: Fraction) -> bool:

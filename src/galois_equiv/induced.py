@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import EndomorphismCheckFailed, InternalInvariantViolation, Unsupported
 from .field import FieldElement
-from .linalg import Mat, inverse, kernel_of_linear_maps
+from .linalg import Mat, inverse, rational_rank
 from .rep import Representation, Word, evaluate_word
 from .equivariance import LambdaInvariant, compute_X, decide_lambda, _norm_scalar
 
@@ -206,12 +206,53 @@ def build_crossed_product(rep: Representation, x: Optional[Mat] = None) -> Cross
 def endomorphism_dim(ind: InducedRep) -> int:
     """Q-dimension of the algebra commuting with the induced representation,
     including the sigma-twisted condition at the tau block.  Equals r^2 for
-    an absolutely irreducible rep satisfying the twist hypothesis."""
-    p = ind.tau_pair.mat
-    maps = [(lambda E, D=D: E * D - D * E) for D in ind.blocks]
-    maps.append(lambda E: E * p - p * E.galois())
-    basis = kernel_of_linear_maps(maps, ind.rep.ext, ind.dim, ind.dim)
-    return len(basis)
+    an absolutely irreducible rep satisfying the twist hypothesis.
+
+    The conditions E D - D E = 0 for every generator block D and
+    E p - p sigma(E) = 0 at the tau block p are assembled as one rational
+    system.  Its unknowns are the coefficients of E, (i N + j) r + k for t^k
+    in entry (i, j).  A product y E_ab contributes the r x r multiplication
+    matrix of y applied to the coefficients of E_ab, and y sigma(E_ab) that
+    matrix times sigma's, whose column k is the coefficients of y sigma(t^k).
+    The dimension is the number of unknowns minus the rank.
+    """
+    ext = ind.rep.ext
+    r = ext.degree
+    big = ind.dim
+    powers = [ext.element([0] * k + [1]) for k in range(r)]
+    bases = {False: powers, True: [t_k.galois() for t_k in powers]}
+    cache: dict[tuple, list[list[Fraction]]] = {}
+
+    def action(y: FieldElement, twist: bool) -> list[list[Fraction]]:
+        """The matrix of x -> y x (or y sigma(x) when twist) on coefficient
+        vectors: row l, column k is the coefficient of t^l in y t^k (or in
+        y sigma(t^k))."""
+        if (y.coeffs, twist) not in cache:
+            cols = [(y * b).coeffs for b in bases[twist]]
+            cache[y.coeffs, twist] = [[col[l] for col in cols] for l in range(r)]
+        return cache[y.coeffs, twist]
+
+    rows = []
+    # E D - D E for each generator block D, then E p - p sigma(E)
+    for d, twist in [(d, False) for d in ind.blocks] + [(ind.tau_pair.mat, True)]:
+        for i in range(big):
+            for j in range(big):
+                terms = [(i, m, action(d.rows[m][j], False)) for m in range(big) if d.rows[m][j]]
+                terms += [(m, j, action(-d.rows[i][m], twist)) for m in range(big) if d.rows[i][m]]
+                acc = [{} for _ in range(r)]
+                for a, b, mat in terms:
+                    base = (a * big + b) * r
+                    for l in range(r):
+                        row = acc[l]
+                        for k, c in enumerate(mat[l]):
+                            if c:
+                                row[base + k] = row.get(base + k, 0) + c
+                for row in acc:
+                    entries = [(u, c) for u, c in row.items() if c]
+                    if entries:
+                        rows.append(entries)
+    nunk = big * big * r
+    return nunk - rational_rank(rows, nunk)
 
 
 @dataclass

@@ -3,8 +3,10 @@
 Every elimination over L, from matrix inverses to L-linear systems such as
 the intertwiner condition X A = B X in its n^2 unknowns, goes through
 IncrementalSpan (sizes here are tiny).  The large systems produced by
-restriction of scalars are rational, and go through fraction-free Bareiss
-elimination on an integerized lift so intermediate entries stay minor-sized.
+restriction of scalars are rational and sparse, and go through
+rational_elimination: integer rows stored as maps of their nonzero entries,
+fraction-free row operations on the rows a pivot touches, and removal of
+each updated row's content so entries stay small.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ class Mat:
 
     def __init__(self, ext: CyclicExtension, rows: Sequence[Sequence]):
         self.ext = ext
-        self.rows = tuple(tuple(ext.element(e) for e in row) for row in rows)
+        self.rows = tuple(
+            tuple(e if isinstance(e, FieldElement) and e.ext is ext else ext.element(e) for e in row)
+            for row in rows
+        )
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
@@ -54,10 +59,8 @@ class Mat:
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
             cols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                out.append([_dot(row, col, self.ext) for col in cols])
-            return Mat(self.ext, out)
+            zero = self.ext.zero()
+            return Mat(self.ext, [[_dot(row, col, zero) for col in cols] for row in self.rows])
         scalar = self.ext.element(other)
         return Mat(self.ext, [[a * scalar for a in r] for r in self.rows])
 
@@ -114,8 +117,8 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _dot(row, col, ext) -> FieldElement:
-    acc = ext.zero()
+def _dot(row, col, zero: FieldElement) -> FieldElement:
+    acc = zero
     for a, b in zip(row, col):
         if a and b:
             acc = acc + a * b
@@ -208,56 +211,81 @@ def inverse(a: Mat) -> Mat:
 # rational engine
 
 
-def _integerize(row: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints] if g else []
+def _integerize(entries) -> dict[int, int]:
+    """The nonzero (column, rational) entries of a row, scaled to coprime integers."""
+    entries = [(j, x) for j, x in entries if x]
+    if not entries:
+        return {}
+    den = lcm(*(x.denominator for _, x in entries))
+    ints = {j: x.numerator * (den // x.denominator) for j, x in entries}
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()}
 
 
-def rational_elimination(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Fraction-free Bareiss elimination with minimal-entry pivoting.
+def rational_elimination(rows: Sequence[Sequence], ncols: int):
+    """Sparse fraction-free elimination with minimal-entry pivoting.
 
-    Returns (mat, pivot_cols, pivot_rows): integer echelon data from which
-    rank and kernel are read off.
+    A row is a dense sequence of ncols rationals, or a list of (column,
+    value) pairs holding only its nonzero entries.  Rows are kept as maps of
+    their nonzero integer entries.  A pivot clears its column only from the
+    rows that have a nonzero there: row <- (p/g) row - (f/g) pivot_row with
+    g = gcd(p, f), after which the row is divided by its content.
+
+    Returns (mat, pivot_cols, pivot_rows): dense integer rows in echelon
+    form (each pivot row is zero left of its pivot column), from which rank
+    and kernel are read off.  The pivot columns are those of the echelon
+    form of the input, whichever rows are chosen.
     """
     mat = []
     for row in rows:
-        ints = _integerize(row)
+        entries = row if row and isinstance(row[0], tuple) else enumerate(row)
+        ints = _integerize(entries)
         if ints:
             mat.append(ints)
-    used = [False] * len(mat)
+    # rows not yet used as pivots, by the columns where they are nonzero
+    in_col: list[set[int]] = [set() for _ in range(ncols)]
+    for ri, row in enumerate(mat):
+        for j in row:
+            in_col[j].add(ri)
     piv_cols: list[int] = []
     piv_rows: list[int] = []
-    prev = 1
     for col in range(ncols):
-        best = None
-        for ri in range(len(mat)):
-            if not used[ri] and mat[ri][col]:
-                h = abs(mat[ri][col])
-                if best is None or h < best[0]:
-                    best = (h, ri)
-        if best is None:
+        if not in_col[col]:
             continue
-        ri = best[1]
-        used[ri] = True
+        ri = min(in_col[col], key=lambda k: (abs(mat[k][col]), k))
+        prow = mat[ri]
+        for j in prow:
+            in_col[j].discard(ri)
         piv_cols.append(col)
         piv_rows.append(ri)
-        pval = mat[ri][col]
-        prow = mat[ri]
-        for rj in range(len(mat)):
-            if used[rj]:
-                continue
-            mrow = mat[rj]
-            f = mrow[col]
-            for j in range(ncols):
-                mrow[j] = (mrow[j] * pval - f * prow[j]) // prev
-        prev = pval
-    return mat, piv_cols, piv_rows
+        pval = prow[col]
+        for rj in list(in_col[col]):
+            row = mat[rj]
+            f = row[col]
+            g = gcd(pval, f)
+            a, b = pval // g, f // g
+            for j in row:
+                row[j] *= a
+            for j, v in prow.items():
+                w = row.get(j, 0) - b * v
+                if w:
+                    if j not in row:
+                        in_col[j].add(rj)
+                    row[j] = w
+                else:
+                    del row[j]
+                    in_col[j].discard(rj)
+            c = gcd(*row.values())
+            if c > 1:
+                for j in row:
+                    row[j] //= c
+    dense = []
+    for row in mat:
+        out = [0] * ncols
+        for j, v in row.items():
+            out[j] = v
+        dense.append(out)
+    return dense, piv_cols, piv_rows
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:

@@ -245,6 +245,15 @@ def test_reducible_min_poly_exits_2(tmp_path, capsys):
     assert "field" in capsys.readouterr().err
 
 
+def test_reducible_cubic_min_poly_exits_2(tmp_path, capsys):
+    # (t-1)(t-2)(t-3), with sigma cycling the roots 1 -> 2 -> 3
+    data = json.loads(open(C3).read())
+    data["field"] = {"min_poly": [-6, 11, -6, 1], "sigma_image": [-2, "11/2", "-3/2"]}
+    path = write_problem(tmp_path, data)
+    assert main(["validate", path]) == 2
+    assert "field" in capsys.readouterr().err
+
+
 def test_witness_flag_is_parsed(capsys):
     assert main(["lambda", A5, "--witness", "2,-1"]) == 0
     assert report_of(capsys)["is_trivial"] is True

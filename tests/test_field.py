@@ -9,7 +9,6 @@ import pytest
 
 from galois_equiv.errors import (
     FactorizationIncomplete,
-    InternalInvariantViolation,
     NoWitnessFound,
     Unsupported,
 )
@@ -304,15 +303,12 @@ def test_element_arithmetic_and_inverse():
 
 
 def test_inverse_in_a_reducible_cubic_rejects_zero_divisors():
-    # m = (t-1)(t-2)(t-3) and sigma cycles the roots 1 -> 2 -> 3 -> 1, so the
-    # constructor accepts it, but t - 1 is a zero divisor of Q[t]/(m)
-    ext = CyclicExtension([-6, 11, -6, 1], [-2, Fraction(11, 2), Fraction(-3, 2)])
-    t = ext.gen()
-    with pytest.raises(InternalInvariantViolation):
-        (t - 1).inverse()
-    u = t + 1
-    assert u * u.inverse() == ext.one()
-    assert u.inverse() * u == ext.one()
+    # m = (t-1)(t-2)(t-3) and sigma cycles the roots 1 -> 2 -> 3 -> 1: sigma is
+    # a well-defined automorphism of order 3, but Q[t]/(m) has zero divisors
+    # such as t - 1.  m splits mod every prime, so the constructor rejects it
+    # before any element exists.
+    with pytest.raises(ValueError, match="irreducible"):
+        CyclicExtension([-6, 11, -6, 1], [-2, Fraction(11, 2), Fraction(-3, 2)])
 
 
 def test_gen_satisfies_min_poly():

@@ -11,7 +11,7 @@ from galois_equiv.errors import (
     Unsupported,
 )
 from galois_equiv.field import CyclicExtension
-from galois_equiv.linalg import Mat
+from galois_equiv.linalg import Mat, inverse, kernel_of_linear_maps
 from galois_equiv.rep import GroupData, Representation, parse_word
 from galois_equiv.equivariance import compute_X
 from galois_equiv.induced import (
@@ -21,6 +21,9 @@ from galois_equiv.induced import (
     endomorphism_dim,
     schur_index,
 )
+
+from conftest import build_a5, build_a7_double, build_c3
+from test_acceptance import random_invertible
 
 
 def random_element(ext, rng, span=6):
@@ -97,6 +100,60 @@ def test_rescaled_intertwiner_is_still_an_endomorphism(a5):
 def test_endomorphism_dimension_is_r_squared(a5, c3):
     assert endomorphism_dim(build_induced(a5)) == 4
     assert endomorphism_dim(build_induced(c3)) == 4
+
+
+def dense_endomorphism_dim(ind):
+    """The commutant dimension with each condition written as a Q-linear map
+    on matrices over L, evaluated on the basis t^k E_ij by Mat products and
+    eliminated densely."""
+    p = ind.tau_pair.mat
+    maps = [(lambda E, D=D: E * D - D * E) for D in ind.blocks]
+    maps.append(lambda E: E * p - p * E.galois())
+    return len(kernel_of_linear_maps(maps, ind.rep.ext, ind.dim, ind.dim))
+
+
+def conjugated(rep, seed):
+    t = random_invertible(rep.ext, rep.dim, random.Random(seed), spread=2)
+    return Representation(rep.group, rep.ext, [t * m * inverse(t) for m in rep.images])
+
+
+def doubled_c3():
+    """C3 + C3: the isotypic sum, whose induced commutant is M_2 of the simple one."""
+    c3 = build_c3()
+    (omega,) = c3.images
+    image = Mat(c3.ext, [[omega[0, 0], 0], [0, omega[0, 0]]])
+    return Representation(c3.group, c3.ext, [image])
+
+
+def cubic_involution():
+    """g -> a conjugate of diag(1, -1) over the cyclic cubic field, tau = 1."""
+    ext = CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
+    group = GroupData.from_strings(["g"], ["g g"], {"g": "g"}, tau_order=3)
+    diag = Mat(ext, [[1, 0], [0, -1]])
+    return conjugated(Representation(group, ext, [diag]), 5)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(build_c3, 4, id="c3"),
+        pytest.param(build_a5, 4, id="a5"),
+        pytest.param(build_a7_double, 4, id="2a7"),
+        pytest.param(lambda: conjugated(build_a5(), 1), 4, id="a5-conjugate-1"),
+        pytest.param(lambda: conjugated(build_a5(), 2), 4, id="a5-conjugate-2"),
+        pytest.param(lambda: conjugated(build_c3(), 1), 4, id="c3-conjugate-1"),
+        pytest.param(lambda: conjugated(build_c3(), 2), 4, id="c3-conjugate-2"),
+        pytest.param(doubled_c3, 16, id="c3-plus-c3"),
+        # two distinct characters, r^2 = 9 each; unlike the quadratic fields
+        # above, sigma's matrix here is not symmetric, so a transposed one shows
+        pytest.param(cubic_involution, 18, id="cubic-involution"),
+    ],
+)
+def test_endomorphism_dim_matches_the_dense_construction(build, expected):
+    ind = build_induced(build())
+    dim = endomorphism_dim(ind)
+    assert dim == dense_endomorphism_dim(ind)
+    assert dim == expected
 
 
 def test_schur_index_trivial_cases(a5, c3):

@@ -89,6 +89,33 @@ def test_rational_elimination_matches_oracle_on_random_systems():
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def test_sparse_rows_match_oracle_on_random_sparse_systems():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        m = rng.randint(1, 40)
+        rows = [
+            [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) if rng.random() < 0.05 else Fraction(0)
+             for _ in range(m)]
+            for _ in range(n)
+        ]
+        # dependent rows, so that elimination cancels and the rank drops
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+        rank = oracle_rank(rows, m)
+        assert rational_rank(rows, m) == rank
+        assert rational_rank(sparse, m) == rank
+        kern = rational_kernel(sparse, m)
+        assert kern == rational_kernel(rows, m)
+        assert len(kern) == m - rank
+        for v in kern:
+            for row in sparse:
+                assert sum(x * v[j] for j, x in row) == 0
+
+
 def test_rational_kernel_is_deterministic():
     rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
     assert rational_kernel(rows, 3) == rational_kernel([list(r) for r in rows], 3)
