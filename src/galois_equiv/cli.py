@@ -2,9 +2,9 @@
 
 Problem files are JSON with four blocks: "field" (min_poly, sigma_image),
 "group" (generators, relations, tau, tau_order, optional order),
-"representation" (generator name -> matrix), "options" (seed, budget,
-witness, witness_budget).  Rationals are integers or "p/q" strings; field
-elements are coefficient arrays in the basis 1, t, ..., t^(r-1).
+"representation" (generator name -> matrix), "options" (seed, witness).
+Rationals are integers or "p/q" strings; field elements are coefficient
+arrays in the basis 1, t, ..., t^(r-1).
 
 Exit codes: 0 success (trivial invariant, construction done), 1 validation
 or construction failure, 2 parse failure, 3 genuine obstruction (the
@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib.resources import files as resource_files
 from typing import Optional
 
-from .errors import GaloisEquivError, ParseError
+from .errors import GaloisEquivError, ParseError, Singular
 from .field import (
     CyclicExtension,
     FieldElement,
@@ -111,7 +111,11 @@ class Problem:
     options: dict
 
     def representation(self) -> Representation:
-        return Representation(self.group, self.ext, self.matrices)
+        """The representation, with a singular generator image reported as bad input."""
+        try:
+            return Representation(self.group, self.ext, self.matrices)
+        except Singular as exc:
+            raise ParseError(str(exc), "representation")
 
 
 def load_problem(path: str) -> Problem:
@@ -153,8 +157,8 @@ def load_problem(path: str) -> Problem:
         raise ParseError("tau must be an object mapping generator names to words", "group.tau")
     tau_order = _as_int(_require(grp, "tau_order", "group"), "group.tau_order")
     declared = grp.get("order")
-    if declared is not None:
-        declared = _as_int(declared, "group.order")
+    if declared is not None and _as_int(declared, "group.order") < 1:
+        raise ParseError("the group order must be a positive integer", "group.order")
     try:
         group = GroupData.from_strings(generators, relations, tau, tau_order, declared)
     except (GaloisEquivError, ValueError) as exc:
@@ -307,16 +311,12 @@ def cmd_lambda(problem: Problem, args) -> tuple[int, dict]:
 def cmd_equivariant(problem: Problem, args) -> tuple[int, dict]:
     rep = problem.representation()
     seed = args.seed if args.seed is not None else problem.options.get("seed", 0)
-    budget = args.budget if args.budget is not None else problem.options.get("budget", 64)
-    witness_budget = problem.options.get("witness_budget", 10**4)
     replay = load_replay(args.replay_y, problem.ext) if args.replay_y else None
     cert = equivariant_form(
         rep,
         seed=_as_int(seed, "options.seed"),
-        budget=_as_int(budget, "options.budget"),
         witness=_witness_from(problem, args),
         replay_y=replay,
-        witness_budget=_as_int(witness_budget, "options.witness_budget"),
     )
     payload = certificate_to_json(cert, problem)
     if args.out:
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("file", help="problem description file (JSON)")
         p.add_argument("--seed", type=int, default=None, help="seed for the randomized construction")
-        p.add_argument("--budget", type=int, default=None, help="retry budget for the randomized construction")
         p.add_argument("--witness", default=None, help="norm witness as comma-separated coefficients, e.g. '2,-1'")
         p.add_argument("--replay-Y", dest="replay_y", default=None, help="file with a matrix to replay instead of searching")
         p.add_argument("--out", default=None, help="write the certificate to this file")

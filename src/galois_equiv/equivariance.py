@@ -3,7 +3,7 @@
 The pipeline: compute the intertwiner X between rho and its sigma/tau twist,
 read off the norm invariant lambda from sigma^(r-1)(X)...sigma(X)X = lambda I,
 decide lambda mod norms, and when trivial rescale X and solve the matrix
-Hilbert 90 equation sigma(Y)^-1 Y = X by randomized telescoping, giving the
+Hilbert 90 equation sigma(Y)^-1 Y = X row by row by telescoping, giving the
 conjugated representation rho' = Y rho Y^-1 which commutes with the twist.
 """
 
@@ -15,15 +15,13 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     BadWitness,
-    BudgetExhausted,
     InternalInvariantViolation,
     NotEquivalent,
     NotIrreducible,
-    Singular,
     Unsupported,
 )
 from .field import CyclicExtension, FieldElement, canonical_lambda, norm, norm_witness
-from .linalg import Mat, inverse, matrix_norm, solve_sylvester_space
+from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, solve_sylvester_space
 from .rep import Representation, evaluate_word
 
 _LCG_MULT = 6364136223846793005
@@ -137,12 +135,14 @@ def rescale_X(x: Mat, mu: FieldElement) -> Mat:
     return out
 
 
-def hilbert90(x: Mat, seed: int = 0, budget: int = 64) -> Mat:
+def hilbert90(x: Mat, seed: int = 0) -> Mat:
     """Solve sigma(Y)^-1 Y = X for invertible Y, given matrix_norm(X) = I.
 
-    Telescoping construction: with B_0 = I and B_(i+1) = sigma(B_i) X, any C
-    makes Y = sum_i sigma^i(C) B_i satisfy sigma(Y) X = Y; random small C from
-    a seeded linear generator is retried until Y is invertible.
+    Telescoping, one row at a time: with B_0 = I and B_(i+1) = sigma(B_i) X,
+    every row c gives a row v = sum_i sigma^i(c) B_i with sigma(v) X = v.
+    Row k of Y is the first such v outside the span of the rows before it,
+    from the k-th seeded random row c, else from the basis rows t^j e_l,
+    whose images span L^n (Speiser's lemma), so Y is always invertible.
     """
     ext = x.ext
     r = ext.degree
@@ -152,23 +152,22 @@ def hilbert90(x: Mat, seed: int = 0, budget: int = 64) -> Mat:
     bs = [Mat.identity(ext, n)]
     for _ in range(r - 1):
         bs.append(bs[-1].galois() * x)
+    basis_rows = [[ext.gen() ** j * e for e in row] for row in bs[0].rows for j in range(r)]
     gen = _LinearGenerator(seed)
-    for _ in range(budget):
-        c = Mat(
-            ext,
-            [[ext.element([gen.small() for _ in range(r)]) for _ in range(n)] for _ in range(n)],
-        )
-        y = Mat.zeros(ext, n, n)
-        for i in range(r):
-            y = y + c.galois(i) * bs[i]
-        try:
-            y_inv_sigma = inverse(y.galois())
-        except Singular:
-            continue
-        if y_inv_sigma * y != x:
-            raise InternalInvariantViolation("telescoped Y failed its defining identity")
-        return y
-    raise BudgetExhausted(f"no invertible Y within {budget} samples")
+    span = IncrementalSpan(ext, n)
+    rows = []
+    for _ in range(n):
+        seeded = [ext.element([gen.small() for _ in range(r)]) for _ in range(n)]
+        for c in [seeded] + basis_rows:
+            row = Mat(ext, [c])
+            v = sum((row.galois(i) * bs[i] for i in range(1, r)), row).rows[0]
+            if span.insert(v):
+                rows.append(v)
+                break
+    y = Mat(ext, rows)
+    if inverse(y.galois()) * y != x:
+        raise InternalInvariantViolation("telescoped Y failed its defining identity")
+    return y
 
 
 @dataclass
@@ -188,15 +187,14 @@ class EquivarianceCertificate:
 def equivariant_form(
     rep: Representation,
     seed: int = 0,
-    budget: int = 64,
     witness: Optional[FieldElement] = None,
     replay_y: Optional[Mat] = None,
-    witness_budget: int = 10**4,
 ) -> EquivarianceCertificate:
     """Decide equivariance and construct Y and rho' when the invariant is trivial.
 
-    A replayed Y short-circuits the random construction: it must solve
-    sigma(Y)^-1 Y = c X for a scalar c compatible with lambda.
+    The seed picks the random rows of Hilbert 90.  A replayed Y replaces the
+    construction: it must solve sigma(Y)^-1 Y = c X for a scalar c
+    compatible with lambda.
     """
     x = compute_X(rep)
     lam = _norm_scalar(x)
@@ -224,8 +222,8 @@ def equivariant_form(
         return cert
 
     if mu is None:
-        mu = norm_witness(lam, ext, budget=witness_budget).inverse()
-    y = replay_y if replay_y is not None else hilbert90(rescale_X(x, mu), seed=seed, budget=budget)
+        mu = norm_witness(lam, ext).inverse()
+    y = replay_y if replay_y is not None else hilbert90(rescale_X(x, mu), seed=seed)
     cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, True, mu, y, _conjugate(rep, y), seed)
     _require_valid(cert, rep)
     return cert

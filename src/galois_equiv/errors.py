@@ -14,7 +14,7 @@ class Unsupported(GaloisEquivError):
 
 
 class NoWitnessFound(GaloisEquivError):
-    """Norm witness search exhausted its budget; membership itself is not in doubt."""
+    """The norm witness search gave up; membership itself is not in doubt."""
 
 
 class Singular(GaloisEquivError):
@@ -39,10 +39,6 @@ class InternalInvariantViolation(GaloisEquivError):
 
 class BadWitness(GaloisEquivError):
     """A supplied norm witness does not verify against the computed invariant."""
-
-
-class BudgetExhausted(GaloisEquivError):
-    """Randomized search ran out of retries."""
 
 
 class EndomorphismCheckFailed(GaloisEquivError):

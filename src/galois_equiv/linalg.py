@@ -150,7 +150,7 @@ class IncrementalSpan:
         for prow, pcol in zip(self.rows, self.pivots):
             if row[pcol]:
                 f = row[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
         lead = next((j for j in range(self.width) if row[j]), None)
         if lead is None:
             return False
@@ -159,7 +159,7 @@ class IncrementalSpan:
         for k, prow in enumerate(self.rows):
             if prow[lead]:
                 f = prow[lead]
-                self.rows[k] = [a - f * b for a, b in zip(prow, row)]
+                self.rows[k] = [a - f * b if b else a for a, b in zip(prow, row)]
         self.rows.append(row)
         self.pivots.append(lead)
         return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import UnknownGenerator
+from .errors import Singular, UnknownGenerator
 from .field import CyclicExtension
 from .linalg import IncrementalSpan, Mat, inverse
 
@@ -114,9 +114,9 @@ class GroupData:
 class Representation:
     """A matrix representation of a GroupData over a CyclicExtension.
 
-    The constructor checks shapes and invertibility; whether the relations
-    actually evaluate to the identity is checked separately so that invalid
-    data can still be probed.
+    The constructor checks shapes and invertibility (a Singular names the
+    generator); whether the relations actually evaluate to the identity is
+    checked separately so that invalid data can still be probed.
     """
 
     def __init__(self, group: GroupData, ext: CyclicExtension, images: Sequence[Mat]):
@@ -129,7 +129,13 @@ class Representation:
         if len(dims) != 1 or any(a != b for a, b in dims):
             raise ValueError("images must be square matrices of equal size")
         self.dim = images[0].nrows
-        self._inverses = tuple(inverse(m) for m in images)
+        inverses = []
+        for name, m in zip(group.gen_names, images):
+            try:
+                inverses.append(inverse(m))
+            except Singular:
+                raise Singular(f"the image of generator {name!r} is singular") from None
+        self._inverses = tuple(inverses)
 
     def letter(self, gen: int, exp: int) -> Mat:
         return self.images[gen] if exp > 0 else self._inverses[gen]

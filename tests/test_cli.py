@@ -227,6 +227,8 @@ def test_ragged_matrix_exits_2(tmp_path, capsys):
         pytest.param({"tau": "g"}, id="tau-a-string"),
         pytest.param({"tau": ["g"]}, id="tau-a-list"),
         pytest.param({"tau": {"g": 1}}, id="tau-image-not-a-word"),
+        pytest.param({"order": 0}, id="order-zero"),
+        pytest.param({"order": -60}, id="order-negative"),
     ],
 )
 def test_malformed_group_exits_2(tmp_path, capsys, update):
@@ -235,6 +237,15 @@ def test_malformed_group_exits_2(tmp_path, capsys, update):
     path = write_problem(tmp_path, data)
     assert main(["validate", path]) == 2
     assert "group" in capsys.readouterr().err
+
+
+def test_singular_generator_image_exits_2(tmp_path, capsys):
+    data = json.loads(open(C3).read())
+    data["representation"]["g"] = [[0]]
+    path = write_problem(tmp_path, data)
+    assert main(["lambda", path]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "'g'" in err and "singular" in err
 
 
 def test_reducible_min_poly_exits_2(tmp_path, capsys):

@@ -7,11 +7,12 @@ import pytest
 
 from galois_equiv.errors import (
     BadWitness,
-    BudgetExhausted,
     NotEquivalent,
     NotIrreducible,
+    Singular,
     Unsupported,
 )
+from galois_equiv import equivariance
 from galois_equiv.field import CyclicExtension, norm
 from galois_equiv.linalg import Mat, inverse, matrix_norm
 from galois_equiv.rep import GroupData, Representation, evaluate_word
@@ -85,22 +86,25 @@ def test_rescale_x_rejects_bad_scalar(a5):
         rescale_X(x, a5.ext.element([3, 0]))
 
 
+def random_cocycle(ext, n, rng):
+    """sigma(Z)^-1 Z for a random invertible Z, so its twisted norm is I."""
+    while True:
+        z = Mat(ext, [[ext.element([rng.randint(-3, 3) for _ in range(ext.degree)])
+                       for _ in range(n)] for _ in range(n)])
+        try:
+            inverse(z)
+        except Singular:
+            continue
+        return inverse(z.galois()) * z
+
+
 def test_hilbert90_solves_random_cocycles():
     rng = random.Random(71)
     for min_poly in ([-5, 0, 1], [7, 0, 1]):
         ext = CyclicExtension(min_poly, [0, -1])
         for n in (1, 2, 3):
             for trial in range(3):
-                z = None
-                while z is None:
-                    cand = Mat(ext, [[ext.element([rng.randint(-3, 3), rng.randint(-3, 3)])
-                                      for _ in range(n)] for _ in range(n)])
-                    try:
-                        inverse(cand)
-                        z = cand
-                    except Exception:
-                        pass
-                x = inverse(z.galois()) * z
+                x = random_cocycle(ext, n, rng)
                 assert matrix_norm(x).is_identity()
                 y = hilbert90(x, seed=trial)
                 assert inverse(y.galois()) * y == x
@@ -112,10 +116,21 @@ def test_hilbert90_rejects_bad_norm(a5):
         hilbert90(x)
 
 
-def test_hilbert90_budget_zero_exhausts():
-    ext = CyclicExtension([-5, 0, 1], [0, -1])
-    with pytest.raises(BudgetExhausted):
-        hilbert90(Mat.identity(ext, 2), budget=0)
+def test_hilbert90_needs_no_random_row(monkeypatch):
+    # every seeded row is zero, so each row of Y comes from the basis rows
+    monkeypatch.setattr(equivariance._LinearGenerator, "small", lambda self: 0)
+    rng = random.Random(73)
+    fields = [
+        CyclicExtension([-5, 0, 1], [0, -1]),
+        CyclicExtension([7, 0, 1], [0, -1]),
+        CyclicExtension([1, -3, 0, 1], [-2, 0, 1]),  # t^3 - 3t + 1, sigma: t -> t^2 - 2
+    ]
+    for ext in fields:
+        for n in (1, 2, 3):
+            for _ in range(2):
+                x = random_cocycle(ext, n, rng)
+                y = hilbert90(x, seed=0)
+                assert inverse(y.galois()) * y == x
 
 
 def test_equivariant_form_end_to_end_on_a5(a5):
