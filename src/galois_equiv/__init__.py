@@ -35,7 +35,6 @@ from .induced import (
     CrossedProduct,
     InducedRep,
     SchurReport,
-    SemilinearPair,
     build_crossed_product,
     build_induced,
     endomorphism_dim,
@@ -53,7 +52,6 @@ __all__ = [
     "Mat",
     "Representation",
     "SchurReport",
-    "SemilinearPair",
     "build_crossed_product",
     "build_induced",
     "burnside_dim",

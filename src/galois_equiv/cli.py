@@ -156,6 +156,8 @@ def load_problem(path: str) -> Problem:
     if not isinstance(tau, dict) or not all(isinstance(w, str) for w in tau.values()):
         raise ParseError("tau must be an object mapping generator names to words", "group.tau")
     tau_order = _as_int(_require(grp, "tau_order", "group"), "group.tau_order")
+    if tau_order != ext.degree:
+        raise ParseError(f"tau order must equal the field degree {ext.degree}", "group.tau_order")
     declared = grp.get("order")
     if declared is not None and _as_int(declared, "group.order") < 1:
         raise ParseError("the group order must be a positive integer", "group.order")
@@ -272,7 +274,7 @@ def _divides_declared_order(canonical: Fraction, order: int) -> bool:
 def cmd_validate(problem: Problem, args) -> tuple[int, dict]:
     rep = problem.representation()
     rel = check_relations(rep)
-    aut = check_automorphism(problem.group, rep)
+    aut = check_automorphism(rep)
     n = rep.dim
     dim = burnside_dim(rep)
     irreducible = dim == n * n

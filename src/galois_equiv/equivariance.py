@@ -22,7 +22,7 @@ from .errors import (
 )
 from .field import CyclicExtension, FieldElement, canonical_lambda, norm, norm_witness
 from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, solve_sylvester_space
-from .rep import Representation, evaluate_word
+from .rep import CheckReport, Representation, evaluate_word
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -234,13 +234,7 @@ def _conjugate(rep: Representation, y: Mat) -> tuple[Mat, ...]:
     return tuple(y * m * y_inv for m in rep.images)
 
 
-@dataclass
-class CertificateReport:
-    entries: list[tuple[str, bool]]
-    ok: bool
-
-
-def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> CertificateReport:
+def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> CheckReport:
     """Re-check every claim in a certificate against rep, from scratch."""
     entries = []
     ext = rep.ext
@@ -277,7 +271,7 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ce
                 equi_ok = False
         entries.append(("rho' commutes with the sigma/tau twist", equi_ok))
 
-    return CertificateReport(entries, all(h for _, h in entries))
+    return CheckReport(entries)
 
 
 def _require_valid(cert: EquivarianceCertificate, rep: Representation):

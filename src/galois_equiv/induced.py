@@ -1,8 +1,9 @@
 """The induced representation of the extended group H x| <tau>, its crossed
 product endomorphisms, and the Schur index report.
 
-Elements over the tau coset are sigma-semilinear, carried as (matrix, k)
-pairs acting by v -> A sigma^k(v).
+Restricted to H, ind(rho) is the direct sum of the r twists
+sigma^i o rho o tau^-i, and tau acts on it sigma-semilinearly by the block
+shift: v -> P sigma(v).
 """
 
 from __future__ import annotations
@@ -13,47 +14,10 @@ from typing import Optional
 
 from .errors import EndomorphismCheckFailed, InternalInvariantViolation, Unsupported
 from .field import FieldElement
-from .linalg import Mat, inverse, rational_rank
-from .rep import Representation, Word, evaluate_word
+# inverse is not called here; bench/selftest.py checks the traced run rebinds this copy
+from .linalg import Mat, inverse, rational_rank  # noqa: F401
+from .rep import Representation, Word, check_relations, evaluate_word, twist
 from .equivariance import LambdaInvariant, compute_X, decide_lambda, _norm_scalar
-
-
-class SemilinearPair:
-    """(A, k) acting on L^m by v -> A sigma^k(v)."""
-
-    __slots__ = ("mat", "power")
-
-    def __init__(self, mat: Mat, power: int):
-        self.mat = mat
-        self.power = power % mat.ext.degree
-
-    def __mul__(self, other: "SemilinearPair") -> "SemilinearPair":
-        return SemilinearPair(
-            self.mat * other.mat.galois(self.power),
-            self.power + other.power,
-        )
-
-    def inverse(self) -> "SemilinearPair":
-        k = (-self.power) % self.mat.ext.degree
-        return SemilinearPair(inverse(self.mat).galois(k), k)
-
-    def __pow__(self, e: int) -> "SemilinearPair":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = SemilinearPair(Mat.identity(self.mat.ext, self.mat.nrows), 0)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemilinearPair)
-            and self.power == other.power
-            and self.mat == other.mat
-        )
-
-    def __repr__(self):
-        return f"SemilinearPair(power={self.power}, mat={self.mat!r})"
 
 
 def _block_diag(ext, blocks: list[Mat]) -> Mat:
@@ -79,31 +43,33 @@ def _block_shift(ext, r: int, n: int) -> Mat:
 
 @dataclass
 class InducedRep:
-    """Block model of the induced representation: generator g of H maps to
-    diag(sigma^i rho(tau^-i(g))), and tau to the block shift composed with
-    sigma."""
+    """Block model of the induced representation.  twists[i] is
+    rho o tau^-i; generator g of H maps to diag(sigma^i twists[i](g)), and
+    tau to v -> tau_block sigma(v), which moves block i-1 to block i."""
 
     rep: Representation
+    twists: tuple[Representation, ...]
     blocks: tuple[Mat, ...]
-    inverses: tuple[Mat, ...]
-    tau_pair: SemilinearPair
+    tau_block: Mat
 
     @property
     def dim(self) -> int:
         return self.rep.dim * self.rep.ext.degree
 
-    def pair(self, k: int) -> SemilinearPair:
-        return SemilinearPair(self.blocks[k], 0)
-
     def evaluate(self, word: Word) -> Mat:
-        acc = Mat.identity(self.rep.ext, self.dim)
-        for g, e in word:
-            acc = acc * (self.blocks[g] if e > 0 else self.inverses[g])
-        return acc
+        return _block_diag(
+            self.rep.ext, [evaluate_word(tw, word).galois(i) for i, tw in enumerate(self.twists)]
+        )
 
 
 def build_induced(rep: Representation) -> InducedRep:
-    """Assemble the block model and verify the semidirect relations hold."""
+    """Assemble the block model and verify the semidirect relations hold.
+
+    The relations hold in the blocks iff they hold in every twist.
+    Conjugating the image of g by the tau block puts sigma(block i-1) =
+    sigma^i rho(tau^(1-i)(g)) at block i, which is the image of tau(g) there
+    at every block but 1; at block 1 that needs rho o tau^r = rho.
+    """
     ext = rep.ext
     r = ext.degree
     group = rep.group
@@ -111,29 +77,16 @@ def build_induced(rep: Representation) -> InducedRep:
         raise Unsupported(
             f"tau order {group.tau_order} must match the extension degree {r}"
         )
-    blocks = []
-    for k in range(len(rep.images)):
-        diag = []
-        for i in range(r):
-            word = group.tau_apply(((k, 1),), (r - i) % r)
-            diag.append(evaluate_word(rep, word).galois(i))
-        blocks.append(_block_diag(ext, diag))
-    tau_pair = SemilinearPair(_block_shift(ext, r, rep.dim), 1)
-    ind = InducedRep(rep, tuple(blocks), tuple(inverse(b) for b in blocks), tau_pair)
-
-    ident = Mat.identity(ext, ind.dim)
-    for w in group.relations:
-        if ind.evaluate(w) != ident:
-            raise InternalInvariantViolation("a relation fails in the induced blocks")
-    if (tau_pair ** r) != SemilinearPair(ident, 0):
-        raise InternalInvariantViolation("tau block does not have order r")
-    tau_inv = tau_pair.inverse()
-    for k in range(len(rep.images)):
-        lhs = tau_pair * ind.pair(k) * tau_inv
-        rhs = SemilinearPair(ind.evaluate(group.tau_apply(((k, 1),))), 0)
-        if lhs != rhs:
-            raise InternalInvariantViolation("tau conjugation disagrees with tau images")
-    return ind
+    twists = (rep,) + tuple(twist(rep, r - i) for i in range(1, r))
+    if not all(check_relations(tw).ok for tw in twists):
+        raise InternalInvariantViolation("a relation fails in the induced blocks")
+    if twist(rep, r).images != rep.images:
+        raise InternalInvariantViolation("tau conjugation disagrees with tau images")
+    blocks = tuple(
+        _block_diag(ext, [tw.images[k].galois(i) for i, tw in enumerate(twists)])
+        for k in range(len(rep.images))
+    )
+    return InducedRep(rep, twists, blocks, _block_shift(ext, r, rep.dim))
 
 
 class CrossedProduct:
@@ -173,7 +126,7 @@ class CrossedProduct:
         return Mat(ext, rows)
 
     def _check_endomorphism(self, e: Mat, name: str):
-        p = self.induced.tau_pair.mat
+        p = self.induced.tau_block
         for d in self.induced.blocks:
             if e * d != d * e:
                 raise EndomorphismCheckFailed(f"{name} does not commute with a generator block")
@@ -223,22 +176,22 @@ def endomorphism_dim(ind: InducedRep) -> int:
     bases = {False: powers, True: [t_k.galois() for t_k in powers]}
     cache: dict[tuple, list[list[Fraction]]] = {}
 
-    def action(y: FieldElement, twist: bool) -> list[list[Fraction]]:
-        """The matrix of x -> y x (or y sigma(x) when twist) on coefficient
-        vectors: row l, column k is the coefficient of t^l in y t^k (or in
-        y sigma(t^k))."""
-        if (y.coeffs, twist) not in cache:
-            cols = [(y * b).coeffs for b in bases[twist]]
-            cache[y.coeffs, twist] = [[col[l] for col in cols] for l in range(r)]
-        return cache[y.coeffs, twist]
+    def action(y: FieldElement, semilinear: bool) -> list[list[Fraction]]:
+        """The matrix of x -> y x (or y sigma(x) when semilinear) on
+        coefficient vectors: row l, column k is the coefficient of t^l in
+        y t^k (or in y sigma(t^k))."""
+        if (y.coeffs, semilinear) not in cache:
+            cols = [(y * b).coeffs for b in bases[semilinear]]
+            cache[y.coeffs, semilinear] = [[col[l] for col in cols] for l in range(r)]
+        return cache[y.coeffs, semilinear]
 
     rows = []
     # E D - D E for each generator block D, then E p - p sigma(E)
-    for d, twist in [(d, False) for d in ind.blocks] + [(ind.tau_pair.mat, True)]:
+    for d, semilinear in [(d, False) for d in ind.blocks] + [(ind.tau_block, True)]:
         for i in range(big):
             for j in range(big):
                 terms = [(i, m, action(d.rows[m][j], False)) for m in range(big) if d.rows[m][j]]
-                terms += [(m, j, action(-d.rows[i][m], twist)) for m in range(big) if d.rows[i][m]]
+                terms += [(m, j, action(-d.rows[i][m], semilinear)) for m in range(big) if d.rows[i][m]]
                 acc = [{} for _ in range(r)]
                 for a, b, mat in terms:
                     base = (a * big + b) * r

@@ -148,47 +148,41 @@ def evaluate_word(rep: Representation, word: Word) -> Mat:
     return acc
 
 
+def twist(rep: Representation, j: int) -> Representation:
+    """rho o tau^j: generator k maps to rho(tau^j(g_k))."""
+    images = [evaluate_word(rep, rep.group.tau_apply(((k, 1),), j)) for k in range(len(rep.images))]
+    return Representation(rep.group, rep.ext, images)
+
+
 @dataclass
-class RelationReport:
+class CheckReport:
+    """Named checks and whether each holds."""
+
     entries: list[tuple[str, bool]]
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return all(h for _, h in self.entries)
 
 
-def check_relations(rep: Representation) -> RelationReport:
-    entries = []
+def check_relations(rep: Representation) -> CheckReport:
     ident = Mat.identity(rep.ext, rep.dim)
-    for w in rep.group.relations:
-        holds = evaluate_word(rep, w) == ident
-        entries.append((word_to_string(w, rep.group.gen_names), holds))
-    return RelationReport(entries, all(h for _, h in entries))
+    return CheckReport(
+        [(word_to_string(w, rep.group.gen_names), evaluate_word(rep, w) == ident) for w in rep.group.relations]
+    )
 
 
-@dataclass
-class AutomorphismReport:
-    entries: list[tuple[str, bool]]
-    ok: bool
-    verified: bool  # False when no representation was supplied
-
-
-def check_automorphism(group: GroupData, rep: Optional[Representation] = None) -> AutomorphismReport:
-    """Check that tau defines an automorphism with tau^r = 1.
-
-    Word identities are only decidable inside a representation; without one
-    the report carries verified=False and covers structural checks only.
-    """
+def check_automorphism(rep: Representation) -> CheckReport:
+    """Check that tau respects rho: rho o tau satisfies the relations and
+    rho o tau^o = rho on the generators, for o the order of tau."""
+    group = rep.group
     entries = [("tau order at least 2", group.tau_order >= 2)]
-    if rep is None:
-        return AutomorphismReport(entries, all(h for _, h in entries), False)
-    ident = Mat.identity(rep.ext, rep.dim)
-    for w in group.relations:
-        image = group.tau_apply(w)
-        holds = evaluate_word(rep, image) == ident
-        entries.append((f"tau preserves relation {word_to_string(w, group.gen_names)}", holds))
-    for k, name in enumerate(group.gen_names):
-        word = group.tau_apply(((k, 1),), group.tau_order)
-        holds = evaluate_word(rep, word) == rep.images[k]
-        entries.append((f"tau^{group.tau_order} fixes {name}", holds))
-    return AutomorphismReport(entries, all(h for _, h in entries), True)
+    for w, holds in check_relations(twist(rep, 1)).entries:
+        entries.append((f"tau preserves relation {w}", holds))
+    cycled = twist(rep, group.tau_order)
+    for name, image, m in zip(group.gen_names, cycled.images, rep.images):
+        entries.append((f"tau^{group.tau_order} fixes {name}", image == m))
+    return CheckReport(entries)
 
 
 def burnside_dim(rep: Representation) -> int:

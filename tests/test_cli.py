@@ -229,6 +229,8 @@ def test_ragged_matrix_exits_2(tmp_path, capsys):
         pytest.param({"tau": {"g": 1}}, id="tau-image-not-a-word"),
         pytest.param({"order": 0}, id="order-zero"),
         pytest.param({"order": -60}, id="order-negative"),
+        pytest.param({"tau_order": 3}, id="tau-order-3"),
+        pytest.param({"tau_order": 4}, id="tau-order-4"),
     ],
 )
 def test_malformed_group_exits_2(tmp_path, capsys, update):

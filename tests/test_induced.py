@@ -15,7 +15,6 @@ from galois_equiv.linalg import Mat, inverse, kernel_of_linear_maps
 from galois_equiv.rep import GroupData, Representation, parse_word
 from galois_equiv.equivariance import compute_X
 from galois_equiv.induced import (
-    SemilinearPair,
     build_crossed_product,
     build_induced,
     endomorphism_dim,
@@ -36,35 +35,57 @@ def test_c3_blocks_are_computable_by_hand(c3):
     omega = c3.ext.element(["-1/2", "1/2"])
     # tau inverts g and sigma conjugates, so both diagonal blocks equal omega
     assert ind.blocks[0] == Mat(c3.ext, [[omega, 0], [0, omega]])
-    assert ind.tau_pair.mat == Mat(c3.ext, [[0, 1], [1, 0]])
-    assert ind.tau_pair.power == 1
+    assert ind.tau_block == Mat(c3.ext, [[0, 1], [1, 0]])
 
 
 def test_tau_pair_squares_to_identity(a5):
     ind = build_induced(a5)
     assert ind.dim == 6
-    ident = SemilinearPair(Mat.identity(a5.ext, 6), 0)
-    assert ind.tau_pair ** 2 == ident
-    assert ind.tau_pair * ind.tau_pair.inverse() == ident
+    # (P sigma)^2 = P sigma(P) sigma^2, with sigma^2 = 1
+    p = ind.tau_block
+    assert p * p.galois() == Mat.identity(a5.ext, 6)
 
 
 def test_tau_conjugation_matches_tau_images_explicitly(a5):
     ind = build_induced(a5)
     tau_b = a5.group.tau_apply(parse_word("b", a5.group.gen_names))
-    lhs = ind.tau_pair * ind.pair(1) * ind.tau_pair.inverse()
-    assert lhs == SemilinearPair(ind.evaluate(tau_b), 0)
+    p = ind.tau_block
+    # (P sigma) D (P sigma)^-1 = P sigma(D) P^-1
+    assert p * ind.blocks[1].galois() * inverse(p) == ind.evaluate(tau_b)
 
 
-def test_broken_tau_images_are_rejected(a5):
-    group = GroupData.from_strings(
-        ["a", "b"],
-        ["a a", "b b b", "a b a b a b a b a b"],
-        {"a": "b", "b": "a"},
-        tau_order=2,
-    )
-    rep = Representation(group, a5.ext, list(a5.images))
-    with pytest.raises(InternalInvariantViolation):
-        build_induced(rep)
+def golden_ratio_rotation():
+    """g -> an order 5 matrix over Q(sqrt5), with tau(g) = g^2, so tau^2(g) = g^4 != g."""
+    ext = CyclicExtension([-5, 0, 1], [0, -1])
+    group = GroupData.from_strings(["g"], ["g g g g g"], {"g": "g g"}, tau_order=2)
+    return Representation(group, ext, [Mat(ext, [[0, -1], [1, ["-1/2", "1/2"]]])])
+
+
+def with_group(rep, relations, tau):
+    group = GroupData.from_strings(list(rep.group.gen_names), relations, tau, tau_order=2)
+    return Representation(group, rep.ext, list(rep.images))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: with_group(build_a5(), ["b b"], {"a": "a", "b": "a b b a b a b b"}),
+            "a relation fails in the induced blocks",
+            id="relation-fails",
+        ),
+        pytest.param(
+            # sends the involution a to the order 3 element b
+            lambda: with_group(build_a5(), ["a a", "b b b", "a b a b a b a b a b"], {"a": "b", "b": "a"}),
+            "a relation fails in the induced blocks",
+            id="swapped-tau",
+        ),
+        pytest.param(golden_ratio_rotation, "tau conjugation disagrees with tau images", id="tau-squared-moves-g"),
+    ],
+)
+def test_build_induced_rejects_each_broken_hypothesis(build, message):
+    with pytest.raises(InternalInvariantViolation, match=message):
+        build_induced(build())
 
 
 def test_crossed_product_relations_hold(a5):
@@ -106,7 +127,7 @@ def dense_endomorphism_dim(ind):
     """The commutant dimension with each condition written as a Q-linear map
     on matrices over L, evaluated on the basis t^k E_ij by Mat products and
     eliminated densely."""
-    p = ind.tau_pair.mat
+    p = ind.tau_block
     maps = [(lambda E, D=D: E * D - D * E) for D in ind.blocks]
     maps.append(lambda E: E * p - p * E.galois())
     return len(kernel_of_linear_maps(maps, ind.rep.ext, ind.dim, ind.dim))
@@ -131,6 +152,38 @@ def cubic_involution():
     group = GroupData.from_strings(["g"], ["g g"], {"g": "g"}, tau_order=3)
     diag = Mat(ext, [[1, 0], [0, -1]])
     return conjugated(Representation(group, ext, [diag]), 5)
+
+
+def dense_evaluate(ind, word):
+    """A word's induced image as a product of the rn x rn blocks and their inverses."""
+    inverses = [inverse(b) for b in ind.blocks]
+    acc = Mat.identity(ind.rep.ext, ind.dim)
+    for g, e in word:
+        acc = acc * (ind.blocks[g] if e > 0 else inverses[g])
+    return acc
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(build_c3, id="c3"),
+        pytest.param(build_a5, id="a5"),
+        pytest.param(build_a7_double, id="2a7"),
+        pytest.param(lambda: conjugated(build_a5(), 1), id="a5-conjugate-1"),
+        pytest.param(lambda: conjugated(build_c3(), 2), id="c3-conjugate-2"),
+        pytest.param(cubic_involution, id="cubic-involution"),
+    ],
+)
+def test_block_model_matches_the_dense_products(build):
+    ind = build_induced(build())
+    group = ind.rep.group
+    p = ind.tau_block
+    for w in group.relations:
+        assert ind.evaluate(w) == dense_evaluate(ind, w) == Mat.identity(ind.rep.ext, ind.dim)
+    for k, d in enumerate(ind.blocks):
+        tau_g = group.tau_apply(((k, 1),))
+        assert ind.evaluate(tau_g) == dense_evaluate(ind, tau_g)
+        assert p * d.galois() * inverse(p) == ind.evaluate(tau_g)
 
 
 @pytest.mark.parametrize(
@@ -189,13 +242,3 @@ def test_schur_index_beyond_quadratic_needs_witness():
         schur_index(cp)
     report = schur_index(cp, witness=ext.one())
     assert report.index == 1
-
-
-def test_pair_multiplication_twists():
-    ext = CyclicExtension([-5, 0, 1], [0, -1])
-    t = Mat(ext, [[[0, 1]]])
-    p = SemilinearPair(t, 1)
-    q = SemilinearPair(t, 0)
-    # (t, sigma) * (t, id) applies sigma to the second factor
-    assert (p * q).mat == Mat(ext, [[-5]])
-    assert (q * p).mat == Mat(ext, [[5]])

@@ -68,14 +68,8 @@ def test_word_evaluation_handles_inverses(a5):
 
 
 def test_automorphism_check_on_a5(a5):
-    report = check_automorphism(a5.group, a5)
-    assert report.verified
+    report = check_automorphism(a5)
     assert report.ok
-
-
-def test_automorphism_check_without_rep_is_unverified(a5):
-    report = check_automorphism(a5.group)
-    assert not report.verified
 
 
 def test_automorphism_check_detects_broken_tau(a5):
@@ -86,8 +80,7 @@ def test_automorphism_check_detects_broken_tau(a5):
         tau_order=2,
     )
     rep = Representation(group, a5.ext, list(a5.images))
-    report = check_automorphism(group, rep)
-    assert report.verified
+    report = check_automorphism(rep)
     assert not report.ok
 
 
