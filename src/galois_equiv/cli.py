@@ -96,6 +96,13 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _as_rationals(data: dict, key: str, where: str) -> list[Fraction]:
+    value = _require(data, key, where)
+    if not isinstance(value, list):
+        raise ParseError("expected an array of rationals", f"{where}.{key}")
+    return [_as_rational(v, f"{where}.{key}[{k}]") for k, v in enumerate(value)]
+
+
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("expected an integer", where)
@@ -134,10 +141,8 @@ def load_problem(path: str) -> Problem:
     fld = _require(data, "field", "$")
     if not isinstance(fld, dict):
         raise ParseError("field must be an object", "field")
-    min_poly = [_as_rational(v, f"field.min_poly[{k}]") for k, v in enumerate(_require(fld, "min_poly", "field"))]
-    sigma_image = [_as_rational(v, f"field.sigma_image[{k}]") for k, v in enumerate(_require(fld, "sigma_image", "field"))]
     try:
-        ext = CyclicExtension(min_poly, sigma_image)
+        ext = CyclicExtension(_as_rationals(fld, "min_poly", "field"), _as_rationals(fld, "sigma_image", "field"))
     except ValueError as exc:
         raise ParseError(str(exc), "field")
 
@@ -155,14 +160,13 @@ def load_problem(path: str) -> Problem:
     tau = _require(grp, "tau", "group")
     if not isinstance(tau, dict) or not all(isinstance(w, str) for w in tau.values()):
         raise ParseError("tau must be an object mapping generator names to words", "group.tau")
-    tau_order = _as_int(_require(grp, "tau_order", "group"), "group.tau_order")
-    if tau_order != ext.degree:
+    if _as_int(_require(grp, "tau_order", "group"), "group.tau_order") != ext.degree:
         raise ParseError(f"tau order must equal the field degree {ext.degree}", "group.tau_order")
     declared = grp.get("order")
     if declared is not None and _as_int(declared, "group.order") < 1:
         raise ParseError("the group order must be a positive integer", "group.order")
     try:
-        group = GroupData.from_strings(generators, relations, tau, tau_order, declared)
+        group = GroupData.from_strings(generators, relations, tau, declared)
     except (GaloisEquivError, ValueError) as exc:
         raise ParseError(str(exc), "group")
 
@@ -242,7 +246,7 @@ def certificate_from_json(data: dict, problem: Problem) -> EquivarianceCertifica
     )
 
 
-def load_replay(path: str, ext: CyclicExtension) -> Mat:
+def load_replay(path: str, problem: Problem) -> Mat:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -254,7 +258,11 @@ def load_replay(path: str, ext: CyclicExtension) -> Mat:
         data = data.get("y")
     if data is None:
         raise ParseError("replay file carries no matrix under 'y'", path)
-    return _as_matrix(data, ext, f"{path}: y")
+    y = _as_matrix(data, problem.ext, f"{path}: y")
+    n = problem.matrices[0].nrows
+    if (y.nrows, y.ncols) != (n, n):
+        raise ParseError(f"expected a {n} x {n} matrix, got {y.nrows} x {y.ncols}", f"{path}: y")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +321,7 @@ def cmd_lambda(problem: Problem, args) -> tuple[int, dict]:
 def cmd_equivariant(problem: Problem, args) -> tuple[int, dict]:
     rep = problem.representation()
     seed = args.seed if args.seed is not None else problem.options.get("seed", 0)
-    replay = load_replay(args.replay_y, problem.ext) if args.replay_y else None
+    replay = load_replay(args.replay_y, problem) if args.replay_y else None
     cert = equivariant_form(
         rep,
         seed=_as_int(seed, "options.seed"),

@@ -49,7 +49,7 @@ def twisted_images(rep: Representation) -> list[tuple[Mat, Mat]]:
     """Pairs (rho(g), sigma(rho(tau^-1(g)))) for each generator g."""
     pairs = []
     for k in range(len(rep.images)):
-        word = rep.group.tau_inverse_apply(((k, 1),))
+        word = rep.group.tau_apply(((k, 1),), rep.ext.degree - 1)
         twisted = evaluate_word(rep, word).galois()
         pairs.append((rep.images[k], twisted))
     return pairs

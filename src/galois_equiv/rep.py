@@ -55,6 +55,7 @@ class GroupData:
 
     tau_images[k] is the word tau sends generator k to; tau is extended to
     words by substitution, with only adjacent-inverse cancellation applied.
+    tau's order is the degree r = [L:K] of a representation's field.
     """
 
     def __init__(
@@ -62,16 +63,12 @@ class GroupData:
         gen_names: Sequence[str],
         relations: Sequence[Word],
         tau_images: Sequence[Word],
-        tau_order: int,
         declared_order: Optional[int] = None,
     ):
         self.gen_names = tuple(gen_names)
         self.relations = tuple(relations)
         self.tau_images = tuple(tau_images)
-        self.tau_order = tau_order
         self.declared_order = declared_order
-        if tau_order < 2:
-            raise ValueError("tau must have order at least 2")
         if len(self.tau_images) != len(self.gen_names):
             raise ValueError("tau must be given on every generator")
         ngens = len(self.gen_names)
@@ -86,7 +83,6 @@ class GroupData:
         generators: Sequence[str],
         relations: Sequence[str],
         tau: dict[str, str],
-        tau_order: int,
         declared_order: Optional[int] = None,
     ) -> "GroupData":
         rel_words = [parse_word(r, generators) for r in relations]
@@ -95,7 +91,7 @@ class GroupData:
             if name not in tau:
                 raise UnknownGenerator(f"tau image missing for generator {name!r}")
             images.append(parse_word(tau[name], generators))
-        return cls(generators, rel_words, images, tau_order, declared_order)
+        return cls(generators, rel_words, images, declared_order)
 
     def tau_apply(self, word: Word, times: int = 1) -> Word:
         out = word
@@ -106,9 +102,6 @@ class GroupData:
                 letters.extend(image)
             out = free_reduce(tuple(letters))
         return out
-
-    def tau_inverse_apply(self, word: Word) -> Word:
-        return self.tau_apply(word, self.tau_order - 1)
 
 
 class Representation:
@@ -174,14 +167,14 @@ def check_relations(rep: Representation) -> CheckReport:
 
 def check_automorphism(rep: Representation) -> CheckReport:
     """Check that tau respects rho: rho o tau satisfies the relations and
-    rho o tau^o = rho on the generators, for o the order of tau."""
-    group = rep.group
-    entries = [("tau order at least 2", group.tau_order >= 2)]
+    rho o tau^r = rho on the generators, for r the degree of the field."""
+    r = rep.ext.degree
+    entries = [("tau order at least 2", r >= 2)]
     for w, holds in check_relations(twist(rep, 1)).entries:
         entries.append((f"tau preserves relation {w}", holds))
-    cycled = twist(rep, group.tau_order)
-    for name, image, m in zip(group.gen_names, cycled.images, rep.images):
-        entries.append((f"tau^{group.tau_order} fixes {name}", image == m))
+    cycled = twist(rep, r)
+    for name, image, m in zip(rep.group.gen_names, cycled.images, rep.images):
+        entries.append((f"tau^{r} fixes {name}", image == m))
     return CheckReport(entries)
 
 

@@ -1,4 +1,5 @@
-"""Shared constructions: the bundled example representations in object form."""
+"""Shared constructions: the bundled example representations in object form,
+and the crossed product's endomorphisms as dense rn x rn matrices."""
 
 import pytest
 
@@ -17,7 +18,6 @@ def build_a5():
         ["a", "b"],
         ["a a", "b b b", "a b a b a b a b a b"],
         {"a": "a", "b": "a b b a b a b b"},
-        tau_order=2,
         declared_order=60,
     )
     a = Mat(ext, [[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -32,7 +32,6 @@ def build_c3():
         ["g"],
         ["g g g"],
         {"g": "g'"},
-        tau_order=2,
         declared_order=3,
     )
     omega = Mat(ext, [[["-1/2", "1/2"]]])
@@ -44,6 +43,29 @@ def build_a7_double():
     from galois_equiv.cli import fixture_path, load_problem
 
     return load_problem(fixture_path("2a7_4dim.json")).representation()
+
+
+def dense_m(cp, lam):
+    """m(lam) = diag(sigma^i(lam) I), the rn x rn block-scalar matrix."""
+    lam = cp.ext.element(lam)
+    n = cp.induced.rep.dim
+    size = n * cp.ext.degree
+    return Mat(cp.ext, [[lam.galois(i // n) if i == j else 0 for j in range(size)] for i in range(size)])
+
+
+def dense_xi(cp):
+    """xi as an rn x rn matrix: sigma^(i-1)(X) at block (i, i-1 mod r).
+    Takes a CrossedProduct, or anything with its induced, x and ext."""
+    r = cp.ext.degree
+    n = cp.induced.rep.dim
+    rows = [[cp.ext.zero()] * (r * n) for _ in range(r * n)]
+    for i in range(r):
+        j = (i - 1) % r
+        blk = cp.x.galois(j)
+        for a in range(n):
+            for b in range(n):
+                rows[i * n + a][j * n + b] = blk[a, b]
+    return Mat(cp.ext, rows)
 
 
 @pytest.fixture

@@ -258,6 +258,40 @@ def test_reducible_min_poly_exits_2(tmp_path, capsys):
     assert "field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("min_poly", 5, id="min-poly-number"),
+        pytest.param("min_poly", None, id="min-poly-null"),
+        # a string would otherwise be read digit by digit, as [3, 0, 1]
+        pytest.param("min_poly", "301", id="min-poly-string"),
+        pytest.param("min_poly", {"a": 1}, id="min-poly-object"),
+        pytest.param("sigma_image", 7, id="sigma-image-number"),
+    ],
+)
+def test_malformed_field_exits_2(tmp_path, capsys, key, value):
+    data = json.loads(open(C3).read())
+    data["field"][key] = value
+    path = write_problem(tmp_path, data)
+    assert main(["lambda", path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"parse error: expected an array of rationals at field.{key}"
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        pytest.param([[1, 0], [0, 1]], id="2x2"),
+        pytest.param([[1, 0], [0, 1], [1, 1]], id="3x2"),
+    ],
+)
+def test_replay_of_the_wrong_shape_exits_2(tmp_path, capsys, y):
+    replay = write_problem(tmp_path, {"y": y}, name="replay.json")
+    assert main(["equivariant", A5, "--replay-Y", replay]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and f"{replay}: y" in err and "3 x 3" in err
+
+
 def test_reducible_cubic_min_poly_exits_2(tmp_path, capsys):
     # (t-1)(t-2)(t-3), with sigma cycling the roots 1 -> 2 -> 3
     data = json.loads(open(C3).read())

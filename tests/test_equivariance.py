@@ -188,7 +188,7 @@ def test_relations_transport_to_rho_prime(a5):
 
 def test_not_equivalent_when_twist_changes_the_character():
     ext = CyclicExtension([3, 0, 1], [0, -1])
-    group = GroupData.from_strings(["g"], ["g g g"], {"g": "g"}, tau_order=2)
+    group = GroupData.from_strings(["g"], ["g g g"], {"g": "g"})
     rep = Representation(group, ext, [Mat(ext, [[["-1/2", "1/2"]]])])
     with pytest.raises(NotEquivalent):
         compute_X(rep)
@@ -196,7 +196,7 @@ def test_not_equivalent_when_twist_changes_the_character():
 
 def test_not_irreducible_on_isotypic_double():
     ext = CyclicExtension([3, 0, 1], [0, -1])
-    group = GroupData.from_strings(["g"], ["g g g"], {"g": "g'"}, tau_order=2)
+    group = GroupData.from_strings(["g"], ["g g g"], {"g": "g'"})
     omega = ["-1/2", "1/2"]
     rep = Representation(group, ext, [Mat(ext, [[omega, 0], [0, omega]])])
     with pytest.raises(NotIrreducible):
@@ -208,7 +208,7 @@ def test_unsupported_without_witness_beyond_quadratic():
     # has no equivalence, so use the regular-ish C7 character instead: skip to
     # the direct lambda path with a trivial 1-dim rep of C3 with tau = identity
     ext = CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
-    group = GroupData.from_strings(["g"], ["g"], {"g": "g"}, tau_order=3)
+    group = GroupData.from_strings(["g"], ["g"], {"g": "g"})
     rep = Representation(group, ext, [Mat(ext, [[1]])])
     with pytest.raises(Unsupported):
         lambda_invariant(rep)

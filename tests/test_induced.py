@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,17 +12,18 @@ from galois_equiv.errors import (
     Unsupported,
 )
 from galois_equiv.field import CyclicExtension
-from galois_equiv.linalg import Mat, inverse, kernel_of_linear_maps
+from galois_equiv.linalg import Mat, inverse, kernel_of_linear_maps, matrix_norm, solve_sylvester_space
 from galois_equiv.rep import GroupData, Representation, parse_word
-from galois_equiv.equivariance import compute_X
+from galois_equiv.equivariance import compute_X, twisted_images
 from galois_equiv.induced import (
+    CrossedProduct,
     build_crossed_product,
     build_induced,
     endomorphism_dim,
     schur_index,
 )
 
-from conftest import build_a5, build_a7_double, build_c3
+from conftest import build_a5, build_a7_double, build_c3, dense_m, dense_xi
 from test_acceptance import random_invertible
 
 
@@ -57,12 +59,12 @@ def test_tau_conjugation_matches_tau_images_explicitly(a5):
 def golden_ratio_rotation():
     """g -> an order 5 matrix over Q(sqrt5), with tau(g) = g^2, so tau^2(g) = g^4 != g."""
     ext = CyclicExtension([-5, 0, 1], [0, -1])
-    group = GroupData.from_strings(["g"], ["g g g g g"], {"g": "g g"}, tau_order=2)
+    group = GroupData.from_strings(["g"], ["g g g g g"], {"g": "g g"})
     return Representation(group, ext, [Mat(ext, [[0, -1], [1, ["-1/2", "1/2"]]])])
 
 
 def with_group(rep, relations, tau):
-    group = GroupData.from_strings(list(rep.group.gen_names), relations, tau, tau_order=2)
+    group = GroupData.from_strings(list(rep.group.gen_names), relations, tau)
     return Representation(group, rep.ext, list(rep.images))
 
 
@@ -101,7 +103,7 @@ def test_crossed_product_relations_hold(a5):
 def test_crossed_product_on_c3(c3):
     cp = build_crossed_product(c3)
     assert cp.lambda_rep == Fraction(1)
-    xi = cp.xi()
+    xi = dense_xi(cp)
     assert xi == Mat(c3.ext, [[0, 1], [1, 0]])
     assert xi * xi == Mat.identity(c3.ext, 2)
 
@@ -149,7 +151,7 @@ def doubled_c3():
 def cubic_involution():
     """g -> a conjugate of diag(1, -1) over the cyclic cubic field, tau = 1."""
     ext = CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
-    group = GroupData.from_strings(["g"], ["g g"], {"g": "g"}, tau_order=3)
+    group = GroupData.from_strings(["g"], ["g g"], {"g": "g"})
     diag = Mat(ext, [[1, 0], [0, -1]])
     return conjugated(Representation(group, ext, [diag]), 5)
 
@@ -184,6 +186,66 @@ def test_block_model_matches_the_dense_products(build):
         tau_g = group.tau_apply(((k, 1),))
         assert ind.evaluate(tau_g) == dense_evaluate(ind, tau_g)
         assert p * d.galois() * inverse(p) == ind.evaluate(tau_g)
+
+
+def scalar_norm_intertwiner(rep):
+    """An intertwiner X rho(g) = sigma(rho(tau^-1(g))) X whose twisted norm is
+    scalar; the cubic involution is reducible and has two independent ones."""
+    return next(x for x in solve_sylvester_space(twisted_images(rep)) if matrix_norm(x).is_scalar())
+
+
+def dense_relations(cp, lam1, lam2):
+    """The four crossed-product relations as products of rn x rn matrices."""
+    xi = dense_xi(cp)
+    xi_r = Mat.identity(cp.ext, cp.induced.dim)
+    for _ in range(cp.ext.degree):
+        xi_r = xi_r * xi
+    m1, m2 = dense_m(cp, lam1), dense_m(cp, lam2)
+    return [
+        ("m is additive", m1 + m2 == dense_m(cp, lam1 + lam2)),
+        ("m is multiplicative", m1 * m2 == dense_m(cp, lam1 * lam2)),
+        ("m twists past xi", m1 * xi == xi * dense_m(cp, lam1.galois())),
+        ("xi^r recovers lambda", xi_r == dense_m(cp, cp.lambda_rep)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, rejected",
+    [
+        # X is 1 x 1 on C3, so sigma(X) and I are multiples of it
+        pytest.param(build_c3, 0, id="c3"),
+        pytest.param(build_a5, 2, id="a5"),
+        pytest.param(build_a7_double, 2, id="2a7"),
+        pytest.param(cubic_involution, 2, id="cubic-involution"),
+    ],
+)
+def test_crossed_product_checks_match_the_dense_relations(build, rejected):
+    rep = build()
+    ext = rep.ext
+    ind = build_induced(rep)
+    p = ind.tau_block
+    x = scalar_norm_intertwiner(rep)
+    # the dense checks the n x n one replaced hold for every X
+    m_t = dense_m(SimpleNamespace(induced=ind, ext=ext), ext.gen())
+    assert m_t * p == p * m_t.galois()
+    assert all(m_t * d == d * m_t for d in ind.blocks)
+    rng = random.Random(17)
+    raised = 0
+    for cand in (x, x.galois(), Mat.identity(ext, rep.dim), ext.gen() * x):
+        xi = dense_xi(SimpleNamespace(induced=ind, x=cand, ext=ext))
+        assert xi * p == p * xi.galois()
+        if not all(xi * d == d * xi for d in ind.blocks):
+            raised += 1
+            with pytest.raises(EndomorphismCheckFailed, match="xi does not commute with a generator block"):
+                build_crossed_product(rep, cand)
+            continue
+        cp = build_crossed_product(rep, cand)
+        # a wrong lambda makes the last relation fail in both
+        for c in (cp, CrossedProduct(ind, cand, cp.lambda_rep + 1)):
+            lam1, lam2 = random_element(ext, rng), random_element(ext, rng)
+            assert c.relation_report(lam1, lam2) == dense_relations(c, lam1, lam2)
+    # of X, sigma(X), I and tX, the intertwiners are accepted and the rest rejected
+    assert raised == rejected
 
 
 @pytest.mark.parametrize(
@@ -235,7 +297,7 @@ def test_double_cover_crossed_product(a7d):
 
 def test_schur_index_beyond_quadratic_needs_witness():
     ext = CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
-    group = GroupData.from_strings(["g"], ["g"], {"g": "g"}, tau_order=3)
+    group = GroupData.from_strings(["g"], ["g"], {"g": "g"})
     rep = Representation(group, ext, [Mat(ext, [[1]])])
     cp = build_crossed_product(rep)
     with pytest.raises(Unsupported):

@@ -40,11 +40,6 @@ def test_invert_and_reduce():
     assert free_reduce(((0, 1), (1, 1), (1, -1), (0, -1))) == ()
 
 
-def test_tau_order_below_two_rejected():
-    with pytest.raises(ValueError):
-        GroupData.from_strings(["g"], ["g g g"], {"g": "g"}, tau_order=1)
-
-
 def test_a5_relations_hold(a5):
     report = check_relations(a5)
     assert report.ok
@@ -77,7 +72,6 @@ def test_automorphism_check_detects_broken_tau(a5):
         ["a", "b"],
         ["a a", "b b b", "a b a b a b a b a b"],
         {"a": "b", "b": "a"},  # sends the involution to an order 3 element
-        tau_order=2,
     )
     rep = Representation(group, a5.ext, list(a5.images))
     report = check_automorphism(rep)
@@ -94,7 +88,7 @@ def test_burnside_dim_on_degree_one(c3):
 
 def test_burnside_dim_detects_reducible():
     ext = CyclicExtension([3, 0, 1], [0, -1])
-    group = GroupData.from_strings(["g"], ["g g g"], {"g": "g'"}, tau_order=2)
+    group = GroupData.from_strings(["g"], ["g g g"], {"g": "g'"})
     omega = ["-1/2", "1/2"]
     omega2 = ["-1/2", "-1/2"]
     rep = Representation(group, ext, [Mat(ext, [[omega, 0], [0, omega2]])])

@@ -397,7 +397,7 @@ def main():
     ]
 
     group = GroupData.from_strings(
-        ["x", "y"], relations, {"x": tau_x_word, "y": tau_y_word}, 2, 5040
+        ["x", "y"], relations, {"x": tau_x_word, "y": tau_y_word}, 5040
     )
     rep = Representation(group, ext, [mx, my])
     assert check_relations(rep).ok
