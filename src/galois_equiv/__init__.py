@@ -9,7 +9,6 @@ from .field import (
     is_norm,
     norm,
     norm_witness,
-    trace,
 )
 from .linalg import Mat, inverse, matrix_norm
 from .rep import (
@@ -74,7 +73,6 @@ __all__ = [
     "parse_word",
     "rescale_X",
     "schur_index",
-    "trace",
     "verify_certificate",
 ]
 

@@ -81,7 +81,11 @@ class LambdaInvariant(NamedTuple):
 
 
 def _norm_scalar(x: Mat) -> Fraction:
-    n = matrix_norm(x)
+    return _scalar_of(matrix_norm(x))
+
+
+def _scalar_of(n: Mat) -> Fraction:
+    """lambda, for a twisted norm n = lambda I."""
     if not n.is_scalar():
         raise InternalInvariantViolation("twisted norm of X is not scalar")
     lam = n[0, 0]

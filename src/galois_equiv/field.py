@@ -2,9 +2,11 @@
 
 L is presented as Q[t]/(m(t)) for a monic integer polynomial m of degree r,
 with a chosen generator sigma of Gal(L/Q) given by its action t -> s(t).
-Elements are dense coefficient vectors of Fractions, so every operation here
-is exact.  The quadratic decision machinery (Hilbert symbols, norm tests,
-witness search) lives at the bottom of the module.
+An element is a vector of integer numerators over one positive denominator
+(Cohen, A Course in Computational Algebraic Number Theory, 4.2), so every
+operation here is exact and takes one gcd per result.  The quadratic
+decision machinery (Hilbert symbols, norm tests, witness search) lives at the
+bottom of the module.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .errors import (
     NoWitnessFound,
     Unsupported,
 )
-
-Rational = Fraction
 
 INF = math.inf
 
@@ -195,13 +195,18 @@ def _split_prime(n: int, p: int) -> tuple[int, int]:
 class CyclicExtension:
     """Q[t]/(m(t)) together with a generator sigma of its Galois group.
 
-    min_poly: coefficients [c0, ..., c_{r-1}, 1] of a monic m(t), low degree
-    first.  sigma_image: coefficients of s(t) with sigma(t) = s(t).  The
-    constructor checks that sigma is a well-defined automorphism of exact
-    order r, and that m is irreducible: by its discriminant for r = 2, and
-    for r > 2 by finding a prime below 1000 at which m stays irreducible (a
-    cyclic L has a positive density of such primes).  A failed check raises
-    ValueError.
+    min_poly: coefficients [c0, ..., c_{r-1}, 1] of a monic integer m(t), low
+    degree first.  sigma_image: coefficients of s(t) with sigma(t) = s(t),
+    which may be rational.  The constructor checks that sigma is a
+    well-defined automorphism of exact order r, and that m is irreducible: by
+    its discriminant for r = 2, and for r > 2 by finding a prime below 1000
+    at which m stays irreducible (a cyclic L has a positive density of such
+    primes).  A failed check raises ValueError.
+
+    Since m is monic with integer coefficients, reducing an integer
+    polynomial mod m keeps it integral.  sigma^i is held as a table of
+    integer rows over one denominator: row k is the numerator of
+    sigma^i(t^k).
     """
 
     def __init__(self, min_poly: Sequence, sigma_image: Sequence):
@@ -210,103 +215,104 @@ class CyclicExtension:
             raise ValueError("degree must be at least 2")
         if mp[-1] != 1:
             raise ValueError("min_poly must be monic")
+        if any(c.denominator != 1 for c in mp):
+            raise ValueError("min_poly must have integer coefficients")
         self.min_poly = mp
-        self.degree = len(mp) - 1
+        self.degree = r = len(mp) - 1
+        # t^r = -sum c_k t^k: the nonzero (k, c_k) below the leading term
+        self._m_terms = tuple((k, c.numerator) for k, c in enumerate(mp[:r]) if c)
         s = tuple(Fraction(c) for c in sigma_image)
-        if len(s) > self.degree:
+        if len(s) > r:
             raise ValueError("sigma_image degree must be below deg m")
-        s = s + (Fraction(0),) * (self.degree - len(s))
-        self.sigma_image = s
+        self.sigma_image = s + (Fraction(0),) * (r - len(s))
         self.disc_core: int | None = None
-        if self.degree == 2:
-            b, c = mp[1], mp[0]
-            disc = b * b - 4 * c
-            if disc == 0 or _is_rational_square(disc):
+        if r == 2:
+            disc = mp[1].numerator ** 2 - 4 * mp[0].numerator
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
                 raise ValueError("t^2 + bt + c must be irreducible over Q")
-            self.disc_core = squarefree_part(disc.numerator * disc.denominator)
-        elif not _irreducible_mod_some_prime(mp):
+            self.disc_core = squarefree_part(disc)
+        elif not _irreducible_mod_some_prime([c.numerator for c in mp]):
             raise ValueError(
                 f"min_poly must be irreducible over Q: it is reducible mod every prime below {_RABIN_BOUND}"
             )
-        self._sigma_iterates = self._build_sigma_iterates()
-        self._power_tables: dict[int, list[tuple[Fraction, ...]]] = {}
+        self._zero_num = (0,) * r
+        self._build_sigma_tables()
 
-    def _reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, work: list[int]) -> list[int]:
+        """An integer polynomial of degree at least r - 1, low degree first,
+        reduced mod m in place."""
         r = self.degree
-        work = list(coeffs)
-        while len(work) > r:
-            top = work.pop()
-            if top:
-                off = len(work) - r
-                for k in range(r):
-                    work[off + k] -= top * self.min_poly[k]
-        work += [Fraction(0)] * (r - len(work))
-        return tuple(work)
+        for top in range(len(work) - 1, r - 1, -1):
+            c = work[top]
+            if c:
+                off = top - r
+                for k, m in self._m_terms:
+                    work[off + k] -= c * m
+        return work[:r]
 
-    def _poly_mul(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return self._reduce(out)
+    def _make(self, num: list[int], den: int) -> "FieldElement":
+        """num / den for den > 0, divided through by gcd(den, *num)."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return FieldElement(self, tuple(num), den)
 
-    def _compose(self, outer: Sequence[Fraction], inner: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        # outer(inner(t)) mod m, by Horner
-        acc = (Fraction(0),) * self.degree
-        for c in reversed(outer):
-            acc = self._poly_mul(acc, inner)
-            acc = tuple(x + (c if k == 0 else 0) for k, x in enumerate(acc))
-        return acc
-
-    def _build_sigma_iterates(self) -> list[tuple[Fraction, ...]]:
+    def _build_sigma_tables(self):
+        """Check sigma and set _sigma_tables[i] = (rows, den), the numerators
+        of sigma^i(t^k) over one denominator, for i < r."""
         r = self.degree
-        t = tuple(Fraction(int(k == 1)) for k in range(r))
-        # m(s(t)) must vanish mod m
-        if any(self._compose(self.min_poly, self.sigma_image)):
+        s = self.element(self.sigma_image)
+        acc = self.zero()
+        for c in reversed(self.min_poly):
+            acc = acc * s + c
+        if acc:
             raise ValueError("sigma_image is not a root of min_poly mod min_poly")
-        iterates = [t]
-        cur = t
-        for _ in range(r):
-            cur = self._compose(cur, self.sigma_image)
-            iterates.append(cur)
-        if iterates[r] != t:
+        powers = [self.one()]
+        for _ in range(1, r):
+            powers.append(powers[-1] * s)
+        ident = tuple(tuple(int(j == k) for j in range(r)) for k in range(r))
+        # galois(1) reads tables[1], from which the later tables are built
+        tables = self._sigma_tables = [(ident, 1), _common_denominator(powers)]
+        images = [s]  # sigma^i(t) for i = 1 .. r
+        conj = powers
+        for i in range(2, r + 1):
+            conj = [p.galois(1) for p in conj]
+            images.append(conj[1])
+            if i < r:
+                tables.append(_common_denominator(conj))
+        t = self.gen()
+        if images[-1] != t:
             raise ValueError("sigma does not have order dividing the degree")
-        for i in range(1, r):
-            if iterates[i] == t:
-                raise ValueError("sigma has order smaller than the degree")
-        return iterates[:r]
-
-    def _sigma_table(self, i: int) -> list[tuple[Fraction, ...]]:
-        # powers s_i(t)^k mod m for k < r, cached
-        i %= self.degree
-        if i not in self._power_tables:
-            base = self._sigma_iterates[i]
-            powers = [tuple(Fraction(int(k == 0)) for k in range(self.degree))]
-            for _ in range(1, self.degree):
-                powers.append(self._poly_mul(powers[-1], base))
-            self._power_tables[i] = powers
-        return self._power_tables[i]
+        if t in images[:-1]:
+            raise ValueError("sigma has order smaller than the degree")
 
     def element(self, coeffs) -> "FieldElement":
         if isinstance(coeffs, FieldElement):
             if coeffs.ext != self:
                 raise ValueError("element belongs to a different extension")
             return coeffs
-        if isinstance(coeffs, (int, Fraction)):
+        if isinstance(coeffs, int):
+            return FieldElement(self, (coeffs,) + self._zero_num[1:], 1)
+        if isinstance(coeffs, Fraction):
             coeffs = [coeffs]
         vals = []
         for c in coeffs:
-            vals.append(rational_from_string(c) if isinstance(c, str) else Fraction(c))
-        if len(vals) > self.degree:
-            vals = list(self._reduce(vals))
-        vals += [Fraction(0)] * (self.degree - len(vals))
-        return FieldElement(self, tuple(vals))
+            if isinstance(c, str):
+                c = rational_from_string(c)
+            elif not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            vals.append(c)
+        den = math.lcm(*(c.denominator for c in vals))
+        num = [c.numerator * (den // c.denominator) for c in vals]
+        if len(num) > self.degree:
+            return self._make(self._reduce(num), den)
+        num += [0] * (self.degree - len(num))
+        return FieldElement(self, tuple(num), den)
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement(self, self._zero_num, 1)
 
     def one(self) -> "FieldElement":
         return self.element(1)
@@ -330,23 +336,24 @@ class CyclicExtension:
         return f"CyclicExtension(deg={self.degree}, m={[str(c) for c in self.min_poly]})"
 
 
+def _common_denominator(elements) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The numerators of elements over their least common denominator."""
+    den = math.lcm(*(e.den for e in elements))
+    return tuple(tuple(c * (den // e.den) for c in e.num) for e in elements), den
+
+
 # m of degree r > 2 is certified irreducible by a prime below this bound
 _RABIN_BOUND = 1000
 
 
-def _irreducible_mod_some_prime(min_poly: Sequence[Fraction]) -> bool:
-    """Whether the monic min_poly is irreducible mod some prime below
-    _RABIN_BOUND that divides none of its denominators.  Such a reduction
-    keeps the degree, and a factorization over Q would reduce to one mod p
-    (Gauss), so a True answer proves min_poly irreducible over Q."""
-    den = math.lcm(*(c.denominator for c in min_poly))
-    for p in range(2, _RABIN_BOUND):
-        if den % p == 0 or not is_prime(p):
-            continue
-        f = [c.numerator * pow(c.denominator, -1, p) % p for c in min_poly]
-        if _rabin_irreducible(f, p):
-            return True
-    return False
+def _irreducible_mod_some_prime(min_poly: Sequence[int]) -> bool:
+    """Whether the monic integer min_poly is irreducible mod some prime below
+    _RABIN_BOUND.  Such a reduction keeps the degree, and a factorization over
+    Q would reduce to one mod p (Gauss), so a True answer proves min_poly
+    irreducible over Q."""
+    return any(
+        is_prime(p) and _rabin_irreducible([c % p for c in min_poly], p) for p in range(2, _RABIN_BOUND)
+    )
 
 
 def _rabin_irreducible(f: list[int], p: int) -> bool:
@@ -417,21 +424,23 @@ def _trim_fp(a: list[int], p: int) -> list[int]:
     return a
 
 
-def _is_rational_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    n, d = q.numerator, q.denominator
-    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
-
-
 class FieldElement:
-    """An element of a CyclicExtension, as a dense tuple of Fractions."""
+    """An element of a CyclicExtension: num / den in the basis 1, t, ...,
+    t^(r-1), with integer numerators, den > 0 and gcd(den, *num) = 1, so
+    equal elements have equal (num, den).  Arithmetic multiplies in Z[t],
+    reduces by the monic integer m and divides out the gcd once per result.
+    coeffs is the same element as a tuple of Fractions."""
 
-    __slots__ = ("ext", "coeffs")
+    __slots__ = ("ext", "num", "den")
 
-    def __init__(self, ext: CyclicExtension, coeffs: tuple[Fraction, ...]):
+    def __init__(self, ext: CyclicExtension, num: tuple[int, ...], den: int):
         self.ext = ext
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
@@ -440,11 +449,19 @@ class FieldElement:
             return self.ext.element(other)
         return None
 
+    def _plus(self, o: "FieldElement", sign: int) -> "FieldElement":
+        da, db = self.den, o.den
+        if da == db:
+            return self.ext._make([a + sign * b for a, b in zip(self.num, o.num)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return self.ext._make([a * fa + b * fb for a, b in zip(self.num, o.num)], da * fa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ext, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -452,22 +469,22 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ext, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._plus(self, -1)
 
     def __neg__(self):
-        return FieldElement(self.ext, tuple(-a for a in self.coeffs))
+        return FieldElement(self.ext, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ext, self.ext._poly_mul(self.coeffs, o.coeffs))
+        return dot(self.ext, (self,), (o,))
 
     __rmul__ = __mul__
 
@@ -508,40 +525,41 @@ class FieldElement:
             raise InternalInvariantViolation(
                 "element has no nonzero rational norm; extension data invalid"
             )
-        return FieldElement(self.ext, tuple(c / n.coeffs[0] for c in conj.coeffs))
+        # conj / (n0 / nd) = (nd conj.num) / (n0 conj.den), with the sign moved up
+        n0 = n.num[0]
+        scale = n.den if n0 > 0 else -n.den
+        return self.ext._make([c * scale for c in conj.num], abs(n0) * conj.den)
 
     def galois(self, i: int = 1) -> "FieldElement":
         """Apply sigma^i."""
-        table = self.ext._sigma_table(i)
-        r = self.ext.degree
-        out = [Fraction(0)] * r
-        for k, c in enumerate(self.coeffs):
+        ext = self.ext
+        rows, tden = ext._sigma_tables[i % ext.degree]
+        out = [0] * ext.degree
+        for c, row in zip(self.num, rows):
             if c:
-                row = table[k]
-                for j in range(r):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return FieldElement(self.ext, tuple(out))
+                for j, v in enumerate(row):
+                    out[j] += c * v
+        return ext._make(out, self.den * tden)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         terms = []
@@ -556,22 +574,39 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
+def dot(ext: CyclicExtension, xs: Sequence[FieldElement], ys: Sequence[FieldElement]) -> FieldElement:
+    """sum x_k y_k, normalized once: the products are summed in Z[t] over a
+    common denominator, then reduced mod m."""
+    acc = [0] * (2 * ext.degree - 1)
+    den = 1
+    for x, y in zip(xs, ys):
+        xn, yn = x.num, y.num
+        if not (any(xn) and any(yn)):
+            continue
+        d = x.den * y.den
+        scale = 1
+        if d != den:
+            g = math.gcd(den, d)
+            grow = d // g
+            if grow != 1:
+                acc = [c * grow for c in acc]
+                den *= grow
+            scale = den // d
+        for i, a in enumerate(xn):
+            if a:
+                a *= scale
+                for j, b in enumerate(yn):
+                    acc[i + j] += a * b
+    return ext._make(ext._reduce(acc), den)
+
+
 def norm(x: FieldElement) -> Fraction:
     """Product of all sigma-conjugates; must land in Q."""
-    acc = x.ext.one()
-    for i in range(x.ext.degree):
+    acc = x
+    for i in range(1, x.ext.degree):
         acc = acc * x.galois(i)
     if not acc.is_rational():
         raise InternalInvariantViolation("norm did not land in Q; extension data invalid")
-    return acc.as_rational()
-
-
-def trace(x: FieldElement) -> Fraction:
-    acc = x.ext.zero()
-    for i in range(x.ext.degree):
-        acc = acc + x.galois(i)
-    if not acc.is_rational():
-        raise InternalInvariantViolation("trace did not land in Q; extension data invalid")
     return acc.as_rational()
 
 

@@ -17,7 +17,7 @@ from .field import FieldElement
 # inverse is not called here; bench/selftest.py checks the traced run rebinds this copy
 from .linalg import Mat, inverse, matrix_norm, rational_rank  # noqa: F401
 from .rep import Representation, Word, check_relations, evaluate_word, twist
-from .equivariance import LambdaInvariant, compute_X, decide_lambda, _norm_scalar
+from .equivariance import LambdaInvariant, compute_X, decide_lambda, _scalar_of
 
 
 def _block_diag(ext, blocks: list[Mat]) -> Mat:
@@ -93,14 +93,16 @@ class CrossedProduct:
     X twists[i-1](g) - sigma(twists[i](g)) X, so xi is an endomorphism iff
     X intertwines each pair of consecutive twists; that is the one check
     made.  m(t) and the tau block pass by sigma^r = 1 alone.
-    lambda_rep is the twisted norm scalar of X, which xi^r must recover.
+    lambda_rep, the twisted norm scalar of X unless given, is what xi^r
+    must recover.  The twisted norm is computed once, here.
     """
 
-    def __init__(self, induced: InducedRep, x: Mat, lambda_rep: Fraction):
+    def __init__(self, induced: InducedRep, x: Mat, lambda_rep: Optional[Fraction] = None):
         self.induced = induced
         self.x = x
         self.ext = induced.rep.ext
-        self.lambda_rep = lambda_rep
+        self._norm_x = matrix_norm(x)
+        self.lambda_rep = _scalar_of(self._norm_x) if lambda_rep is None else lambda_rep
         tw = induced.twists
         for i in range(self.ext.degree):
             for before, after in zip(tw[i - 1].images, tw[i].images):
@@ -128,14 +130,14 @@ class CrossedProduct:
             ("m is additive", [a + b for a, b in zip(c1, c2)] == conjugates(lam1 + lam2)),
             ("m is multiplicative", [a * b for a, b in zip(c1, c2)] == conjugates(lam1 * lam2)),
             ("m twists past xi", all(c1[i] * xs[i - 1] == xs[i - 1] * shifted[i - 1] for i in range(r))),
-            ("xi^r recovers lambda", matrix_norm(self.x) == self.lambda_rep * ident),
+            ("xi^r recovers lambda", self._norm_x == self.lambda_rep * ident),
         ]
 
 
 def build_crossed_product(rep: Representation, x: Optional[Mat] = None) -> CrossedProduct:
     if x is None:
         x = compute_X(rep)
-    return CrossedProduct(build_induced(rep), x, _norm_scalar(x))
+    return CrossedProduct(build_induced(rep), x)
 
 
 def endomorphism_dim(ind: InducedRep) -> int:
@@ -156,16 +158,19 @@ def endomorphism_dim(ind: InducedRep) -> int:
     big = ind.dim
     powers = [ext.element([0] * k + [1]) for k in range(r)]
     bases = {False: powers, True: [t_k.galois() for t_k in powers]}
-    cache: dict[tuple, list[list[Fraction]]] = {}
+    cache: dict[tuple[FieldElement, bool], list[list[Fraction]]] = {}
 
     def action(y: FieldElement, semilinear: bool) -> list[list[Fraction]]:
         """The matrix of x -> y x (or y sigma(x) when semilinear) on
         coefficient vectors: row l, column k is the coefficient of t^l in
-        y t^k (or in y sigma(t^k))."""
-        if (y.coeffs, semilinear) not in cache:
-            cols = [(y * b).coeffs for b in bases[semilinear]]
-            cache[y.coeffs, semilinear] = [[col[l] for col in cols] for l in range(r)]
-        return cache[y.coeffs, semilinear]
+        y t^k (or in y sigma(t^k)), an int where it is integral."""
+        mat = cache.get((y, semilinear))
+        if mat is None:
+            cols = [y * b for b in bases[semilinear]]
+            mat = cache[y, semilinear] = [
+                [col.num[l] if col.den == 1 else Fraction(col.num[l], col.den) for col in cols] for l in range(r)
+            ]
+        return mat
 
     rows = []
     # E D - D E for each generator block D, then E p - p sigma(E)

@@ -1,6 +1,7 @@
 """Exact matrices over a cyclic extension, plus the rational elimination engine.
 
-Every elimination over L, from matrix inverses to L-linear systems such as
+Entries are FieldElements, integer numerators over one denominator; each
+entry of a product is one fused field.dot, normalized once.  Every elimination over L, from matrix inverses to L-linear systems such as
 the intertwiner condition X A = B X in its n^2 unknowns, goes through
 IncrementalSpan (sizes here are tiny).  The large systems produced by
 restriction of scalars are rational and sparse, and go through
@@ -16,7 +17,7 @@ from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import Singular
-from .field import CyclicExtension, FieldElement
+from .field import CyclicExtension, FieldElement, dot
 
 
 class Mat:
@@ -58,9 +59,9 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
+            ext = self.ext
             cols = list(zip(*other.rows))
-            zero = self.ext.zero()
-            return Mat(self.ext, [[_dot(row, col, zero) for col in cols] for row in self.rows])
+            return Mat(ext, [[dot(ext, row, col) for col in cols] for row in self.rows])
         scalar = self.ext.element(other)
         return Mat(self.ext, [[a * scalar for a in r] for r in self.rows])
 
@@ -115,14 +116,6 @@ class Mat:
     def __repr__(self):
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         return f"Mat[{body}]"
-
-
-def _dot(row, col, zero: FieldElement) -> FieldElement:
-    acc = zero
-    for a, b in zip(row, col):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def matrix_norm(a: Mat) -> Mat:
@@ -339,7 +332,7 @@ def rational_vector_to_mat(ext: CyclicExtension, vec: Sequence[Fraction], nrows:
     for _ in range(nrows):
         row = []
         for _ in range(ncols):
-            row.append(FieldElement(ext, tuple(Fraction(c) for c in vec[k:k + r])))
+            row.append(ext.element(vec[k:k + r]))
             k += r
         rows.append(row)
     return Mat(ext, rows)

@@ -258,24 +258,31 @@ def test_reducible_min_poly_exits_2(tmp_path, capsys):
     assert "field" in capsys.readouterr().err
 
 
+NOT_AN_ARRAY = "expected an array of rationals at field."
+
+
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, message",
     [
-        pytest.param("min_poly", 5, id="min-poly-number"),
-        pytest.param("min_poly", None, id="min-poly-null"),
+        pytest.param("min_poly", 5, NOT_AN_ARRAY + "min_poly", id="min-poly-number"),
+        pytest.param("min_poly", None, NOT_AN_ARRAY + "min_poly", id="min-poly-null"),
         # a string would otherwise be read digit by digit, as [3, 0, 1]
-        pytest.param("min_poly", "301", id="min-poly-string"),
-        pytest.param("min_poly", {"a": 1}, id="min-poly-object"),
-        pytest.param("sigma_image", 7, id="sigma-image-number"),
+        pytest.param("min_poly", "301", NOT_AN_ARRAY + "min_poly", id="min-poly-string"),
+        pytest.param("min_poly", {"a": 1}, NOT_AN_ARRAY + "min_poly", id="min-poly-object"),
+        # t^2 - 5/4 generates Q(sqrt 5), but m must be a monic integer polynomial
+        pytest.param(
+            "min_poly", ["-5/4", 0, 1], "min_poly must have integer coefficients at field", id="min-poly-rational"
+        ),
+        pytest.param("sigma_image", 7, NOT_AN_ARRAY + "sigma_image", id="sigma-image-number"),
     ],
 )
-def test_malformed_field_exits_2(tmp_path, capsys, key, value):
+def test_malformed_field_exits_2(tmp_path, capsys, key, value, message):
     data = json.loads(open(C3).read())
     data["field"][key] = value
     path = write_problem(tmp_path, data)
     assert main(["lambda", path]) == 2
     err = capsys.readouterr().err.strip()
-    assert err == f"parse error: expected an array of rationals at field.{key}"
+    assert err == f"parse error: {message}"
 
 
 @pytest.mark.parametrize(

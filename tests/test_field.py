@@ -26,7 +26,6 @@ from galois_equiv.field import (
     rational_from_string,
     rational_to_string,
     squarefree_part,
-    trace,
 )
 
 
@@ -49,6 +48,14 @@ def cyclic_cubic():
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def trace(x) -> Fraction:
+    """Sum of the sigma-conjugates of x, a rational."""
+    acc = x.ext.zero()
+    for i in range(x.ext.degree):
+        acc = acc + x.galois(i)
+    return acc.as_rational()
 
 
 def oracle_symbol_2(a: int, b: int) -> int:
@@ -285,6 +292,10 @@ def test_extension_validation():
         CyclicExtension([-5, 0, 1], [1, 1])  # t+1 is not a root of t^2-5
     with pytest.raises(ValueError):
         CyclicExtension([-5, 1], [0])  # degree 1
+    with pytest.raises(ValueError, match="integer coefficients"):
+        CyclicExtension([Fraction(-5, 4), 0, 1], [0, -1])  # t^2 - 5/4 is not integral
+    # sigma_image may have denominators
+    assert CyclicExtension([8, -12, 0, 1], [-4, 0, Fraction(1, 2)]).degree == 3
 
 
 def test_element_arithmetic_and_inverse():
