@@ -1,8 +1,9 @@
 """Exact matrices over a cyclic extension, plus the rational elimination engine.
 
 Entries are FieldElements, integer numerators over one denominator; each
-entry of a product is one fused field.dot, normalized once.  Every elimination over L, from matrix inverses to L-linear systems such as
-the intertwiner condition X A = B X in its n^2 unknowns, goes through
+entry of a product is one fused field.dot, normalized once.  Every
+elimination over L, from matrix inverses to L-linear systems such as the
+intertwiner condition X A = B X in its n^2 unknowns, goes through
 IncrementalSpan (sizes here are tiny).  The large systems produced by
 restriction of scalars are rational and sparse, and go through
 rational_elimination: integer rows stored as maps of their nonzero entries,
