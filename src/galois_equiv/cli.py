@@ -15,6 +15,7 @@ report still goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -379,7 +380,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="galois-equiv",
         description="decide and construct Galois-equivariant forms of matrix representations",

@@ -424,6 +424,34 @@ def _trim_fp(a: list[int], p: int) -> list[int]:
     return a
 
 
+def _root_fp(f: list[int], p: int) -> int | None:
+    """A root in F_p of the monic f (p odd), or None: Cantor-Zassenhaus splits
+    gcd(t^p - t, f) by gcd((t + a)^((p-1)/2) - 1, .) for a = 0, 1, ... (Cohen 1.6)."""
+    g = _powmod_fp([0, 1] + [0] * (len(f) - 3), p, f, p)
+    g[1] -= 1
+    g = _gcd_fp(g, f, p)
+    for a in itertools.count():
+        if len(g) <= 2:
+            return -g[0] * pow(g[1], -1, p) % p if len(g) == 2 else None
+        g = [c * pow(g[-1], -1, p) % p for c in g]
+        h = _powmod_fp([a, 1] + [0] * (len(g) - 3), (p - 1) // 2, g, p)
+        h[0] -= 1
+        h = _gcd_fp(h, g, p)
+        if 1 < len(h) < len(g):
+            g = h
+
+
+def _modular_root(ext: CyclicExtension, den: int) -> tuple[int, int]:
+    """The largest prime p <= 2^61 - 1 not dividing den at which m has a root,
+    and the root.  For cyclic L about one prime in r has one."""
+    p = 2**61 - 1
+    while True:
+        root = _root_fp([c.numerator % p for c in ext.min_poly], p) if den % p and is_prime(p) else None
+        if root is not None:
+            return p, root
+        p -= 2
+
+
 class FieldElement:
     """An element of a CyclicExtension: num / den in the basis 1, t, ...,
     t^(r-1), with integer numerators, den > 0 and gcd(den, *num) = 1, so

@@ -140,20 +140,19 @@ class IncrementalSpan:
 
     def insert(self, vec: Sequence[FieldElement]) -> bool:
         """Reduce vec against the span; returns True if the dimension grew."""
+        ext, one = self.ext, self.ext.one()
         row = list(vec)
         for prow, pcol in zip(self.rows, self.pivots):
-            if row[pcol]:
-                f = row[pcol]
-                row = [a - f * b if b else a for a, b in zip(row, prow)]
+            if nf := -row[pcol]:  # a - f b as one dot, normalized once
+                row = [dot(ext, (a, nf), (one, b)) if b else a for a, b in zip(row, prow)]
         lead = next((j for j in range(self.width) if row[j]), None)
         if lead is None:
             return False
         inv = row[lead].inverse()
         row = [a * inv for a in row]
         for k, prow in enumerate(self.rows):
-            if prow[lead]:
-                f = prow[lead]
-                self.rows[k] = [a - f * b if b else a for a, b in zip(prow, row)]
+            if nf := -prow[lead]:
+                self.rows[k] = [dot(ext, (a, nf), (one, b)) if b else a for a, b in zip(prow, row)]
         self.rows.append(row)
         self.pivots.append(lead)
         return True

@@ -8,11 +8,13 @@ e.g. "a b' a".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import Singular, UnknownGenerator
-from .field import CyclicExtension
+from .field import CyclicExtension, _modular_root
 from .linalg import IncrementalSpan, Mat, inverse
 
 Word = tuple[tuple[int, int], ...]
@@ -135,8 +137,10 @@ class Representation:
 
 
 def evaluate_word(rep: Representation, word: Word) -> Mat:
-    acc = Mat.identity(rep.ext, rep.dim)
-    for g, e in word:
+    if not word:
+        return Mat.identity(rep.ext, rep.dim)
+    acc = rep.letter(*word[0])
+    for g, e in word[1:]:
         acc = acc * rep.letter(g, e)
     return acc
 
@@ -182,21 +186,47 @@ def burnside_dim(rep: Representation) -> int:
     """L-dimension of the span of all word images, grown by word length.
 
     Each pass extends only the products that enlarged the span, so a pass
-    that adds nothing ends the loop, after at most dim^2 passes.  The
-    representation is absolutely irreducible iff this equals dim^2.
+    that adds nothing ends the loop, after at most dim^2 passes.  The images
+    alone suffice: by Cayley-Hamilton each inverse is a polynomial in its
+    image.  The loop runs over F_p first (t -> a root of m mod p is a ring
+    map, so independence mod p lifts to L); a dim_p below dim^2 is redone
+    over L.  rho is absolutely irreducible iff this equals dim^2.
     """
     n = rep.dim
+    den = math.lcm(*(e.den for m in rep.images for e in m.flatten()))
+    if _burnside_dim_mod_p(rep, *_modular_root(rep.ext, den)) == n * n:
+        return n * n
     span = IncrementalSpan(rep.ext, n * n)
-    ident = Mat.identity(rep.ext, n)
-    span.insert(ident.flatten())
-    frontier = [ident]
-    multipliers = list(rep.images) + list(rep._inverses)
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for g in multipliers:
-                cand = m * g
-                if span.insert(cand.flatten()):
-                    new_frontier.append(cand)
-        frontier = new_frontier
+    _grow_span(Mat.identity(rep.ext, n), rep.images, mul, lambda m: span.insert(m.flatten()))
     return span.dim
+
+
+def _burnside_dim_mod_p(rep: Representation, p: int, root: int) -> int:
+    """burnside_dim over F_p, with each entry num(t)/den sent to num(root)/den."""
+    n, powers = rep.dim, [pow(root, k, p) for k in range(rep.ext.degree)]
+    gens = [[sum(map(mul, e.num, powers)) * pow(e.den, -1, p) % p for e in m.flatten()] for m in rep.images]
+    rows: dict[int, list[int]] = {}  # pivot -> row, 1 there and 0 at earlier pivots
+
+    def product(a: list[int], b: list[int]) -> list[int]:
+        return [sum(map(mul, a[i:i + n], b[j::n])) % p for i in range(0, n * n, n) for j in range(n)]
+
+    def insert(v: list[int]) -> bool:
+        for pcol, row in rows.items():
+            if f := v[pcol]:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((j for j, a in enumerate(v) if a), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            rows[lead] = [a * inv % p for a in v]
+        return lead is not None
+
+    _grow_span([int(i == j) for i in range(n) for j in range(n)], gens, product, insert)
+    return len(rows)
+
+
+def _grow_span(ident, gens, product, insert) -> None:
+    """Insert ident, then m * g for each generator g and each m that grew the span."""
+    insert(ident)
+    frontier = [ident]
+    while frontier:
+        frontier = [c for m in frontier for g in gens if insert(c := product(m, g))]

@@ -325,6 +325,23 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["lambda", str(tmp_path / "nope.json")]) == 2
 
 
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    # the parser is built once per process; each call must see only its own argv
+    assert main(["lambda", A5, "--witness", "1,1"]) == 1
+    assert main(["lambda", A5]) == 0
+    out = tmp_path / "cert.json"
+    assert main(["equivariant", A5, "--out", str(out)]) == 0
+    out.unlink()
+    assert main(["equivariant", A5]) == 0
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", A5, "--no-such-option"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["lambda", A5]) == 0
+    assert report_of(capsys) == {"lambda_rep": "-1", "lambda_canonical": "1", "is_trivial": True}
+
+
 def count_calls(monkeypatch, functions):
     """Wrap each function in every galois_equiv module that holds it, so a
     name copied by ``from .x import f`` is counted too."""

@@ -215,6 +215,55 @@ def test_incremental_span():
     assert span.dim == 2
 
 
+class UnfusedSpan(IncrementalSpan):
+    """IncrementalSpan with each update a - f b taken as a product and a difference."""
+
+    def insert(self, vec):
+        row = list(vec)
+        for prow, pcol in zip(self.rows, self.pivots):
+            if row[pcol]:
+                f = row[pcol]
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
+        lead = next((j for j in range(self.width) if row[j]), None)
+        if lead is None:
+            return False
+        inv = row[lead].inverse()
+        row = [a * inv for a in row]
+        for k, prow in enumerate(self.rows):
+            if prow[lead]:
+                f = prow[lead]
+                self.rows[k] = [a - f * b if b else a for a, b in zip(prow, row)]
+        self.rows.append(row)
+        self.pivots.append(lead)
+        return True
+
+
+@pytest.mark.parametrize("make_ext", [q5, cyclic_cubic], ids=["q5", "cubic"])
+def test_fused_insert_matches_the_unfused_reference(make_ext):
+    ext = make_ext()
+    rng = random.Random(12)
+
+    def element():
+        if rng.random() < 0.3:
+            return ext.zero()
+        return ext.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ext.degree)])
+
+    for width in (3, 6):
+        fused, unfused = IncrementalSpan(ext, width), UnfusedSpan(ext, width)
+        vectors = []
+        for _ in range(2 * width):
+            if vectors and rng.random() < 0.3:  # a combination of earlier vectors, which adds nothing
+                u, v, c = rng.choice(vectors), rng.choice(vectors), element()
+                vec = [a + c * b for a, b in zip(u, v)]
+            else:
+                vec = [element() for _ in range(width)]
+            vectors.append(vec)
+            assert fused.insert(vec) == unfused.insert(vec)
+            assert fused.rows == unfused.rows
+            assert fused.pivots == unfused.pivots
+        assert fused.dim == width
+
+
 # ---------------------------------------------------------------------------
 # restriction of scalars
 

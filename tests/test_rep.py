@@ -1,13 +1,17 @@
 """Group data, word evaluation, relation checks, and the irreducibility span."""
 
+import random
+
 import pytest
 
+from galois_equiv import rep as rep_module
 from galois_equiv.errors import UnknownGenerator
-from galois_equiv.field import CyclicExtension
-from galois_equiv.linalg import Mat
+from galois_equiv.field import CyclicExtension, _modular_root
+from galois_equiv.linalg import IncrementalSpan, Mat, inverse
 from galois_equiv.rep import (
     GroupData,
     Representation,
+    _burnside_dim_mod_p,
     burnside_dim,
     check_automorphism,
     check_relations,
@@ -18,7 +22,9 @@ from galois_equiv.rep import (
     word_to_string,
 )
 
-from conftest import build_a5
+from conftest import build_a5, build_a7_double, build_c3
+from test_acceptance import random_invertible
+from test_induced import cubic_involution
 
 
 def test_word_parse_and_format_round_trip():
@@ -62,6 +68,12 @@ def test_word_evaluation_handles_inverses(a5):
     assert b3 == Mat.identity(a5.ext, 3)
 
 
+def test_empty_and_one_letter_words(a5):
+    assert evaluate_word(a5, ()) == Mat.identity(a5.ext, 3)
+    assert evaluate_word(a5, ((1, 1),)) == a5.images[1]
+    assert evaluate_word(a5, ((1, -1),)) == inverse(a5.images[1])
+
+
 def test_automorphism_check_on_a5(a5):
     report = check_automorphism(a5)
     assert report.ok
@@ -93,6 +105,82 @@ def test_burnside_dim_detects_reducible():
     omega2 = ["-1/2", "-1/2"]
     rep = Representation(group, ext, [Mat(ext, [[omega, 0], [0, omega2]])])
     assert burnside_dim(rep) == 2  # < 4, reducible
+    assert _burnside_dim_mod_p(rep, *_modular_root(ext, 1)) == 2
+
+
+def exact_burnside_dim(rep):
+    """The span of all word images over L, grown with the images and their
+    inverses: the loop burnside_dim ran before it had a modular path."""
+    n = rep.dim
+    span = IncrementalSpan(rep.ext, n * n)
+    ident = Mat.identity(rep.ext, n)
+    span.insert(ident.flatten())
+    frontier = [ident]
+    multipliers = list(rep.images) + [inverse(m) for m in rep.images]
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for g in multipliers:
+                cand = m * g
+                if span.insert(cand.flatten()):
+                    new_frontier.append(cand)
+        frontier = new_frontier
+    return span.dim
+
+
+def conjugated_by_height(build, height, seed):
+    """rho conjugated by a seeded Y whose entries have coefficients in [-height, height]."""
+    rep = build()
+    y = random_invertible(rep.ext, rep.dim, random.Random(seed), spread=height)
+    y_inv = inverse(y)
+    return Representation(rep.group, rep.ext, [y * m * y_inv for m in rep.images])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(build_c3, id="c3"),
+        pytest.param(build_a5, id="a5"),
+        pytest.param(build_a7_double, id="2a7"),
+        pytest.param(cubic_involution, id="cubic-involution"),
+        pytest.param(lambda: conjugated_by_height(build_a5, 3, 1), id="a5-H3"),
+        pytest.param(lambda: conjugated_by_height(build_a5, 100, 2), id="a5-H100"),
+        pytest.param(lambda: conjugated_by_height(build_a7_double, 3, 3), id="2a7-H3"),
+        pytest.param(lambda: conjugated_by_height(build_a7_double, 100, 4), id="2a7-H100"),
+    ],
+)
+def test_burnside_dim_matches_the_exact_loop(build):
+    rep = build()
+    assert burnside_dim(rep) == exact_burnside_dim(rep)
+
+
+def s3_over_q_sqrt_minus_3():
+    ext = CyclicExtension([3, 0, 1], [0, -1])
+    group = GroupData.from_strings(["a", "b"], ["a a a", "b b", "a b a b"], {"a": "a", "b": "b"})
+    return Representation(group, ext, [Mat(ext, [[0, -1], [1, -1]]), Mat(ext, [[0, 1], [1, 0]])])
+
+
+def test_a_prime_where_the_span_drops_falls_back_to_the_exact_loop(monkeypatch):
+    # mod 3 the line through (1, -1) is invariant (a fixes it, b negates it),
+    # so the images span only 3 dimensions
+    rep = s3_over_q_sqrt_minus_3()
+    assert _burnside_dim_mod_p(rep, 3, 0) == 3
+    monkeypatch.setattr(rep_module, "_modular_root", lambda ext, den: (3, 0))
+    assert burnside_dim(rep) == 4
+
+
+@pytest.mark.parametrize(
+    "min_poly, sigma_image",
+    [([-5, 0, 1], [0, -1]), ([3, 0, 1], [0, -1]), ([7, 0, 1], [0, -1]), ([-1, -2, 1, 1], [-2, 0, 1])],
+)
+def test_modular_root_skips_a_prime_in_the_denominators(min_poly, sigma_image):
+    ext = CyclicExtension(min_poly, sigma_image)
+    p, root = _modular_root(ext, 1)
+    assert sum(c.numerator * pow(root, k, p) for k, c in enumerate(ext.min_poly)) % p == 0
+    q, other = _modular_root(ext, 6 * p)
+    assert q < p
+    assert sum(c.numerator * pow(other, k, q) for k, c in enumerate(ext.min_poly)) % q == 0
+    assert _modular_root(ext, 6 * q * p)[0] < q
 
 
 def test_tau_squared_returns_to_generator_words(a5):
@@ -110,3 +198,19 @@ def test_representation_requires_square_images(a5):
 def test_fixture_builders_are_deterministic():
     r1, r2 = build_a5(), build_a5()
     assert r1.images[1] == r2.images[1]
+
+
+def test_burnside_dim_avoids_a_prime_in_an_entry_denominator(monkeypatch, a5):
+    p, _ = _modular_root(a5.ext, 1)
+    d = Mat(a5.ext, [[p, 0, 0], [0, 1, 0], [0, 0, 1]])
+    rep = Representation(a5.group, a5.ext, [d * m * inverse(d) for m in a5.images])
+    assert any(e.den % p == 0 for m in rep.images for e in m.flatten())
+    chosen = []
+
+    def recording(ext, den):
+        chosen.append(_modular_root(ext, den))
+        return chosen[-1]
+
+    monkeypatch.setattr(rep_module, "_modular_root", recording)
+    assert burnside_dim(rep) == 9
+    assert chosen and chosen[0][0] < p
