@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import EndomorphismCheckFailed, InternalInvariantViolation
 from .field import FieldElement
 # inverse is not called here; bench/selftest.py checks the traced run rebinds this copy
-from .linalg import Mat, inverse, matrix_norm, rational_rank  # noqa: F401
+from .linalg import Mat, inverse, matrix_norm, solve_sylvester_space  # noqa: F401
 from .rep import Representation, Word, check_relations, evaluate_word, twist
 from .equivariance import LambdaInvariant, compute_X, decide_lambda, _scalar_of
 
@@ -145,54 +145,19 @@ def endomorphism_dim(ind: InducedRep) -> int:
     including the sigma-twisted condition at the tau block.  Equals r^2 for
     an absolutely irreducible rep satisfying the twist hypothesis.
 
-    The conditions E D - D E = 0 for every generator block D and
-    E p - p sigma(E) = 0 at the tau block p are assembled as one rational
-    system.  Its unknowns are the coefficients of E, (i N + j) r + k for t^k
-    in entry (i, j).  A product y E_ab contributes the r x r multiplication
-    matrix of y applied to the coefficients of E_ab, and y sigma(E_ab) that
-    matrix times sigma's, whose column k is the coefficients of y sigma(t^k).
-    The dimension is the number of unknowns minus the rank.
+    E commutes with the tau block p (E p = p sigma(E)) iff
+    E_(i,j) = sigma^i(E_(0,j-i)), so E is fixed by its block row 0.  Block
+    (0, j) of E D = D E for a generator block D reads
+    E sigma^j(twist_j(g)) = twist_0(g) E, which is L-linear in E_(0,j); the
+    other block rows are sigma^i of these at tau^-i(g), and those g generate
+    H too.  So the dimension is r sum_j dim_L Hom_H(sigma^j o twist_j,
+    twist_0), one n x n intertwiner space per j.
     """
-    ext = ind.rep.ext
-    r = ext.degree
-    big = ind.dim
-    powers = [ext.element([0] * k + [1]) for k in range(r)]
-    bases = {False: powers, True: [t_k.galois() for t_k in powers]}
-    cache: dict[tuple[FieldElement, bool], list[list[Fraction]]] = {}
-
-    def action(y: FieldElement, semilinear: bool) -> list[list[Fraction]]:
-        """The matrix of x -> y x (or y sigma(x) when semilinear) on
-        coefficient vectors: row l, column k is the coefficient of t^l in
-        y t^k (or in y sigma(t^k)), an int where it is integral."""
-        mat = cache.get((y, semilinear))
-        if mat is None:
-            cols = [y * b for b in bases[semilinear]]
-            mat = cache[y, semilinear] = [
-                [col.num[l] if col.den == 1 else Fraction(col.num[l], col.den) for col in cols] for l in range(r)
-            ]
-        return mat
-
-    rows = []
-    # E D - D E for each generator block D, then E p - p sigma(E)
-    for d, semilinear in [(d, False) for d in ind.blocks] + [(ind.tau_block, True)]:
-        for i in range(big):
-            for j in range(big):
-                terms = [(i, m, action(d.rows[m][j], False)) for m in range(big) if d.rows[m][j]]
-                terms += [(m, j, action(-d.rows[i][m], semilinear)) for m in range(big) if d.rows[i][m]]
-                acc = [{} for _ in range(r)]
-                for a, b, mat in terms:
-                    base = (a * big + b) * r
-                    for l in range(r):
-                        row = acc[l]
-                        for k, c in enumerate(mat[l]):
-                            if c:
-                                row[base + k] = row.get(base + k, 0) + c
-                for row in acc:
-                    entries = [(u, c) for u, c in row.items() if c]
-                    if entries:
-                        rows.append(entries)
-    nunk = big * big * r
-    return nunk - rational_rank(rows, nunk)
+    r = ind.rep.ext.degree
+    base = ind.twists[0].images
+    return r * sum(
+        len(solve_sylvester_space([(a.galois(j), b) for a, b in zip(ind.twists[j].images, base)])) for j in range(r)
+    )
 
 
 @dataclass

@@ -1,14 +1,13 @@
-"""Exact matrices over a cyclic extension, plus the rational elimination engine.
+"""Exact matrices over a cyclic extension, plus a rational elimination engine.
 
 Entries are FieldElements, integer numerators over one denominator; each
 entry of a product is one fused field.dot, normalized once.  Every
 elimination over L, from matrix inverses to L-linear systems such as the
 intertwiner condition X A = B X in its n^2 unknowns, goes through
-IncrementalSpan (sizes here are tiny).  The large systems produced by
-restriction of scalars are rational and sparse, and go through
-rational_elimination: integer rows stored as maps of their nonzero entries,
-fraction-free row operations on the rows a pivot touches, and removal of
-each updated row's content so entries stay small.
+IncrementalSpan (sizes here are tiny).  The sparse fraction-free
+rational_elimination and the restriction-of-scalars kernel built on it
+have no caller in the package: the tests keep the kernel as a dense
+oracle for the induced commutant.
 """
 
 from __future__ import annotations

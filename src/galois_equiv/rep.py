@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import Singular, UnknownGenerator
 from .field import CyclicExtension, _modular_root
@@ -111,10 +111,18 @@ class Representation:
 
     The constructor checks shapes and invertibility (a Singular names the
     generator); whether the relations actually evaluate to the identity is
-    checked separately so that invalid data can still be probed.
+    checked separately so that invalid data can still be probed.  Given
+    inverse_of, the images are trusted to be invertible and inverse_of(k)
+    supplies the inverse of image k on first use instead.
     """
 
-    def __init__(self, group: GroupData, ext: CyclicExtension, images: Sequence[Mat]):
+    def __init__(
+        self,
+        group: GroupData,
+        ext: CyclicExtension,
+        images: Sequence[Mat],
+        inverse_of: Optional[Callable[[int], Mat]] = None,
+    ):
         if len(images) != len(group.gen_names):
             raise ValueError("one image per generator required")
         self.group = group
@@ -124,16 +132,21 @@ class Representation:
         if len(dims) != 1 or any(a != b for a, b in dims):
             raise ValueError("images must be square matrices of equal size")
         self.dim = images[0].nrows
-        inverses = []
-        for name, m in zip(group.gen_names, images):
-            try:
-                inverses.append(inverse(m))
-            except Singular:
-                raise Singular(f"the image of generator {name!r} is singular") from None
-        self._inverses = tuple(inverses)
+        self._inverses: list[Optional[Mat]] = [None] * len(images)
+        self._inverse_of = inverse_of
+        if inverse_of is None:
+            for k, (name, m) in enumerate(zip(group.gen_names, images)):
+                try:
+                    self._inverses[k] = inverse(m)
+                except Singular:
+                    raise Singular(f"the image of generator {name!r} is singular") from None
 
     def letter(self, gen: int, exp: int) -> Mat:
-        return self.images[gen] if exp > 0 else self._inverses[gen]
+        if exp > 0:
+            return self.images[gen]
+        if self._inverses[gen] is None:
+            self._inverses[gen] = self._inverse_of(gen)
+        return self._inverses[gen]
 
 
 def evaluate_word(rep: Representation, word: Word) -> Mat:
@@ -146,9 +159,11 @@ def evaluate_word(rep: Representation, word: Word) -> Mat:
 
 
 def twist(rep: Representation, j: int) -> Representation:
-    """rho o tau^j: generator k maps to rho(tau^j(g_k))."""
-    images = [evaluate_word(rep, rep.group.tau_apply(((k, 1),), j)) for k in range(len(rep.images))]
-    return Representation(rep.group, rep.ext, images)
+    """rho o tau^j: generator k maps to rho(tau^j(g_k)), whose inverse is
+    rho of the inverted word, evaluated on first use with no elimination."""
+    words = [rep.group.tau_apply(((k, 1),), j) for k in range(len(rep.images))]
+    images = [evaluate_word(rep, w) for w in words]
+    return Representation(rep.group, rep.ext, images, lambda k: evaluate_word(rep, invert_word(words[k])))
 
 
 @dataclass
@@ -193,6 +208,8 @@ def burnside_dim(rep: Representation) -> int:
     over L.  rho is absolutely irreducible iff this equals dim^2.
     """
     n = rep.dim
+    if n == 1:  # the identity alone spans L^(1x1)
+        return 1
     den = math.lcm(*(e.den for m in rep.images for e in m.flatten()))
     if _burnside_dim_mod_p(rep, *_modular_root(rep.ext, den)) == n * n:
         return n * n

@@ -187,7 +187,7 @@ def test_double_cover_of_a7_is_obstructed():
     assert report.index == 2
     assert report.symbol == (Fraction(-2), -7)
 
-    assert time.monotonic() - started < 30.0
+    assert time.monotonic() - started < 5.0
 
 
 # ---------------------------------------------------------------------------

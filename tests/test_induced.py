@@ -148,6 +148,11 @@ def doubled_c3():
     return Representation(c3.group, c3.ext, [image])
 
 
+def c3_with_trivial_tau():
+    """C3 over Q(sqrt-3) with tau = 1, so that rho o tau = rho but sigma o rho is not rho."""
+    return with_group(build_c3(), ["g g g"], {"g": "g"})
+
+
 def cubic_involution():
     """g -> a conjugate of diag(1, -1) over the cyclic cubic field, tau = 1."""
     ext = CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
@@ -258,6 +263,9 @@ def test_crossed_product_checks_match_the_dense_relations(build, rejected):
         pytest.param(lambda: conjugated(build_a5(), 2), 4, id="a5-conjugate-2"),
         pytest.param(lambda: conjugated(build_c3(), 1), 4, id="c3-conjugate-1"),
         pytest.param(lambda: conjugated(build_c3(), 2), 4, id="c3-conjugate-2"),
+        pytest.param(lambda: conjugated(build_a7_double(), 1), 4, id="2a7-conjugate-1"),
+        # sigma o rho is not rho, so only the j = 0 Hom term is nonzero
+        pytest.param(c3_with_trivial_tau, 2, id="c3-tau-identity"),
         pytest.param(doubled_c3, 16, id="c3-plus-c3"),
         # two distinct characters, r^2 = 9 each; unlike the quadratic fields
         # above, sigma's matrix here is not symmetric, so a transposed one shows

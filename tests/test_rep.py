@@ -5,7 +5,7 @@ import random
 import pytest
 
 from galois_equiv import rep as rep_module
-from galois_equiv.errors import UnknownGenerator
+from galois_equiv.errors import Singular, UnknownGenerator
 from galois_equiv.field import CyclicExtension, _modular_root
 from galois_equiv.linalg import IncrementalSpan, Mat, inverse
 from galois_equiv.rep import (
@@ -19,6 +19,7 @@ from galois_equiv.rep import (
     free_reduce,
     invert_word,
     parse_word,
+    twist,
     word_to_string,
 )
 
@@ -94,7 +95,11 @@ def test_burnside_dim_full_on_a5(a5):
     assert burnside_dim(a5) == 9
 
 
-def test_burnside_dim_on_degree_one(c3):
+def test_burnside_dim_on_degree_one(c3, monkeypatch):
+    def no_prime_search(ext, den):
+        raise AssertionError("a 1 x 1 representation needs no modular span")
+
+    monkeypatch.setattr(rep_module, "_modular_root", no_prime_search)
     assert burnside_dim(c3) == 1
 
 
@@ -193,6 +198,27 @@ def test_tau_squared_returns_to_generator_words(a5):
 def test_representation_requires_square_images(a5):
     with pytest.raises(ValueError):
         Representation(a5.group, a5.ext, [a5.images[0], Mat(a5.ext, [[1, 0, 0], [0, 1, 0]])])
+
+
+def test_representation_names_a_singular_generator(a5):
+    singular = Mat(a5.ext, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    with pytest.raises(Singular, match="generator 'b' is singular"):
+        Representation(a5.group, a5.ext, [a5.images[0], singular])
+
+
+@pytest.mark.parametrize("build", [build_c3, build_a5, build_a7_double], ids=["c3", "a5", "2a7"])
+def test_twist_inverses_come_from_the_source_letters(build, monkeypatch):
+    # C3's tau sends g to g', so its twists read the source's inverse letters
+    rep = build()
+
+    def no_elimination(m):
+        raise AssertionError("a twist's inverses need no elimination")
+
+    monkeypatch.setattr(rep_module, "inverse", no_elimination)
+    for j in range(rep.ext.degree + 1):
+        tw = twist(rep, j)
+        for k, image in enumerate(tw.images):
+            assert (tw.letter(k, -1) * image).is_identity()
 
 
 def test_fixture_builders_are_deterministic():
