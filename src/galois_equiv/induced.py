@@ -146,7 +146,7 @@ def endomorphism_dim(ind: InducedRep) -> int:
     an absolutely irreducible rep satisfying the twist hypothesis.
 
     E commutes with the tau block p (E p = p sigma(E)) iff
-    E_(i,j) = sigma^i(E_(0,j-i)), so E is fixed by its block row 0.  Block
+    E_(i,j) = sigma^i(E_(0,j-i)), so block row 0 determines E.  Block
     (0, j) of E D = D E for a generator block D reads
     E sigma^j(twist_j(g)) = twist_0(g) E, which is L-linear in E_(0,j); the
     other block rows are sigma^i of these at tau^-i(g), and those g generate
