@@ -22,7 +22,7 @@ from .errors import (
 )
 from .field import CyclicExtension, FieldElement, canonical_lambda, norm, norm_witness
 from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, solve_sylvester_space
-from .rep import CheckReport, Representation, evaluate_word
+from .rep import CheckReport, Representation, evaluate_word, twist
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -46,13 +46,10 @@ class _LinearGenerator:
 
 
 def twisted_images(rep: Representation) -> list[tuple[Mat, Mat]]:
-    """Pairs (rho(g), sigma(rho(tau^-1(g)))) for each generator g."""
-    pairs = []
-    for k in range(len(rep.images)):
-        word = rep.group.tau_apply(((k, 1),), rep.ext.degree - 1)
-        twisted = evaluate_word(rep, word).galois()
-        pairs.append((rep.images[k], twisted))
-    return pairs
+    """Pairs (rho(g), sigma(rho(tau^-1(g)))) for each generator g, read from
+    the twist rho o tau^(r-1) that build_induced shares."""
+    back = twist(rep, rep.ext.degree - 1)
+    return [(image, twisted.galois()) for image, twisted in zip(rep.images, back.images)]
 
 
 def compute_X(rep: Representation) -> Mat:

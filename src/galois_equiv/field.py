@@ -80,13 +80,24 @@ def factor(n: int, bound: int = 10**6) -> tuple[int, list[tuple[int, int]]]:
     Returns (sign, [(p, e), ...]) with primes ascending.  Raises
     FactorizationIncomplete when a cofactor survives trial division, exceeds
     bound**2, and is not proven prime.
+
+    The candidates are 2, 3 and 6k +- 1 up to bound, tried in turn until
+    p^2 exceeds the cofactor; while the cofactor exceeds bound**2 they are
+    taken a chunk at a time (_divide_by_chunks).  The result is that of
+    plain trial division.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
     m = abs(n)
+    square = bound * bound
     factors: list[tuple[int, int]] = []
-    for p in _small_divisor_stream(bound):
+    start = 2
+    if m > square:
+        m, start = _divide_by_chunks(m, bound, factors)
+    # the plain loop stays inline: canonical_lambda's scan makes many small
+    # calls, and a call to _divide_out would add to each
+    for p in _small_divisor_stream(bound, start):
         if p * p > m:
             break
         if m % p == 0:
@@ -96,7 +107,7 @@ def factor(n: int, bound: int = 10**6) -> tuple[int, list[tuple[int, int]]]:
                 e += 1
             factors.append((p, e))
     if m > 1:
-        if m <= bound * bound:
+        if m <= square:
             # no divisor <= bound, and m <= bound^2, so m is prime
             factors.append((m, 1))
         elif is_prime(m):
@@ -108,14 +119,76 @@ def factor(n: int, bound: int = 10**6) -> tuple[int, list[tuple[int, int]]]:
     return sign, factors
 
 
-def _small_divisor_stream(bound: int):
-    yield 2
-    yield 3
-    d = 5
+def _divide_out(m: int, candidates, factors: list[tuple[int, int]]) -> int:
+    """m with the candidates that divide it divided out, in turn until p^2
+    exceeds what is left, each appended to factors with its exponent."""
+    for p in candidates:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    return m
+
+
+def _small_divisor_stream(bound: int, start: int):
+    """The candidates from start on: 2 and 3 when start is 2, then d and
+    d + 2 for every d = 6k + 5 <= bound (so d + 2 may pass bound)."""
+    if start == 2:
+        yield 2
+        yield 3
+        start = 5
+    d = start
     while d <= bound:
         yield d
         yield d + 2
         d += 6
+
+
+def _divide_by_chunks(m: int, bound: int, factors: list[tuple[int, int]]) -> tuple[int, int]:
+    """Trial division of m by 2 and 3, then a chunk of candidates at a time
+    while m exceeds bound^2: a chunk whose product is coprime to m holds no
+    divisor of it and is skipped after one gcd (batched trial division;
+    Bernstein, "How to find smooth parts of integers", 2004), and a cofactor
+    that Miller-Rabin proves prime ends the scan, since no candidate divides
+    it.  Appends the primes found to factors and returns the cofactor and
+    the first candidate not yet tried."""
+    m = _divide_out(m, (2, 3), factors)
+    start, tested = 5, None
+    while m > bound * bound and start + _SPAN - 6 <= bound:
+        if m != tested:
+            tested = m
+            if m < _MR_LIMIT and is_prime(m):
+                factors.append((m, 1))
+                return 1, start
+        if math.gcd(m, _chunk_product((start - 5) // _SPAN) % m) != 1:
+            m = _divide_out(m, _small_divisor_stream(start + _SPAN - 6, start), factors)
+        start += _SPAN
+    return m, start
+
+
+# The 6k +- 1 candidates come in chunks: chunk c holds d and d + 2 for
+# d = 5 + _SPAN c, ..., 5 + _SPAN (c + 1) - 6.
+_SPAN = 420
+# A chunk's product leaves out the multiples of 5 and 7 (all but 5 and 7
+# themselves): the scan divides those two out in chunk 0, so no multiple
+# divides a later cofactor.  Chunk c starts at 5 mod 210, so the offsets of
+# the numbers prime to 210 are the same in every chunk.
+_PRIME_TO_210 = tuple(o for o in range(_SPAN) if math.gcd(5 + o, 210) == 1)
+# The product of chunk c's candidates, built when a scan first reaches the
+# chunk and kept for the life of the process (about 0.5 MB once the chunks
+# up to 10^6 are built).
+_chunk_products: list[int] = []
+
+
+def _chunk_product(c: int) -> int:
+    while len(_chunk_products) <= c:
+        start = 5 + _SPAN * len(_chunk_products)
+        _chunk_products.append(math.prod(map(start.__add__, _PRIME_TO_210)) * (35 if start == 5 else 1))
+    return _chunk_products[c]
 
 
 def squarefree_part(n: int) -> int:
@@ -442,13 +515,44 @@ def _root_fp(f: list[int], p: int) -> int | None:
 
 
 def _modular_root(ext: CyclicExtension, den: int) -> tuple[int, int]:
-    """The largest prime p <= 2^61 - 1 not dividing den at which m has a root,
-    and the root.  For cyclic L about one prime in r has one."""
-    p = 2**61 - 1
+    """The largest split prime p (see _split_primes) not dividing den, and a
+    root of m mod p.  For cyclic L about one prime in r splits."""
+    return next((p, orbit[0]) for p, orbit in _split_primes(ext) if den % p)
+
+
+# Per field, keyed by (min_poly, sigma_image): the split primes found so far,
+# each with its root orbit.  Nothing read from a representation is kept.
+_split_prime_cache: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+
+
+def _split_primes(ext: CyclicExtension):
+    """The primes p <= 2^61 - 1, descending, at which m has r distinct roots
+    theta_0, theta_i = s(theta_(i-1)) and no coefficient of s has p in its
+    denominator, each with the orbit (theta_0, ..., theta_(r-1)).  The maps
+    t -> theta_i are then the r ring maps from the p-integral elements of L to
+    F_p.  Primes are searched for on first use and kept for the process."""
+    found = _split_prime_cache.setdefault((ext.min_poly, ext.sigma_image), [])
+    for i in itertools.count():
+        if i == len(found):
+            found.append(_next_split_prime(ext, found[-1][0] - 2 if found else 2**61 - 1))
+        yield found[i]
+
+
+def _next_split_prime(ext: CyclicExtension, p: int) -> tuple[int, tuple[int, ...]]:
+    """The first split prime at or below the odd p, and its root orbit."""
+    r = ext.degree
+    s_den = math.lcm(*(c.denominator for c in ext.sigma_image))
+    s_num = [c.numerator * (s_den // c.denominator) for c in ext.sigma_image]
     while True:
-        root = _root_fp([c.numerator % p for c in ext.min_poly], p) if den % p and is_prime(p) else None
+        root = _root_fp([c.numerator % p for c in ext.min_poly], p) if s_den % p and is_prime(p) else None
         if root is not None:
-            return p, root
+            orbit = [root]
+            inv = pow(s_den, -1, p)
+            for _ in range(r - 1):
+                x = orbit[-1]
+                orbit.append(sum(c * pow(x, k, p) for k, c in enumerate(s_num)) * inv % p)
+            if len(set(orbit)) == r:
+                return p, tuple(orbit)
         p -= 2
 
 

@@ -1,23 +1,26 @@
 """Exact matrices over a cyclic extension, plus a rational elimination engine.
 
 Entries are FieldElements, integer numerators over one denominator; each
-entry of a product is one fused field.dot, normalized once.  Every
-elimination over L, from matrix inverses to L-linear systems such as the
-intertwiner condition X A = B X in its n^2 unknowns, goes through
-IncrementalSpan (sizes here are tiny).  The sparse fraction-free
-rational_elimination and the restriction-of-scalars kernel built on it
-have no caller in the package: the tests keep the kernel as a dense
-oracle for the induced commutant.
+entry of a product is one fused field.dot, normalized once.  Elimination
+over L, as in matrix inverses, goes through IncrementalSpan (sizes here are
+tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
+solved over F_p at the field's split primes, lifted by CRT and rational
+reconstruction, and certified exactly; the same echelon routine mod p grows
+rep.burnside_dim's modular span.  The sparse fraction-free
+rational_elimination and the restriction-of-scalars kernel built on it have
+no caller in the package: the tests keep the kernel as a dense oracle for
+the induced commutant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import Singular
-from .field import CyclicExtension, FieldElement, dot
+from .field import CyclicExtension, FieldElement, _split_primes, dot
 
 
 class Mat:
@@ -159,23 +162,6 @@ class IncrementalSpan:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def kernel(self) -> list[list[FieldElement]]:
-        """L-basis of {v : row . v = 0 for every row of the span}, one vector
-        per non-pivot column, in column order."""
-        zero, one = self.ext.zero(), self.ext.one()
-        pivot_set = set(self.pivots)
-        basis = []
-        for f in range(self.width):
-            if f in pivot_set:
-                continue
-            v = [zero] * self.width
-            v[f] = one
-            # each row is 1 at its own pivot and 0 at every other pivot column
-            for row, pcol in zip(self.rows, self.pivots):
-                v[pcol] = -row[f]
-            basis.append(v)
-        return basis
 
 
 def inverse(a: Mat) -> Mat:
@@ -370,24 +356,167 @@ def kernel_of_linear_maps(
 
 
 def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
-    """L-basis of {X : X A_k = B_k X for all k}.
+    """L-basis of {X : X A_k = B_k X for all k}: the kernel of the
+    conditions' reduced echelon form, one matrix per free column f, with 1 at
+    f and 0 at the other free columns.
 
     The conditions are L-linear in the n^2 entries of X: entry (i, j) of
-    X A - B X is sum_m X_im A_mj - sum_m B_im X_mj, one row over L, and the
-    solutions are the kernel of the span of those rows.
+    X A - B X is sum_m X_im A_mj - sum_m B_im X_mj.  They are solved over F_p
+    and lifted, with no budget:
+
+    - Each split prime p of L (field._split_primes) that divides no entry
+      denominator gives r ring maps t -> theta_i to F_p.  Under each, the
+      system's kernel is taken in reduced echelon form mod p; a prime whose
+      maps disagree on the pivot columns is skipped.  A ring map only lowers
+      the rank, so each kernel is at least as large as over L, and an empty
+      one proves the space is 0.
+    - The r images of each kernel entry are interpolated to its coefficients
+      in 1, t, ..., t^(r-1) (inverse Vandermonde mod p) and combined by CRT
+      with the earlier primes that had the same pivots.  A prime with fewer
+      free columns, or as many with earlier pivots (those over L are the
+      earliest possible), restarts the lift; any other prime is dropped.
+    - Each coefficient is rebuilt by rational reconstruction (Wang, Guy and
+      Davenport, "p-adic reconstruction of rational numbers", 1982), which
+      succeeds once the modulus exceeds twice the square of its height.  The
+      matrices are accepted only when each satisfies X A_k = B_k X exactly.
+      They are then independent solutions, at least dim_L of them, so an
+      L-basis.  Only finitely many primes are bad, so the loop ends.
+    - The accepted basis is the reduced-echelon one over L even when its
+      prime's pivots were later than those over L: the matrix for free
+      column f is 0 at the pivots right of f, so each matrix's last nonzero
+      entry is at its own free column.  The set of last nonzero positions of
+      the space's nonzero vectors is fixed by the space, so these free
+      columns are those over L, and a solution is fixed by its values there.
     """
     if not pairs:
         raise ValueError("need at least one pair")
-    a0, _ = pairs[0]
-    ext = a0.ext
-    n = a0.nrows
-    span = IncrementalSpan(ext, n * n)
-    for a, b in pairs:
+    ext = pairs[0][0].ext
+    n, r = pairs[0][0].nrows, ext.degree
+    flat = [m.flatten() for pair in pairs for m in pair]
+    dens = {e.den for entries in flat for e in entries}
+    den = lcm(*dens)
+    lift = None  # (kernel size, pivots), modulus, coefficient residues
+    for p, orbit in _split_primes(ext):
+        if den % p == 0:
+            continue
+        inverses = {d: pow(d, -1, p) for d in dens}
+        images = []
+        for theta in orbit:
+            powers = [pow(theta, k, p) for k in range(r)]
+            reduced = [[sum(map(mul, e.num, powers)) * inverses[e.den] % p for e in entries] for entries in flat]
+            pivots, kernel = _sylvester_kernel_mod_p(reduced, n, p)
+            if not kernel:
+                return []
+            images.append((pivots, kernel))
+        key = (len(images[0][1]), images[0][0])
+        if any(pivots != key[1] for pivots, _ in images):
+            continue
+        # coefficient k of an entry is sum_i V^-1[k][i] (its image under t -> theta_i)
+        vinv = _interpolation_mod_p(orbit, p)
+        residues = [
+            sum(map(mul, row, column)) % p
+            for vectors in zip(*(kernel for _, kernel in images))
+            for column in zip(*vectors)
+            for row in vinv
+        ]
+        if lift is None or key < lift[0]:
+            lift = (key, p, residues)
+        elif key == lift[0]:
+            _, modulus, old = lift
+            scale = pow(modulus, -1, p)
+            lift = (key, modulus * p, [u + modulus * ((x - u) * scale % p) for u, x in zip(old, residues)])
+        else:
+            continue
+        basis = _reconstruct_matrices(ext, n, *lift[1:])
+        if basis is not None and all(x * a == b * x for x in basis for a, b in pairs):
+            return basis
+
+
+def _sylvester_kernel_mod_p(reduced: list[list[int]], n: int, p: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(pivot columns, kernel basis) mod p of the conditions X A = B X, for
+    the flattened images of A_1, B_1, A_2, B_2, ... mod p.  The basis has one
+    vector per free column f, in column order, 1 at f and 0 at the other free
+    columns."""
+    echelon: dict[int, list[int]] = {}
+    for a, b in zip(reduced[::2], reduced[1::2]):
         for i in range(n):
             for j in range(n):
-                row = [ext.zero()] * (n * n)
+                row = [0] * (n * n)
                 for m in range(n):
-                    row[i * n + m] += a.rows[m][j]
-                    row[m * n + j] -= b.rows[i][m]
-                span.insert(row)
-    return [Mat(ext, [v[i * n:(i + 1) * n] for i in range(n)]) for v in span.kernel()]
+                    row[i * n + m] += a[m * n + j]
+                    row[m * n + j] -= b[i * n + m]
+                _insert_mod_p(echelon, row, p)
+    # each row is 1 at its pivot and 0 left of it, so the pivot entries follow
+    # by back-substitution from the right
+    order = sorted(echelon, reverse=True)
+    kernel = []
+    for f in range(n * n):
+        if f not in echelon:
+            v = [0] * (n * n)
+            v[f] = 1
+            for pcol in order:
+                v[pcol] = -sum(map(mul, echelon[pcol], v)) % p
+            kernel.append(v)
+    return tuple(order[::-1]), kernel
+
+
+def _insert_mod_p(echelon: dict[int, list[int]], v: list[int], p: int) -> bool:
+    """Reduce v mod p against an echelon form (pivot column -> row, 1 at its
+    pivot and 0 left of it and at the pivots of the rows before it) and add
+    it as a row if it is not 0 then; returns whether it was added.  The
+    pivots are those of the reduced echelon form of the rows inserted."""
+    for pcol, row in echelon.items():
+        if f := v[pcol] % p:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    lead = next((j for j, a in enumerate(v) if a % p), None)
+    if lead is None:
+        return False
+    inv = pow(v[lead], -1, p)
+    echelon[lead] = [a * inv % p for a in v]
+    return True
+
+
+def _interpolation_mod_p(orbit: Sequence[int], p: int) -> list[list[int]]:
+    """The inverse mod p of the Vandermonde matrix V[i][k] = theta_i^k: its
+    column i holds the coefficients of the Lagrange polynomial that is 1 at
+    theta_i and 0 at the other roots."""
+    columns = []
+    for i, ti in enumerate(orbit):
+        poly, scale = [1], 1
+        for j, tj in enumerate(orbit):
+            if j != i:
+                poly = [(a - tj * b) % p for a, b in zip([0] + poly, poly + [0])]
+                scale = scale * (ti - tj) % p
+        inv = pow(scale, -1, p)
+        columns.append([c * inv % p for c in poly])
+    return [list(row) for row in zip(*columns)]
+
+
+def _reconstruct_matrices(ext: CyclicExtension, n: int, modulus: int, residues: list[int]) -> list[Mat] | None:
+    """The n x n matrices whose entries' coefficients are the rational
+    reconstructions of residues (matrix by matrix, row-major, r coefficients
+    per entry), or None when a residue has no reconstruction yet."""
+    r = ext.degree
+    bound = isqrt(modulus // 2)
+    coeffs = []
+    for u in residues:
+        q = _rational_reconstruction(u, modulus, bound)
+        if q is None:
+            return None
+        coeffs.append(q)
+    entries = [ext.element(coeffs[k:k + r]) for k in range(0, len(coeffs), r)]
+    return [Mat(ext, [entries[k + i:k + i + n] for i in range(0, n * n, n)]) for k in range(0, len(entries), n * n)]
+
+
+def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:
+    """The a/b with a = b u mod modulus, |a| <= bound and 0 < b <= bound, or
+    None; unique when 2 bound^2 < modulus.  The extended Euclidean algorithm
+    on (modulus, u) stops at the first remainder at most bound."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import Singular, UnknownGenerator
 from .field import CyclicExtension, _modular_root
-from .linalg import IncrementalSpan, Mat, inverse
+from .linalg import IncrementalSpan, Mat, _insert_mod_p, inverse
 
 Word = tuple[tuple[int, int], ...]
 
@@ -134,6 +134,7 @@ class Representation:
         self.dim = images[0].nrows
         self._inverses: list[Optional[Mat]] = [None] * len(images)
         self._inverse_of = inverse_of
+        self._twist_images: dict[int, list[Mat]] = {}
         if inverse_of is None:
             for k, (name, m) in enumerate(zip(group.gen_names, images)):
                 try:
@@ -150,20 +151,34 @@ class Representation:
 
 
 def evaluate_word(rep: Representation, word: Word) -> Mat:
+    """rho(word).  A power u^k of a shorter word u, such as the relation
+    (a b)^5, is u evaluated once and raised to k by squaring."""
     if not word:
         return Mat.identity(rep.ext, rep.dim)
+    size = len(word)
+    period = next(d for d in range(1, size + 1) if size % d == 0 and word == word[:d] * (size // d))
     acc = rep.letter(*word[0])
-    for g, e in word[1:]:
+    for g, e in word[1:period]:
         acc = acc * rep.letter(g, e)
-    return acc
+    k, power = size // period, None
+    while True:
+        if k & 1:
+            power = acc if power is None else power * acc
+        k >>= 1
+        if not k:
+            return power
+        acc = acc * acc
 
 
 def twist(rep: Representation, j: int) -> Representation:
     """rho o tau^j: generator k maps to rho(tau^j(g_k)), whose inverse is
-    rho of the inverted word, evaluated on first use with no elimination."""
+    rho of the inverted word, evaluated on first use with no elimination.
+    The images are evaluated once per rep and j, and shared by every twist
+    built from them."""
     words = [rep.group.tau_apply(((k, 1),), j) for k in range(len(rep.images))]
-    images = [evaluate_word(rep, w) for w in words]
-    return Representation(rep.group, rep.ext, images, lambda k: evaluate_word(rep, invert_word(words[k])))
+    if j not in rep._twist_images:
+        rep._twist_images[j] = [evaluate_word(rep, w) for w in words]
+    return Representation(rep.group, rep.ext, rep._twist_images[j], lambda k: evaluate_word(rep, invert_word(words[k])))
 
 
 @dataclass
@@ -222,22 +237,12 @@ def _burnside_dim_mod_p(rep: Representation, p: int, root: int) -> int:
     """burnside_dim over F_p, with each entry num(t)/den sent to num(root)/den."""
     n, powers = rep.dim, [pow(root, k, p) for k in range(rep.ext.degree)]
     gens = [[sum(map(mul, e.num, powers)) * pow(e.den, -1, p) % p for e in m.flatten()] for m in rep.images]
-    rows: dict[int, list[int]] = {}  # pivot -> row, 1 there and 0 at earlier pivots
+    rows: dict[int, list[int]] = {}
 
     def product(a: list[int], b: list[int]) -> list[int]:
         return [sum(map(mul, a[i:i + n], b[j::n])) % p for i in range(0, n * n, n) for j in range(n)]
 
-    def insert(v: list[int]) -> bool:
-        for pcol, row in rows.items():
-            if f := v[pcol]:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        lead = next((j for j, a in enumerate(v) if a), None)
-        if lead is not None:
-            inv = pow(v[lead], -1, p)
-            rows[lead] = [a * inv % p for a in v]
-        return lead is not None
-
-    _grow_span([int(i == j) for i in range(n) for j in range(n)], gens, product, insert)
+    _grow_span([int(i == j) for i in range(n) for j in range(n)], gens, product, lambda v: _insert_mod_p(rows, v, p))
     return len(rows)
 
 

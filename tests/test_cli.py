@@ -19,6 +19,7 @@ from galois_equiv.errors import Singular
 from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
 from galois_equiv.linalg import Mat, inverse
+from galois_equiv.rep import evaluate_word
 
 A5 = fixture_path("a5_3dim.json")
 C3 = fixture_path("c3_inversion.json")
@@ -373,6 +374,16 @@ def test_each_command_computes_each_stage_once(monkeypatch, tmp_path, capsys):
     # --out adds exactly the re-verification of the certificate read back
     assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
     assert counts == {"compute_X": 1, "verify_certificate": 2}
+
+
+def test_induce_evaluates_each_twist_word_once(monkeypatch, capsys):
+    # build_induced evaluates tau(g) and tau^2(g) for both generators and the
+    # 4 relations in rho and in rho o tau: 12 words.  compute_X reads
+    # sigma(rho(tau^-1(g))) from the same twist rho o tau; it evaluated the two
+    # words tau(g) again when it built them itself, 14 words in all.
+    counts = count_calls(monkeypatch, [evaluate_word])
+    assert main(["induce", A7D]) == 3
+    assert counts == {"evaluate_word": 12}
 
 
 def write_conjugate(tmp_path, path, seed):

@@ -1,5 +1,6 @@
 """Field arithmetic and rational norm machinery, checked against independent oracles."""
 
+import itertools
 import math
 import random
 import time
@@ -14,6 +15,7 @@ from galois_equiv.errors import (
 )
 from galois_equiv.field import (
     INF,
+    _MR_LIMIT,
     CyclicExtension,
     canonical_lambda,
     factor,
@@ -184,6 +186,71 @@ def test_factor_reports_incomplete_on_hard_semiprime():
 def test_factor_reports_incomplete_on_semiprime_cofactor():
     with pytest.raises(FactorizationIncomplete):
         factor(1000003 * 1000033, bound=1000)
+
+
+def oracle_factor(n, bound=10**6):
+    """factor by plain trial division over every candidate, the loop factor
+    ran before it tested chunks of candidates by one gcd."""
+    sign = -1 if n < 0 else 1
+    m = abs(n)
+    factors = []
+    for p in itertools.chain((2, 3), (c for d in range(5, bound + 1, 6) for c in (d, d + 2))):
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    if m > 1:
+        if m <= bound * bound or is_prime(m):
+            factors.append((m, 1))
+        else:
+            raise FactorizationIncomplete(f"composite cofactor {m} has no prime factor <= {bound}")
+    return sign, factors
+
+
+def outcome(fn, n, bound):
+    """fn(n, bound), or the message of the FactorizationIncomplete it raised."""
+    try:
+        return fn(n, bound)
+    except FactorizationIncomplete as exc:
+        return f"incomplete: {exc}"
+
+
+def primes_near(x, count):
+    """The count primes below x and the count primes from x on."""
+    below, above = [], []
+    k = x - 1
+    while len(below) < count and k > 1:
+        if is_prime(k):
+            below.append(k)
+        k -= 1
+    k = x
+    while len(above) < count:
+        if is_prime(k):
+            above.append(k)
+        k += 1
+    return below + above
+
+
+@pytest.mark.parametrize("bound, randoms, near", [(10**6, 10, 2), (1000, 300, 3), (10, 300, 3)])
+def test_factor_matches_plain_trial_division(bound, randoms, near):
+    # at 10^6 most inputs make the oracle try all 333334 candidates, so fewer are drawn
+    rng = random.Random(f"factor/{bound}")
+    inputs = [1, -1, 2, -3, bound, bound * bound, bound * bound + 1]
+    for _ in range(randoms):
+        digits = rng.randint(1, 45)
+        inputs.append(rng.choice([1, -1]) * rng.randint(10 ** (digits - 1), 10**digits - 1))
+    primes = primes_near(bound, near)
+    inputs += [p * q for i, p in enumerate(primes) for q in primes[i:]]  # p^2 and p q around the bound
+    inputs += [-6 * primes[0] * primes[-1]]
+    # cofactors at and above the deterministic primality range, alone and
+    # behind small factors
+    inputs += [_MR_LIMIT, -12 * (_MR_LIMIT + 2), 35 * (2**89 - 1), (2**61 - 1) * (2**31 - 1)]
+    for n in inputs:
+        assert outcome(factor, n, bound) == outcome(oracle_factor, n, bound), n
 
 
 def test_miller_rabin_matches_trial_division():

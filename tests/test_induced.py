@@ -25,6 +25,7 @@ from galois_equiv.induced import (
 
 from conftest import build_a5, build_a7_double, build_c3, dense_m, dense_xi
 from test_acceptance import random_invertible
+from test_linalg import exact_sylvester_space, take_primes
 
 
 def random_element(ext, rng, span=6):
@@ -253,30 +254,42 @@ def test_crossed_product_checks_match_the_dense_relations(build, rejected):
     assert raised == rejected
 
 
-@pytest.mark.parametrize(
-    "build, expected",
-    [
-        pytest.param(build_c3, 4, id="c3"),
-        pytest.param(build_a5, 4, id="a5"),
-        pytest.param(build_a7_double, 4, id="2a7"),
-        pytest.param(lambda: conjugated(build_a5(), 1), 4, id="a5-conjugate-1"),
-        pytest.param(lambda: conjugated(build_a5(), 2), 4, id="a5-conjugate-2"),
-        pytest.param(lambda: conjugated(build_c3(), 1), 4, id="c3-conjugate-1"),
-        pytest.param(lambda: conjugated(build_c3(), 2), 4, id="c3-conjugate-2"),
-        pytest.param(lambda: conjugated(build_a7_double(), 1), 4, id="2a7-conjugate-1"),
-        # sigma o rho is not rho, so only the j = 0 Hom term is nonzero
-        pytest.param(c3_with_trivial_tau, 2, id="c3-tau-identity"),
-        pytest.param(doubled_c3, 16, id="c3-plus-c3"),
-        # two distinct characters, r^2 = 9 each; unlike the quadratic fields
-        # above, sigma's matrix here is not symmetric, so a transposed one shows
-        pytest.param(cubic_involution, 18, id="cubic-involution"),
-    ],
-)
+ENDOMORPHISM_CASES = [
+    pytest.param(build_c3, 4, id="c3"),
+    pytest.param(build_a5, 4, id="a5"),
+    pytest.param(build_a7_double, 4, id="2a7"),
+    pytest.param(lambda: conjugated(build_a5(), 1), 4, id="a5-conjugate-1"),
+    pytest.param(lambda: conjugated(build_a5(), 2), 4, id="a5-conjugate-2"),
+    pytest.param(lambda: conjugated(build_c3(), 1), 4, id="c3-conjugate-1"),
+    pytest.param(lambda: conjugated(build_c3(), 2), 4, id="c3-conjugate-2"),
+    pytest.param(lambda: conjugated(build_a7_double(), 1), 4, id="2a7-conjugate-1"),
+    # sigma o rho is not rho, so only the j = 0 Hom term is nonzero
+    pytest.param(c3_with_trivial_tau, 2, id="c3-tau-identity"),
+    pytest.param(doubled_c3, 16, id="c3-plus-c3"),
+    # two distinct characters, r^2 = 9 each; unlike the quadratic fields
+    # above, sigma's matrix here is not symmetric, so a transposed one shows
+    pytest.param(cubic_involution, 18, id="cubic-involution"),
+]
+
+
+@pytest.mark.parametrize("build, expected", ENDOMORPHISM_CASES)
 def test_endomorphism_dim_matches_the_dense_construction(build, expected):
     ind = build_induced(build())
     dim = endomorphism_dim(ind)
     assert dim == dense_endomorphism_dim(ind)
     assert dim == expected
+
+
+@pytest.mark.parametrize("build, expected", ENDOMORPHISM_CASES)
+def test_modular_solve_matches_the_exact_solve(build, expected, monkeypatch):
+    # every intertwiner space endomorphism_dim and compute_X solve for
+    take_primes(monkeypatch)
+    rep = build()
+    ind = build_induced(rep)
+    base = ind.twists[0].images
+    systems = [[(a.galois(j), b) for a, b in zip(ind.twists[j].images, base)] for j in range(rep.ext.degree)]
+    for pairs in systems + [twisted_images(rep)]:
+        assert solve_sylvester_space(pairs) == exact_sylvester_space(pairs)
 
 
 def test_schur_index_trivial_cases(a5, c3):

@@ -1,12 +1,16 @@
-"""Exact matrix operations over L and the rational elimination engine."""
+"""Exact matrix operations over L, the modular intertwiner solve, and the
+rational elimination engine."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from galois_equiv import linalg
+from galois_equiv.equivariance import twisted_images
 from galois_equiv.errors import Singular
-from galois_equiv.field import CyclicExtension, norm
+from galois_equiv.field import CyclicExtension, _split_primes, norm
 from galois_equiv.linalg import (
     IncrementalSpan,
     Mat,
@@ -20,6 +24,9 @@ from galois_equiv.linalg import (
     rational_vector_to_mat,
     solve_sylvester_space,
 )
+from galois_equiv.rep import Representation
+
+from conftest import build_a5, build_a7_double
 
 
 def q5():
@@ -161,6 +168,22 @@ def test_inverse_raises_on_singular():
         inverse(Mat(ext, [r1, [0, 0, 0], r2]))
 
 
+def span_kernel(span):
+    """L-basis of {v : row . v = 0 for every row of the span}, one vector per
+    non-pivot column, in column order: the span's rows are reduced, 1 at
+    their own pivot and 0 at every other pivot column."""
+    zero, one = span.ext.zero(), span.ext.one()
+    basis = []
+    for f in range(span.width):
+        if f not in span.pivots:
+            v = [zero] * span.width
+            v[f] = one
+            for row, pcol in zip(span.rows, span.pivots):
+                v[pcol] = -row[f]
+            basis.append(v)
+    return basis
+
+
 def test_rank_and_kernel_over_l():
     ext = q5()
     t = ext.gen()
@@ -169,7 +192,7 @@ def test_rank_and_kernel_over_l():
     for row in a.rows:
         span.insert(row)
     assert span.dim == 1
-    kern = span.kernel()
+    kern = span_kernel(span)
     assert len(kern) == 2
     for v in kern:
         col = Mat(ext, [[e] for e in v])
@@ -297,16 +320,127 @@ def test_sylvester_space_contains_constructed_conjugator():
         assert rational_in_span(vecs, mat_to_rational_vector(x0))
 
 
+def exact_sylvester_space(pairs):
+    """The L-basis of {X : X A_k = B_k X} by exact elimination over L, as
+    solve_sylvester_space computed it before the modular lift: row (i, j) of
+    the system is entry (i, j) of X A - B X, and the basis is the span's
+    kernel, one matrix per free column."""
+    a0, _ = pairs[0]
+    ext, n = a0.ext, a0.nrows
+    span = IncrementalSpan(ext, n * n)
+    for a, b in pairs:
+        for i in range(n):
+            for j in range(n):
+                row = [ext.zero()] * (n * n)
+                for m in range(n):
+                    row[i * n + m] += a.rows[m][j]
+                    row[m * n + j] -= b.rows[i][m]
+                span.insert(row)
+    return [Mat(ext, [v[i * n:(i + 1) * n] for i in range(n)]) for v in span_kernel(span)]
+
+
+def take_primes(monkeypatch, insert=(), at=0):
+    """Make solve_sylvester_space take the field's own stream of (prime,
+    root orbit) entries with those in insert put in at position at, and
+    record every prime it takes.  No lift here needs 40 primes, so the 41st
+    fails the test instead of letting a broken lift run on."""
+    taken = []
+    stream = linalg._split_primes
+
+    def recorded(ext):
+        own = stream(ext)
+        for entry in itertools.chain(itertools.islice(own, at), insert, own):
+            if len(taken) == 40:
+                raise AssertionError("the lift took 40 primes")
+            taken.append(entry[0])
+            yield entry
+
+    monkeypatch.setattr(linalg, "_split_primes", recorded)
+    return taken
+
+
+def conjugate(rep, y):
+    y_inv = inverse(y)
+    return Representation(rep.group, rep.ext, [y * m * y_inv for m in rep.images])
+
+
 def test_sylvester_space_is_an_l_basis_of_the_commutant():
     rng = random.Random(61)
-    ext = qm7()
-    n = 3
-    a = random_mat(ext, n, n, rng)
+    for ext in (qm7(), cyclic_cubic()):
+        n = 3
+        a = random_mat(ext, n, n, rng)
+        basis = solve_sylvester_space([(a, a)])
+        # the commutant of a generic matrix is L[a], of L-dimension n; a Q-basis
+        # would have n * deg L elements
+        assert len(basis) == n
+        assert basis == exact_sylvester_space([(a, a)])
+        span = IncrementalSpan(ext, n * n)
+        for m in basis:
+            assert m * a == a * m
+            assert span.insert(m.flatten())
+
+
+@pytest.mark.parametrize("height", [3, 100, 1000])
+@pytest.mark.parametrize("build", [build_a5, build_a7_double], ids=["a5", "2a7"])
+def test_modular_solve_matches_the_exact_solve_on_conjugates(build, height, monkeypatch):
+    rep = build()
+    y = random_mat(rep.ext, rep.dim, rep.dim, random.Random(f"{height}"), span=height)
+    pairs = twisted_images(conjugate(rep, y))
+    taken = take_primes(monkeypatch)
+    basis = solve_sylvester_space(pairs)
+    assert basis == exact_sylvester_space(pairs)
+    assert len(basis) == 1
+    # from H = 100 on, X's coefficients outgrow one 61-bit prime
+    assert len(taken) > 1 or height < 100
+
+
+def test_a_first_prime_with_a_larger_kernel_restarts_the_lift(monkeypatch):
+    # 11 splits Q(sqrt5) (4^2 = 5 mod 11).  Mod 11, diag(1, 12) is the
+    # identity, whose commutant is all of M_2; over L it is the diagonal
+    # matrices.  The four matrices lifted from 11 are small, so they are
+    # rebuilt at once, and only the exact check rejects them.
+    ext = q5()
+    a = Mat(ext, [[1, 0], [0, 12]])
+    taken = take_primes(monkeypatch, [(11, (4, 7))])
     basis = solve_sylvester_space([(a, a)])
-    # the commutant of a generic matrix is L[a], of L-dimension n; a Q-basis
-    # would have n * deg L elements
-    assert len(basis) == n
-    span = IncrementalSpan(ext, n * n)
-    for m in basis:
-        assert m * a == a * m
-        assert span.insert(m.flatten())
+    assert basis == exact_sylvester_space([(a, a)]) == [Mat(ext, [[1, 0], [0, 0]]), Mat(ext, [[0, 0], [0, 1]])]
+    assert taken[0] == 11 and len(taken) == 2
+
+
+def test_a_first_prime_with_later_pivots_restarts_the_lift(monkeypatch):
+    # X A = 0 is 11 X_i0 + X_i1 = 0 for each row i.  Over L the pivots are
+    # X_00 and X_10; mod 11 the rows read X_i1 = 0, so the kernel has the
+    # same size but the pivots X_01 and X_11.  The lift from 11 is rebuilt
+    # at once, fails the exact check, and the next prime restarts the lift.
+    ext = q5()
+    a, zero = Mat(ext, [[11, 11], [1, 1]]), Mat(ext, [[0, 0], [0, 0]])
+    taken = take_primes(monkeypatch, [(11, (4, 7))])
+    basis = solve_sylvester_space([(a, zero)])
+    assert basis == exact_sylvester_space([(a, zero)]) == [
+        Mat(ext, [[Fraction(-1, 11), 1], [0, 0]]), Mat(ext, [[0, 0], [Fraction(-1, 11), 1]])]
+    assert taken[0] == 11 and len(taken) == 2
+
+
+def test_a_later_prime_with_a_larger_kernel_is_dropped(monkeypatch):
+    # A = Y diag(1, 12) Y^-1 is the identity mod 11 too, and its commutant
+    # Y diag(*, *) Y^-1 needs two primes, between which 11 comes
+    ext = q5()
+    y = Mat(ext, [[[977, -640], [-512, 301]], [[13, 859], [-998, -701]]])
+    a = y * Mat(ext, [[1, 0], [0, 12]]) * inverse(y)
+    assert all(e.den % 11 for e in a.flatten())
+    taken = take_primes(monkeypatch, [(11, (4, 7))], at=1)
+    basis = solve_sylvester_space([(a, a)])
+    assert basis == exact_sylvester_space([(a, a)])
+    assert len(basis) == 2
+    assert taken[1] == 11 and len(taken) == 3
+
+
+def test_a_prime_in_an_entry_denominator_is_skipped(monkeypatch):
+    rep = build_a5()
+    p, _ = next(_split_primes(rep.ext))
+    d = Mat(rep.ext, [[p, 0, 0], [0, 1, 0], [0, 0, 1]])
+    pairs = twisted_images(conjugate(rep, d))
+    assert any(e.den % p == 0 for a, b in pairs for e in a.flatten() + b.flatten())
+    taken = take_primes(monkeypatch)
+    assert solve_sylvester_space(pairs) == exact_sylvester_space(pairs)
+    assert taken[0] == p and len(taken) > 1

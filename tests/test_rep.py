@@ -75,6 +75,35 @@ def test_empty_and_one_letter_words(a5):
     assert evaluate_word(a5, ((1, -1),)) == inverse(a5.images[1])
 
 
+def letter_by_letter(rep, word):
+    acc = Mat.identity(rep.ext, rep.dim)
+    for g, e in word:
+        acc = acc * rep.letter(g, e)
+    return acc
+
+
+@pytest.mark.parametrize("build", [build_a5, build_a7_double], ids=["a5", "2a7"])
+def test_power_words_are_raised_by_squaring(build, monkeypatch):
+    rep = build()
+    names = rep.group.gen_names
+    words = list(rep.group.relations) + [parse_word(w, names) for w in (names[0], f"{names[1]}'") * 2]
+    words += [w + w[:1] for w in rep.group.relations] + [w * 3 for w in words]
+    for w in words:
+        assert evaluate_word(rep, w) == letter_by_letter(rep, w)
+    products = []
+    product = Mat.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    # (x y)^7 and (a b)^5: one product for x y, then two squarings and two
+    # products for the 7th power, or two squarings and one for the 5th
+    evaluate_word(rep, rep.group.relations[-2 if build is build_a7_double else -1])
+    assert len(products) == (5 if build is build_a7_double else 4)
+
+
 def test_automorphism_check_on_a5(a5):
     report = check_automorphism(a5)
     assert report.ok
