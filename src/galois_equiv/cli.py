@@ -104,6 +104,12 @@ def _as_rationals(data: dict, key: str, where: str) -> list[Fraction]:
     return [_as_rational(v, f"{where}.{key}[{k}]") for k, v in enumerate(value)]
 
 
+def _reject_unknown_keys(block: dict, generators: list[str], where: str) -> None:
+    for key in block:
+        if key not in generators:
+            raise ParseError(f"{key!r} is not a generator", where)
+
+
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("expected an integer", where)
@@ -161,6 +167,7 @@ def load_problem(path: str) -> Problem:
     tau = _require(grp, "tau", "group")
     if not isinstance(tau, dict) or not all(isinstance(w, str) for w in tau.values()):
         raise ParseError("tau must be an object mapping generator names to words", "group.tau")
+    _reject_unknown_keys(tau, generators, "group.tau")
     if _as_int(_require(grp, "tau_order", "group"), "group.tau_order") != ext.degree:
         raise ParseError(f"tau order must equal the field degree {ext.degree}", "group.tau_order")
     declared = grp.get("order")
@@ -174,6 +181,7 @@ def load_problem(path: str) -> Problem:
     rep_block = _require(data, "representation", "$")
     if not isinstance(rep_block, dict):
         raise ParseError("representation must be an object", "representation")
+    _reject_unknown_keys(rep_block, generators, "representation")
     matrices = []
     for name in generators:
         if name not in rep_block:

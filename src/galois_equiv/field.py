@@ -81,113 +81,72 @@ def factor(n: int, bound: int = 10**6) -> tuple[int, list[tuple[int, int]]]:
     FactorizationIncomplete when a cofactor survives trial division, exceeds
     bound**2, and is not proven prime.
 
-    The candidates are 2, 3 and 6k +- 1 up to bound, tried in turn until
-    p^2 exceeds the cofactor; while the cofactor exceeds bound**2 they are
-    taken a chunk at a time (_divide_by_chunks).  The result is that of
-    plain trial division.
+    The candidates are 2, 3 and 6k +- 1 (d and d + 2 for every d = 6k + 5 <=
+    bound), tried a chunk at a time until p^2 exceeds the cofactor m.  Chunk
+    0 is tried plainly; a later chunk whose product is coprime to m holds no
+    divisor of it and is skipped after one gcd (batched trial division;
+    Bernstein, "How to find smooth parts of integers", 2004).  Above bound^2,
+    a cofactor that Miller-Rabin proves prime ends the scan.  The result is
+    that of plain trial division.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
     m = abs(n)
     square = bound * bound
+    # the last candidate, d + 2 for the last d; 2 and 3 are tried whatever the bound
+    last = bound + 2 - (bound - 5) % 6 if bound > 4 else 3
     factors: list[tuple[int, int]] = []
-    start = 2
-    if m > square:
-        m, start = _divide_by_chunks(m, bound, factors)
-    # the plain loop stays inline: canonical_lambda's scan makes many small
-    # calls, and a call to _divide_out would add to each
-    for p in _small_divisor_stream(bound, start):
-        if p * p > m:
+    candidates, c, tested = _CHUNK_0, 0, None
+    while True:
+        for p in candidates:
+            if p * p > m:
+                break
+            if m % p == 0:
+                # a candidate that divides nothing needs no bound check
+                if p > last:
+                    break
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors.append((p, e))
+        c += 1
+        start = 5 + _SPAN * c
+        if start > bound or start * start > m:
             break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
+        if square < m < _MR_LIMIT and m != tested:
+            tested = m
+            if is_prime(m):
+                factors.append((m, 1))
+                return sign, factors
+        candidates = [start + o for o in _PRIME_TO_210] if math.gcd(m, _chunk_product(c) % m) != 1 else ()
     if m > 1:
-        if m <= square:
-            # no divisor <= bound, and m <= bound^2, so m is prime
-            factors.append((m, 1))
-        elif is_prime(m):
-            factors.append((m, 1))
-        else:
-            raise FactorizationIncomplete(
-                f"composite cofactor {m} has no prime factor <= {bound}"
-            )
+        # with no divisor <= bound, an m <= bound^2 is prime
+        if m > square and not is_prime(m):
+            raise FactorizationIncomplete(f"composite cofactor {m} has no prime factor <= {bound}")
+        factors.append((m, 1))
     return sign, factors
 
 
-def _divide_out(m: int, candidates, factors: list[tuple[int, int]]) -> int:
-    """m with the candidates that divide it divided out, in turn until p^2
-    exceeds what is left, each appended to factors with its exponent."""
-    for p in candidates:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    return m
-
-
-def _small_divisor_stream(bound: int, start: int):
-    """The candidates from start on: 2 and 3 when start is 2, then d and
-    d + 2 for every d = 6k + 5 <= bound (so d + 2 may pass bound)."""
-    if start == 2:
-        yield 2
-        yield 3
-        start = 5
-    d = start
-    while d <= bound:
-        yield d
-        yield d + 2
-        d += 6
-
-
-def _divide_by_chunks(m: int, bound: int, factors: list[tuple[int, int]]) -> tuple[int, int]:
-    """Trial division of m by 2 and 3, then a chunk of candidates at a time
-    while m exceeds bound^2: a chunk whose product is coprime to m holds no
-    divisor of it and is skipped after one gcd (batched trial division;
-    Bernstein, "How to find smooth parts of integers", 2004), and a cofactor
-    that Miller-Rabin proves prime ends the scan, since no candidate divides
-    it.  Appends the primes found to factors and returns the cofactor and
-    the first candidate not yet tried."""
-    m = _divide_out(m, (2, 3), factors)
-    start, tested = 5, None
-    while m > bound * bound and start + _SPAN - 6 <= bound:
-        if m != tested:
-            tested = m
-            if m < _MR_LIMIT and is_prime(m):
-                factors.append((m, 1))
-                return 1, start
-        if math.gcd(m, _chunk_product((start - 5) // _SPAN) % m) != 1:
-            m = _divide_out(m, _small_divisor_stream(start + _SPAN - 6, start), factors)
-        start += _SPAN
-    return m, start
-
-
-# The 6k +- 1 candidates come in chunks: chunk c holds d and d + 2 for
-# d = 5 + _SPAN c, ..., 5 + _SPAN (c + 1) - 6.
-_SPAN = 420
-# A chunk's product leaves out the multiples of 5 and 7 (all but 5 and 7
-# themselves): the scan divides those two out in chunk 0, so no multiple
-# divides a later cofactor.  Chunk c starts at 5 mod 210, so the offsets of
+# Chunk c of the candidates covers [5 + _SPAN c, 5 + _SPAN (c + 1)); its
+# candidates are the numbers there prime to 210, plus 2, 3, 5 and 7 in chunk
+# 0.  Leaving out the other multiples of 5 and 7 changes no result: chunk 0
+# divides 5 and 7 out first.  Chunk c starts at 5 mod 210, so the offsets of
 # the numbers prime to 210 are the same in every chunk.
+_SPAN = 420
 _PRIME_TO_210 = tuple(o for o in range(_SPAN) if math.gcd(5 + o, 210) == 1)
-# The product of chunk c's candidates, built when a scan first reaches the
-# chunk and kept for the life of the process (about 0.5 MB once the chunks
-# up to 10^6 are built).
+_CHUNK_0 = (2, 3, 5, 7) + tuple(5 + o for o in _PRIME_TO_210)
+# The product of chunk c's candidates prime to 210 (chunk 0's is never read),
+# built when a scan first reaches the chunk and kept for the life of the
+# process (about 0.5 MB once the chunks up to 10^6 are built).
 _chunk_products: list[int] = []
 
 
 def _chunk_product(c: int) -> int:
     while len(_chunk_products) <= c:
         start = 5 + _SPAN * len(_chunk_products)
-        _chunk_products.append(math.prod(map(start.__add__, _PRIME_TO_210)) * (35 if start == 5 else 1))
+        _chunk_products.append(math.prod(map(start.__add__, _PRIME_TO_210)))
     return _chunk_products[c]
 
 
@@ -770,36 +729,40 @@ def is_norm(lam, ext: CyclicExtension) -> bool:
     return not _nonnorm_places(lam, d, _primes_of(lam) | _primes_of(d))
 
 
-def norm_witness(lam, ext: CyclicExtension, budget: int = 10**4) -> FieldElement:
+_WITNESS_BUDGET = 10**4
+
+
+def norm_witness(lam, ext: CyclicExtension) -> FieldElement:
     """Find mu in L with norm(mu) = lam, assuming is_norm(lam, ext).
 
-    Searches mu = (p + q t)/w over integer p, q with |q| <= budget and small
-    denominators w.  For real quadratic fields a failed direct search retries
-    the negated target and corrects by a norm -1 unit found from the
-    continued fraction expansion of sqrt(d).  Raises NoWitnessFound when the
-    budget is exhausted; that signals a search failure, not non-membership.
+    Searches mu = (p + q t)/w over integer p, q with |q| <= _WITNESS_BUDGET
+    and small denominators w.  For real quadratic fields a failed direct
+    search retries the negated target and corrects by a norm -1 unit found
+    from the continued fraction expansion of sqrt(d).  Raises NoWitnessFound
+    when the budget is exhausted; that signals a search failure, not
+    non-membership.
     """
     _require_quadratic(ext)
     lam = Fraction(lam)
     if not is_norm(lam, ext):
         raise ValueError(f"{lam} is not a norm from this extension")
-    mu = _direct_witness_search(lam, ext, budget)
+    mu = _direct_witness_search(lam, ext)
     if mu is not None:
         return mu
     d = ext.disc_core
     if d is not None and d > 0:
         unit = _negative_norm_unit(ext)
         if unit is not None:
-            mu = _direct_witness_search(-lam, ext, budget)
+            mu = _direct_witness_search(-lam, ext)
             if mu is not None:
                 out = unit * mu
                 if norm(out) != lam:
                     raise InternalInvariantViolation("unit-corrected witness does not have norm lambda")
                 return out
-    raise NoWitnessFound(f"no witness for {lam} within numerator budget {budget}")
+    raise NoWitnessFound(f"no witness for {lam} within numerator budget {_WITNESS_BUDGET}")
 
 
-def _direct_witness_search(lam: Fraction, ext: CyclicExtension, budget: int):
+def _direct_witness_search(lam: Fraction, ext: CyclicExtension):
     # norm form of x + y t for m = t^2 + bt + c is x^2 - bxy + cy^2
     b, c = ext.min_poly[1], ext.min_poly[0]
     disc = b * b - 4 * c
@@ -813,7 +776,7 @@ def _direct_witness_search(lam: Fraction, ext: CyclicExtension, budget: int):
         if tgt.denominator != 1:
             raise InternalInvariantViolation("denominator of lambda w^2 was not cleared")
         tgt = tgt.numerator
-        qcap = budget
+        qcap = _WITNESS_BUDGET
         if disc < 0:
             # ellipse bound: -disc q^2 <= 4 target
             bound2 = Fraction(-4 * tgt) / disc

@@ -31,26 +31,15 @@ def _block_diag(ext, blocks: list[Mat]) -> Mat:
     return Mat(ext, rows)
 
 
-def _block_shift(ext, r: int, n: int) -> Mat:
-    """Permutation matrix with identity blocks at (i, i-1 mod r)."""
-    rows = [[ext.zero()] * (r * n) for _ in range(r * n)]
-    for i in range(r):
-        j = (i - 1) % r
-        for a in range(n):
-            rows[i * n + a][j * n + a] = ext.one()
-    return Mat(ext, rows)
-
-
 @dataclass
 class InducedRep:
     """Block model of the induced representation.  twists[i] is
     rho o tau^-i; generator g of H maps to diag(sigma^i twists[i](g)), and
-    tau to v -> tau_block sigma(v), which moves block i-1 to block i."""
+    tau to v -> P sigma(v) for the block shift P, which moves block i-1 to
+    block i."""
 
     rep: Representation
     twists: tuple[Representation, ...]
-    blocks: tuple[Mat, ...]
-    tau_block: Mat
 
     @property
     def dim(self) -> int:
@@ -63,25 +52,20 @@ class InducedRep:
 
 
 def build_induced(rep: Representation) -> InducedRep:
-    """Assemble the block model and verify the semidirect relations hold.
+    """Build the twists and verify the semidirect relations hold.
 
     The relations hold in the blocks iff they hold in every twist.
-    Conjugating the image of g by the tau block puts sigma(block i-1) =
+    Conjugating the image of g by the block shift puts sigma(block i-1) =
     sigma^i rho(tau^(1-i)(g)) at block i, which is the image of tau(g) there
     at every block but 1; at block 1 that needs rho o tau^r = rho.
     """
-    ext = rep.ext
-    r = ext.degree
+    r = rep.ext.degree
     twists = (rep,) + tuple(twist(rep, r - i) for i in range(1, r))
     if not all(check_relations(tw).ok for tw in twists):
         raise InternalInvariantViolation("a relation fails in the induced blocks")
     if twist(rep, r).images != rep.images:
         raise InternalInvariantViolation("tau conjugation disagrees with tau images")
-    blocks = tuple(
-        _block_diag(ext, [tw.images[k].galois(i) for i, tw in enumerate(twists)])
-        for k in range(len(rep.images))
-    )
-    return InducedRep(rep, twists, blocks, _block_shift(ext, r, rep.dim))
+    return InducedRep(rep, twists)
 
 
 class CrossedProduct:

@@ -228,6 +228,7 @@ def test_ragged_matrix_exits_2(tmp_path, capsys):
         pytest.param({"tau": "g"}, id="tau-a-string"),
         pytest.param({"tau": ["g"]}, id="tau-a-list"),
         pytest.param({"tau": {"g": 1}}, id="tau-image-not-a-word"),
+        pytest.param({"tau": {"g": "g g", "zz": "g"}}, id="tau-unknown-generator"),
         pytest.param({"order": 0}, id="order-zero"),
         pytest.param({"order": -60}, id="order-negative"),
         pytest.param({"tau_order": 3}, id="tau-order-3"),
@@ -240,6 +241,15 @@ def test_malformed_group_exits_2(tmp_path, capsys, update):
     path = write_problem(tmp_path, data)
     assert main(["validate", path]) == 2
     assert "group" in capsys.readouterr().err
+
+
+def test_matrix_for_an_unknown_generator_exits_2(tmp_path, capsys):
+    data = json.loads(open(C3).read())
+    data["representation"]["zz"] = data["representation"]["g"]
+    path = write_problem(tmp_path, data)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "representation" in err and "'zz'" in err
 
 
 def test_singular_generator_image_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from galois_equiv import field
 from galois_equiv.errors import (
     FactorizationIncomplete,
     NoWitnessFound,
@@ -235,7 +236,11 @@ def primes_near(x, count):
     return below + above
 
 
-@pytest.mark.parametrize("bound, randoms, near", [(10**6, 10, 2), (1000, 300, 3), (10, 300, 3)])
+@pytest.mark.parametrize(
+    "bound, randoms, near",
+    # 2 and 3 are candidates whatever the bound, and 419 to 423 end the first chunk
+    [(10**6, 10, 2), (1000, 300, 3), (10, 300, 3)] + [(b, 30, 2) for b in (2, 3, 4, 5, 419, 420, 421, 422, 423)],
+)
 def test_factor_matches_plain_trial_division(bound, randoms, near):
     # at 10^6 most inputs make the oracle try all 333334 candidates, so fewer are drawn
     rng = random.Random(f"factor/{bound}")
@@ -249,6 +254,9 @@ def test_factor_matches_plain_trial_division(bound, randoms, near):
     # cofactors at and above the deterministic primality range, alone and
     # behind small factors
     inputs += [_MR_LIMIT, -12 * (_MR_LIMIT + 2), 35 * (2**89 - 1), (2**61 - 1) * (2**31 - 1)]
+    # cofactors whose least prime lies past the first chunk (from 425 on):
+    # 2^3 3^2 8999 214363 214663, then p q
+    inputs += [29814928287575832, 431 * 433, 8999 * 214663, -10 * 214363 * 214663]
     for n in inputs:
         assert outcome(factor, n, bound) == outcome(oracle_factor, n, bound), n
 
@@ -508,12 +516,15 @@ def test_norm_witness_rejects_nonnorm():
         norm_witness(-2, qm7())
 
 
-def test_norm_witness_budget_failure_is_distinct():
-    # budget 0 admits only rational witnesses, and 11 is not a rational square
+def test_norm_witness_budget_failure_is_distinct(monkeypatch):
+    # budget 0 admits only rational witnesses, and 11 is not a rational square;
+    # a real input that exhausts 10^4, such as -1000000007 over Q(sqrt3),
+    # takes over a second
+    monkeypatch.setattr(field, "_WITNESS_BUDGET", 0)
     ext = q5()
     assert is_norm(11, ext)
-    with pytest.raises(NoWitnessFound):
-        norm_witness(11, ext, budget=0)
+    with pytest.raises(NoWitnessFound, match="budget 0"):
+        norm_witness(11, ext)
 
 
 def test_canonical_lambda_examples():
