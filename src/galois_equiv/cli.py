@@ -7,9 +7,9 @@ Rationals are integers or "p/q" strings; field elements are coefficient
 arrays in the basis 1, t, ..., t^(r-1).
 
 Exit codes: 0 success (trivial invariant, construction done), 1 validation
-or construction failure, 2 parse failure, 3 genuine obstruction (the
-invariant is not a norm).  An obstruction is a successful answer, so its
-report still goes to stdout.
+or construction failure, 2 parse failure or an unwritable --out file, 3
+genuine obstruction (the invariant is not a norm), an answer whose report
+still goes to stdout.
 """
 
 from __future__ import annotations
@@ -339,10 +339,13 @@ def cmd_equivariant(problem: Problem, args) -> tuple[int, dict]:
     )
     payload = certificate_to_json(cert, problem)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(_dump(payload))
-        with open(args.out, "r", encoding="utf-8") as handle:
-            reloaded = certificate_from_json(json.load(handle), problem)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(_dump(payload))
+            with open(args.out, "r", encoding="utf-8") as handle:
+                reloaded = certificate_from_json(json.load(handle), problem)
+        except OSError as exc:
+            raise ParseError(str(exc), args.out)
         if not verify_certificate(reloaded, rep).ok:
             raise GaloisEquivError("written certificate failed re-verification")
     if not cert.is_trivial:

@@ -21,7 +21,7 @@ from .errors import (
     Unsupported,
 )
 from .field import CyclicExtension, FieldElement, canonical_lambda, norm, norm_witness
-from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, solve_sylvester_space
+from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, require_invertible, solve_sylvester_space
 from .rep import CheckReport, Representation, evaluate_word, twist
 
 _LCG_MULT = 6364136223846793005
@@ -166,7 +166,7 @@ def hilbert90(x: Mat, seed: int = 0) -> Mat:
                 rows.append(v)
                 break
     y = Mat(ext, rows)
-    if inverse(y.galois()) * y != x:
+    if y.galois() * x != y:  # sigma(Y)^-1 Y = X, as Y is invertible
         raise InternalInvariantViolation("telescoped Y failed its defining identity")
     return y
 
@@ -194,8 +194,8 @@ def equivariant_form(
     """Decide equivariance and construct Y and rho' when the invariant is trivial.
 
     The seed picks the random rows of Hilbert 90.  A replayed Y replaces the
-    construction: it must solve sigma(Y)^-1 Y = c X for a scalar c
-    compatible with lambda.
+    construction: it must be invertible and solve sigma(Y)^-1 Y = c X, that
+    is Y = c sigma(Y) X, for a scalar c compatible with lambda.
     """
     x = compute_X(rep)
     lam = _norm_scalar(x)
@@ -204,12 +204,10 @@ def equivariant_form(
     # mu, the scalar rescaling X to twisted norm 1, when the caller supplies it
     mu = None
     if replay_y is not None:
-        z = inverse(replay_y.galois()) * replay_y
-        for ze, xe in zip(z.flatten(), x.flatten()):
-            if xe:
-                mu = ze * xe.inverse()
-                break
-        if mu is None or z != mu * x:
+        require_invertible(replay_y)
+        z = replay_y.galois() * x  # not 0, as Y is invertible and X is not 0
+        mu = next(ye * ze.inverse() for ye, ze in zip(replay_y.flatten(), z.flatten()) if ze)
+        if replay_y != mu * z:
             raise BadWitness("replayed Y does not solve the twisted equation for X")
         if norm(mu) * lam != 1:
             raise BadWitness("replayed Y implies an incompatible scalar")
@@ -236,7 +234,8 @@ def _conjugate(rep: Representation, y: Mat) -> tuple[Mat, ...]:
 
 
 def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> CheckReport:
-    """Re-check every claim in a certificate against rep, from scratch."""
+    """Re-check every claim in a certificate against rep, from scratch.  Y is
+    certified invertible first, so the identities with Y^-1 are products."""
     entries = []
     ext = rep.ext
     ident = Mat.identity(ext, rep.dim)
@@ -258,13 +257,14 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
         entries.append(("witness norm is lambda^-1", norm(cert.witness) * cert.lambda_rep == 1))
 
     if cert.y is not None:
-        lhs = inverse(cert.y.galois()) * cert.y
-        entries.append(("Y solves sigma(Y)^-1 Y = mu X", lhs == cert.witness * cert.x))
+        require_invertible(cert.y)
+        entries.append(("Y solves sigma(Y)^-1 Y = mu X", cert.y.galois() * (cert.witness * cert.x) == cert.y))
 
     if cert.rho_prime is not None:
         rp = Representation(rep.group, ext, list(cert.rho_prime))
-        if cert.y is not None:
-            entries.append(("rho' is Y rho Y^-1", cert.rho_prime == _conjugate(rep, cert.y)))
+        if cert.y is not None:  # rp, like rep, has one image per generator
+            conjugates = all(a * cert.y == cert.y * b for a, b in zip(rp.images, rep.images))
+            entries.append(("rho' is Y rho Y^-1", conjugates))
         equi_ok = True
         for k in range(len(rep.images)):
             tau_word = rep.group.tau_apply(((k, 1),))

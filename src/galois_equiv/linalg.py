@@ -6,10 +6,10 @@ over L, as in matrix inverses, goes through IncrementalSpan (sizes here are
 tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
 solved over F_p at the field's split primes, lifted by CRT and rational
 reconstruction, and certified exactly; the same echelon routine mod p grows
-rep.burnside_dim's modular span.  The sparse fraction-free
-rational_elimination and the restriction-of-scalars kernel built on it have
-no caller in the package: the tests keep the kernel as a dense oracle for
-the induced commutant.
+rep.burnside_dim's modular span and certifies require_invertible.  The
+sparse fraction-free rational_elimination and the restriction-of-scalars
+kernel built on it have no caller in the package: the tests keep the kernel
+as a dense oracle for the induced commutant.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import Singular
-from .field import CyclicExtension, FieldElement, _split_primes, dot
+from .field import CyclicExtension, FieldElement, _modular_root, _split_primes, dot
 
 
 class Mat:
@@ -183,6 +183,18 @@ def inverse(a: Mat) -> Mat:
         raise Singular("matrix is singular")
     by_pivot = dict(zip(span.pivots, span.rows))
     return Mat(ext, [by_pivot[i][n:] for i in range(n)])
+
+
+def require_invertible(a: Mat) -> None:
+    """Raise Singular, as inverse(A) does, unless A is invertible.  t -> a
+    root of m mod a split prime p is a ring map, so it only lowers the rank:
+    rank n mod p certifies det A != 0 with no elimination over L.  Otherwise
+    inverse(A) decides, since p may merely divide det A."""
+    echelon: dict[int, list[int]] = {}
+    p, root = _modular_root(a.ext, lcm(*(e.den for e in a.flatten())))
+    rank = sum(_insert_mod_p(echelon, row, p) for row in _reduce_mod_p(a.ext, a.rows, p, root))
+    if rank < a.nrows or a.nrows != a.ncols:
+        inverse(a)
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +403,16 @@ def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
     if not pairs:
         raise ValueError("need at least one pair")
     ext = pairs[0][0].ext
-    n, r = pairs[0][0].nrows, ext.degree
+    n = pairs[0][0].nrows
     flat = [m.flatten() for pair in pairs for m in pair]
-    dens = {e.den for entries in flat for e in entries}
-    den = lcm(*dens)
+    den = lcm(*(e.den for entries in flat for e in entries))
     lift = None  # (kernel size, pivots), modulus, coefficient residues
     for p, orbit in _split_primes(ext):
         if den % p == 0:
             continue
-        inverses = {d: pow(d, -1, p) for d in dens}
         images = []
         for theta in orbit:
-            powers = [pow(theta, k, p) for k in range(r)]
-            reduced = [[sum(map(mul, e.num, powers)) * inverses[e.den] % p for e in entries] for entries in flat]
-            pivots, kernel = _sylvester_kernel_mod_p(reduced, n, p)
+            pivots, kernel = _sylvester_kernel_mod_p(_reduce_mod_p(ext, flat, p, theta), n, p)
             if not kernel:
                 return []
             images.append((pivots, kernel))
@@ -458,6 +466,13 @@ def _sylvester_kernel_mod_p(reduced: list[list[int]], n: int, p: int) -> tuple[t
                 v[pcol] = -sum(map(mul, echelon[pcol], v)) % p
             kernel.append(v)
     return tuple(order[::-1]), kernel
+
+
+def _reduce_mod_p(ext: CyclicExtension, rows: Sequence[Sequence[FieldElement]], p: int, root: int) -> list[list[int]]:
+    """Each entry num(t)/den sent to num(root)/den in F_p, for p dividing no den."""
+    powers = [pow(root, k, p) for k in range(ext.degree)]
+    inverses = {e.den: pow(e.den, -1, p) for row in rows for e in row}
+    return [[sum(map(mul, e.num, powers)) * inverses[e.den] % p for e in row] for row in rows]
 
 
 def _insert_mod_p(echelon: dict[int, list[int]], v: list[int], p: int) -> bool:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import Singular, UnknownGenerator
 from .field import CyclicExtension, _modular_root
-from .linalg import IncrementalSpan, Mat, _insert_mod_p, inverse
+from .linalg import IncrementalSpan, Mat, _insert_mod_p, _reduce_mod_p, inverse, require_invertible
 
 Word = tuple[tuple[int, int], ...]
 
@@ -111,9 +111,9 @@ class Representation:
 
     The constructor checks shapes and invertibility (a Singular names the
     generator); whether the relations actually evaluate to the identity is
-    checked separately so that invalid data can still be probed.  Given
-    inverse_of, the images are trusted to be invertible and inverse_of(k)
-    supplies the inverse of image k on first use instead.
+    checked separately so that invalid data can still be probed.  The
+    inverse of image k is computed on first use, by inverse_of(k) when given;
+    the images are then trusted to be invertible.
     """
 
     def __init__(
@@ -136,9 +136,9 @@ class Representation:
         self._inverse_of = inverse_of
         self._twist_images: dict[int, list[Mat]] = {}
         if inverse_of is None:
-            for k, (name, m) in enumerate(zip(group.gen_names, images)):
+            for name, m in zip(group.gen_names, images):
                 try:
-                    self._inverses[k] = inverse(m)
+                    require_invertible(m)
                 except Singular:
                     raise Singular(f"the image of generator {name!r} is singular") from None
 
@@ -146,7 +146,7 @@ class Representation:
         if exp > 0:
             return self.images[gen]
         if self._inverses[gen] is None:
-            self._inverses[gen] = self._inverse_of(gen)
+            self._inverses[gen] = inverse(self.images[gen]) if self._inverse_of is None else self._inverse_of(gen)
         return self._inverses[gen]
 
 
@@ -235,8 +235,8 @@ def burnside_dim(rep: Representation) -> int:
 
 def _burnside_dim_mod_p(rep: Representation, p: int, root: int) -> int:
     """burnside_dim over F_p, with each entry num(t)/den sent to num(root)/den."""
-    n, powers = rep.dim, [pow(root, k, p) for k in range(rep.ext.degree)]
-    gens = [[sum(map(mul, e.num, powers)) * pow(e.den, -1, p) % p for e in m.flatten()] for m in rep.images]
+    n = rep.dim
+    gens = _reduce_mod_p(rep.ext, [m.flatten() for m in rep.images], p, root)
     rows: dict[int, list[int]] = {}
 
     def product(a: list[int], b: list[int]) -> list[int]:

@@ -139,7 +139,7 @@ def test_a5_pipeline_and_replayed_conjugation():
     word = parse_word(C_WORD, rep.group.gen_names)
     assert evaluate_word(conjugated, word) == c_prime
 
-    assert time.monotonic() - started < 5.0
+    assert time.monotonic() - started < 1.0
 
 
 def test_a5_relations_hold_on_conjugated_representation():
@@ -212,7 +212,7 @@ def test_crossed_product_relations_at_random_scalars():
             assert all(ok for _, ok in report), report
         xi = dense_xi(cp)
         assert xi * xi == dense_m(cp, cp.lambda_rep)
-    assert time.monotonic() - started < 10.0
+    assert time.monotonic() - started < 1.0
 
 
 def test_endomorphism_algebra_has_dimension_four_on_all_examples():

@@ -443,3 +443,42 @@ def test_each_decision_factors_lambda_once(monkeypatch, tmp_path, capsys, fixtur
         factored.clear()
         assert main([command, path]) == code
         assert factored.count(target) == count, command
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = str(tmp_path / "no" / "such" / "cert.json") if where == "missing-dir" else str(tmp_path)
+    assert main(["equivariant", A5, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.endswith(f" at {out}\n")
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        pytest.param([[0, 0, 0], [0, 0, 0], [0, 0, 0]], id="zero"),
+        pytest.param([[1, 0, 0], [0, 1, 0], [1, 1, 0]], id="rank-2"),
+    ],
+)
+def test_singular_replay_is_singular(tmp_path, capsys, y):
+    replay = write_problem(tmp_path, {"y": y}, name="replay.json")
+    assert main(["equivariant", A5, "--replay-Y", replay]) == 1
+    assert capsys.readouterr().err == "error: Singular: matrix is singular\n"
+
+
+def test_only_the_conjugation_inverts_a_matrix(monkeypatch, tmp_path, capsys):
+    # invertibility is certified mod p and identities with an inverse are
+    # checked as products; rho' = Y rho Y^-1 needs the one exact inverse
+    counts = count_calls(monkeypatch, [inverse])
+    for command in ("validate", "lambda", "induce"):
+        for path in (A5, A7D):
+            main([command, path])
+            assert counts["inverse"] == 0, (command, path)
+    assert main(["equivariant", A7D]) == 3
+    assert counts["inverse"] == 0
+    for extra in ([], ["--out", str(tmp_path / "cert.json")], ["--replay-Y", REPLAY]):
+        counts.clear()
+        assert main(["equivariant", A5, *extra]) == 0
+        assert counts["inverse"] == 1, extra
+    capsys.readouterr()

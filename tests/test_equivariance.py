@@ -1,6 +1,7 @@
 """Intertwiner computation, the norm invariant, and the Hilbert 90 construction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from galois_equiv.equivariance import (
 )
 
 from conftest import ALPHA, NEG_ALPHA
+from test_acceptance import random_invertible
 
 
 def reference_intertwiner(ext):
@@ -214,3 +216,40 @@ def test_unsupported_without_witness_beyond_quadratic():
         lambda_invariant(rep)
     cert = equivariant_form(rep, witness=ext.one())
     assert cert.is_trivial and cert.y is not None
+
+
+def tampered_certificates(cert, rep):
+    """(name, certificate) with one entry changed in each."""
+    a_prime, b_prime = cert.rho_prime
+    bumped = Mat(rep.ext, [[e + int(i == j == 0) for j, e in enumerate(row)] for i, row in enumerate(b_prime.rows)])
+    return [
+        ("2Y", replace(cert, y=2 * cert.y)),
+        ("sigma(Y)", replace(cert, y=cert.y.galois())),
+        ("random Y", replace(cert, y=random_invertible(rep.ext, 3, random.Random(79)))),
+        ("rho' perturbed", replace(cert, rho_prime=(a_prime, bumped))),
+        ("2 witness", replace(cert, witness=2 * cert.witness)),
+        ("2X", replace(cert, x=2 * cert.x)),
+    ]
+
+
+# the entries each tampering falsifies; a rational multiple of Y is another solution
+FALSIFIED = {
+    "2Y": set(),
+    "sigma(Y)": {"Y solves sigma(Y)^-1 Y = mu X", "rho' is Y rho Y^-1"},
+    "random Y": {"Y solves sigma(Y)^-1 Y = mu X", "rho' is Y rho Y^-1"},
+    "rho' perturbed": {"rho' is Y rho Y^-1", "rho' commutes with the sigma/tau twist"},
+    "2 witness": {"witness norm is lambda^-1", "Y solves sigma(Y)^-1 Y = mu X"},
+    "2X": {"twisted norm of X is lambda_rep I", "Y solves sigma(Y)^-1 Y = mu X"},
+}
+
+
+def test_verify_certificate_rejects_tampered_certificates(a5):
+    cert = equivariant_form(a5, seed=0)
+    assert verify_certificate(cert, a5).ok
+    for name, bad in tampered_certificates(cert, a5):
+        entries = dict(verify_certificate(bad, a5).entries)
+        assert {e for e, holds in entries.items() if not holds} == FALSIFIED[name], name
+        # the two identities with an inverse agree with their inverse-based forms
+        y_inv = inverse(bad.y)
+        assert entries["Y solves sigma(Y)^-1 Y = mu X"] == (inverse(bad.y.galois()) * bad.y == bad.witness * bad.x)
+        assert entries["rho' is Y rho Y^-1"] == (bad.rho_prime == tuple(bad.y * m * y_inv for m in a5.images))

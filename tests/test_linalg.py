@@ -10,7 +10,7 @@ import pytest
 from galois_equiv import linalg
 from galois_equiv.equivariance import twisted_images
 from galois_equiv.errors import Singular
-from galois_equiv.field import CyclicExtension, _split_primes, norm
+from galois_equiv.field import CyclicExtension, _modular_root, _split_primes, norm
 from galois_equiv.linalg import (
     IncrementalSpan,
     Mat,
@@ -24,7 +24,7 @@ from galois_equiv.linalg import (
     rational_vector_to_mat,
     solve_sylvester_space,
 )
-from galois_equiv.rep import Representation
+from galois_equiv.rep import GroupData, Representation
 
 from conftest import build_a5, build_a7_double
 
@@ -166,6 +166,42 @@ def test_inverse_raises_on_singular():
         inverse(Mat(ext, [r1, r2, r3]))
     with pytest.raises(Singular):
         inverse(Mat(ext, [r1, [0, 0, 0], r2]))
+
+
+def test_require_invertible_raises_as_inverse_does(monkeypatch):
+    ext = qm7()
+    t = ext.gen()
+    r1 = [ext.one(), t, ext.element([2, -1])]
+    r2 = [t, ext.element(3), ext.element([0, 1])]
+    r3 = [t * a - 2 * b for a, b in zip(r1, r2)]
+    for a in (Mat(ext, [r1, r2, r3]), Mat(ext, [r1, [0, 0, 0], r2]), Mat.zeros(ext, 2, 2), Mat(ext, [r1, r2])):
+        with pytest.raises(Singular) as expected:
+            inverse(a)
+        with pytest.raises(Singular, match=f"^{expected.value}$"):
+            linalg.require_invertible(a)
+    # an invertible matrix is certified mod p, with no elimination over L
+    monkeypatch.setattr(linalg, "inverse", lambda a: pytest.fail("eliminated over L"))
+    rng = random.Random(59)
+    for ext in (q5(), qm7(), cyclic_cubic()):
+        for n in (1, 2, 3):
+            a = random_invertible(ext, n, rng)
+            linalg.require_invertible(a)
+            linalg.require_invertible(Mat(ext, [[e * Fraction(1, 6) for e in row] for row in a.rows]))
+
+
+def test_require_invertible_falls_back_when_the_prime_divides_the_determinant(monkeypatch):
+    # diag(1, p) is singular mod the split prime p that certifies, but not over L
+    ext = q5()
+    p, _ = _modular_root(ext, 1)
+    d = Mat(ext, [[1, 0], [0, p]])
+    eliminated = []
+    monkeypatch.setattr(linalg, "inverse", lambda a: eliminated.append(a) or inverse(a))
+    linalg.require_invertible(d)
+    assert eliminated == [d]
+    group = GroupData.from_strings(["g"], [], {"g": "g"})
+    rep = Representation(group, ext, [d])
+    assert len(eliminated) == 2
+    assert rep.letter(0, -1) * d == Mat.identity(ext, 2)
 
 
 def span_kernel(span):

@@ -237,8 +237,11 @@ def test_representation_names_a_singular_generator(a5):
 
 @pytest.mark.parametrize("build", [build_c3, build_a5, build_a7_double], ids=["c3", "a5", "2a7"])
 def test_twist_inverses_come_from_the_source_letters(build, monkeypatch):
-    # C3's tau sends g to g', so its twists read the source's inverse letters
+    # a twist's inverse is rho of the inverted word, so it reads the source's
+    # inverse letters; those are computed on first use, so build them first
     rep = build()
+    for k in range(len(rep.images)):
+        rep.letter(k, -1)
 
     def no_elimination(m):
         raise AssertionError("a twist's inverses need no elimination")
