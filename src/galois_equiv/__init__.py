@@ -27,7 +27,6 @@ from .equivariance import (
     equivariant_form,
     hilbert90,
     lambda_invariant,
-    rescale_X,
     verify_certificate,
 )
 from .induced import (
@@ -71,7 +70,6 @@ __all__ = [
     "norm",
     "norm_witness",
     "parse_word",
-    "rescale_X",
     "schur_index",
     "verify_certificate",
 ]

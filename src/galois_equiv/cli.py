@@ -399,19 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="decide and construct Galois-equivariant forms of matrix representations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "validate": "check relations, the automorphism, and absolute irreducibility",
-        "lambda": "compute the norm-class invariant of the intertwiner",
-        "equivariant": "construct the equivariant conjugate or report the obstruction",
-        "induce": "analyze the induced representation and its Schur index",
+    flags = {
+        "--seed": {"type": int, "help": "seed for the randomized construction"},
+        "--witness": {"help": "norm witness as comma-separated coefficients, e.g. '2,-1'"},
+        "--replay-Y": {"dest": "replay_y", "help": "file with a matrix to replay instead of searching"},
+        "--out": {"help": "write the certificate to this file"},
     }
-    for name, text in helps.items():
+    # each subcommand takes only the flags it reads
+    commands = {
+        "validate": ("check relations, the automorphism, and absolute irreducibility", []),
+        "lambda": ("compute the norm-class invariant of the intertwiner", ["--witness"]),
+        "equivariant": ("construct the equivariant conjugate or report the obstruction", list(flags)),
+        "induce": ("analyze the induced representation and its Schur index", ["--witness"]),
+    }
+    for name, (text, names) in commands.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("file", help="problem description file (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="seed for the randomized construction")
-        p.add_argument("--witness", default=None, help="norm witness as comma-separated coefficients, e.g. '2,-1'")
-        p.add_argument("--replay-Y", dest="replay_y", default=None, help="file with a matrix to replay instead of searching")
-        p.add_argument("--out", default=None, help="write the certificate to this file")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 

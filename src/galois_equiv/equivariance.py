@@ -124,18 +124,6 @@ def decide_lambda(lam: Fraction, ext: CyclicExtension, witness: Optional[FieldEl
     raise Unsupported("deciding lambda mod norms needs a witness when r > 2")
 
 
-def rescale_X(x: Mat, mu: FieldElement) -> Mat:
-    """Replace X by mu X; requires norm(mu) * lambda = 1 so the twisted norm
-    of the result is the identity."""
-    lam = _norm_scalar(x)
-    if norm(mu) * lam != 1:
-        raise BadWitness(f"norm(mu) * lambda = {norm(mu) * lam} != 1")
-    out = mu * x
-    if not matrix_norm(out).is_identity():
-        raise InternalInvariantViolation("rescaled X does not have norm 1")
-    return out
-
-
 def hilbert90(x: Mat, seed: int = 0) -> Mat:
     """Solve sigma(Y)^-1 Y = X for invertible Y, given matrix_norm(X) = I.
 
@@ -199,10 +187,8 @@ def equivariant_form(
     """
     x = compute_X(rep)
     lam = _norm_scalar(x)
-    ext = rep.ext
 
-    # mu, the scalar rescaling X to twisted norm 1, when the caller supplies it
-    mu = None
+    # mu, the scalar rescaling X to twisted norm 1, checked where it is obtained
     if replay_y is not None:
         require_invertible(replay_y)
         z = replay_y.galois() * x  # not 0, as Y is invertible and X is not 0
@@ -213,17 +199,17 @@ def equivariant_form(
             raise BadWitness("replayed Y implies an incompatible scalar")
     elif witness is not None:
         mu = _witness_to_rescaler(witness, lam)
+    else:
+        inv = decide_lambda(lam, rep.ext, None)
+        if not inv.is_trivial:
+            cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, False, None, None, None, seed)
+            _require_valid(cert, rep)
+            return cert
+        mu = norm_witness(lam, rep.ext).inverse()  # its norm is checked in the search
 
-    inv = decide_lambda(lam, ext, mu)
-    if not inv.is_trivial:
-        cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, False, None, None, None, seed)
-        _require_valid(cert, rep)
-        return cert
-
-    if mu is None:
-        mu = norm_witness(lam, ext).inverse()
-    y = replay_y if replay_y is not None else hilbert90(rescale_X(x, mu), seed=seed)
-    cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, True, mu, y, _conjugate(rep, y), seed)
+    # hilbert90 rejects mu X unless its twisted norm is I
+    y = replay_y if replay_y is not None else hilbert90(mu * x, seed=seed)
+    cert = EquivarianceCertificate(x, lam, Fraction(1), True, mu, y, _conjugate(rep, y), seed)
     _require_valid(cert, rep)
     return cert
 

@@ -190,7 +190,7 @@ def hilbert_symbol(a, b, place) -> int:
     """
     a = _square_class_int(a)
     b = _square_class_int(b)
-    if place == INF or place == "inf":
+    if place == INF:
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
     if p == 2:
@@ -789,9 +789,7 @@ def _direct_witness_search(lam: Fraction, ext: CyclicExtension):
                 if disc < 0:
                     break
                 continue
-            if dq.denominator != 1:
-                continue
-            s2 = dq.numerator
+            s2 = dq.numerator  # an integer: min_poly is integral
             s = math.isqrt(s2)
             if s * s != s2:
                 continue

@@ -1,4 +1,4 @@
-"""Exact matrices over a cyclic extension, plus a rational elimination engine.
+"""Exact matrices over a cyclic extension, plus a dense rational reference.
 
 Entries are FieldElements, integer numerators over one denominator; each
 entry of a product is one fused field.dot, normalized once.  Elimination
@@ -7,9 +7,10 @@ tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
 solved over F_p at the field's split primes, lifted by CRT and rational
 reconstruction, and certified exactly; the same echelon routine mod p grows
 rep.burnside_dim's modular span and certifies require_invertible.  The
-sparse fraction-free rational_elimination and the restriction-of-scalars
-kernel built on it have no caller in the package: the tests keep the kernel
-as a dense oracle for the induced commutant.
+rational section is a dense reduced echelon form over Q, inserting rows as
+IncrementalSpan does, and a restriction-of-scalars kernel built on it.  They
+have no caller in the package: the tests keep the kernel as a dense oracle
+for the induced commutant.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class Mat:
     @staticmethod
     def identity(ext: CyclicExtension, n: int) -> "Mat":
         return Mat(ext, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(ext: CyclicExtension, n: int, m: int) -> "Mat":
-        return Mat(ext, [[0] * m for _ in range(n)])
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
@@ -201,81 +198,40 @@ def require_invertible(a: Mat) -> None:
 # rational engine
 
 
-def _integerize(entries) -> dict[int, int]:
-    """The nonzero (column, rational) entries of a row, scaled to coprime integers."""
-    entries = [(j, x) for j, x in entries if x]
-    if not entries:
-        return {}
-    den = lcm(*(x.denominator for _, x in entries))
-    ints = {j: x.numerator * (den // x.denominator) for j, x in entries}
-    g = gcd(*ints.values())
-    return {j: v // g for j, v in ints.items()}
-
-
 def rational_elimination(rows: Sequence[Sequence], ncols: int):
-    """Sparse fraction-free elimination with minimal-entry pivoting.
+    """Reduced echelon form over Q of dense rows of ncols rationals.
 
-    A row is a dense sequence of ncols rationals, or a list of (column,
-    value) pairs holding only its nonzero entries.  Rows are kept as maps of
-    their nonzero integer entries.  A pivot clears its column only from the
-    rows that have a nonzero there: row <- (p/g) row - (f/g) pivot_row with
-    g = gcd(p, f), after which the row is divided by its content.
-
-    Returns (mat, pivot_cols, pivot_rows): dense integer rows in echelon
-    form (each pivot row is zero left of its pivot column), from which rank
-    and kernel are read off.  The pivot columns are those of the echelon
-    form of the input, whichever rows are chosen.
+    Rows are inserted one at a time as IncrementalSpan.insert does over L,
+    but kept as coprime integers, positive at their pivot: clearing column c
+    of a by the row b takes b[c] a - a[c] b, divided by its content.
+    Returns (mat, pivot_cols, pivot_rows): the reduced rows in pivot order,
+    each 0 at the other pivot columns, pivot_cols ascending, pivot_rows[k] = k.
     """
-    mat = []
-    for row in rows:
-        entries = row if row and isinstance(row[0], tuple) else enumerate(row)
-        ints = _integerize(entries)
-        if ints:
-            mat.append(ints)
-    # rows not yet used as pivots, by the columns where they are nonzero
-    in_col: list[set[int]] = [set() for _ in range(ncols)]
-    for ri, row in enumerate(mat):
-        for j in row:
-            in_col[j].add(ri)
-    piv_cols: list[int] = []
-    piv_rows: list[int] = []
-    for col in range(ncols):
-        if not in_col[col]:
+    reduced: list[list[int]] = []
+    pivots: list[int] = []
+    for vec in rows:
+        den = lcm(*(x.denominator for x in vec))
+        row = [x.numerator * (den // x.denominator) for x in vec]
+        for prow, pcol in zip(reduced, pivots):
+            if f := row[pcol]:
+                row = _primitive([prow[pcol] * a - f * b for a, b in zip(row, prow)])
+        lead = next((j for j in range(ncols) if row[j]), None)
+        if lead is None:
             continue
-        ri = min(in_col[col], key=lambda k: (abs(mat[k][col]), k))
-        prow = mat[ri]
-        for j in prow:
-            in_col[j].discard(ri)
-        piv_cols.append(col)
-        piv_rows.append(ri)
-        pval = prow[col]
-        for rj in list(in_col[col]):
-            row = mat[rj]
-            f = row[col]
-            g = gcd(pval, f)
-            a, b = pval // g, f // g
-            for j in row:
-                row[j] *= a
-            for j, v in prow.items():
-                w = row.get(j, 0) - b * v
-                if w:
-                    if j not in row:
-                        in_col[j].add(rj)
-                    row[j] = w
-                else:
-                    del row[j]
-                    in_col[j].discard(rj)
-            c = gcd(*row.values())
-            if c > 1:
-                for j in row:
-                    row[j] //= c
-    dense = []
-    for row in mat:
-        out = [0] * ncols
-        for j, v in row.items():
-            out[j] = v
-        dense.append(out)
-    return dense, piv_cols, piv_rows
+        row = _primitive(row if row[lead] > 0 else [-a for a in row])
+        for k, prow in enumerate(reduced):
+            if f := prow[lead]:
+                reduced[k] = _primitive([row[lead] * a - f * b for a, b in zip(prow, row)])
+        reduced.append(row)
+        pivots.append(lead)
+    mat = [row for _, row in sorted(zip(pivots, reduced))]
+    return mat, sorted(pivots), list(range(len(mat)))
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by its content."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
@@ -284,29 +240,23 @@ def rational_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
 
 
 def rational_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : R v = 0} as Fraction vectors, deterministically ordered."""
-    mat, piv_cols, piv_rows = rational_elimination(rows, ncols)
-    pivot_set = set(piv_cols)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of {v : R v = 0}: for each free column f, in order, the vector
+    that is 1 at f and 0 at the other free columns, read off the reduced rows."""
+    mat, piv_cols, _ = rational_elimination(rows, ncols)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for col, ri in reversed(list(zip(piv_cols, piv_rows))):
-            row = mat[ri]
-            s = Fraction(0)
-            for j in range(col + 1, ncols):
-                if row[j] and v[j]:
-                    s += Fraction(row[j]) * v[j]
-            v[col] = -s / row[col]
-        basis.append(v)
+    for f in range(ncols):
+        if f not in piv_cols:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, pcol in zip(mat, piv_cols):
+                v[pcol] = Fraction(-row[f], row[pcol])
+            basis.append(v)
     return basis
 
 
 def rational_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    ncols = len(target)
-    base = rational_rank(list(vectors), ncols)
-    return rational_rank(list(vectors) + [list(target)], ncols) == base
+    vectors = list(vectors)
+    return rational_rank(vectors + [list(target)], len(target)) == rational_rank(vectors, len(target))
 
 
 # ---------------------------------------------------------------------------
@@ -315,55 +265,26 @@ def rational_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fra
 
 def mat_to_rational_vector(a: Mat) -> list[Fraction]:
     """Row-major rational coordinates: entry (i,j) contributes its r coefficients."""
-    out = []
-    for row in a.rows:
-        for e in row:
-            out.extend(e.coeffs)
-    return out
+    return [c for row in a.rows for e in row for c in e.coeffs]
 
 
 def rational_vector_to_mat(ext: CyclicExtension, vec: Sequence[Fraction], nrows: int, ncols: int) -> Mat:
     r = ext.degree
-    rows = []
-    k = 0
-    for _ in range(nrows):
-        row = []
-        for _ in range(ncols):
-            row.append(ext.element(vec[k:k + r]))
-            k += r
-        rows.append(row)
-    return Mat(ext, rows)
+    return Mat(ext, [[vec[(i * ncols + j) * r:(i * ncols + j + 1) * r] for j in range(ncols)] for i in range(nrows)])
 
 
-def kernel_of_linear_maps(
-    maps: Sequence[Callable[[Mat], Mat]],
-    ext: CyclicExtension,
-    nrows: int,
-    ncols: int,
-) -> list[Mat]:
+def kernel_of_linear_maps(maps: Sequence[Callable[[Mat], Mat]], ext: CyclicExtension, nrows: int, ncols: int) -> list[Mat]:
     """Q-basis of the joint kernel of Q-linear maps on nrows x ncols matrices over L.
 
-    The maps are evaluated on the t^k E_ij basis and the stacked rational
-    system is solved by fraction-free elimination.
+    The maps are evaluated on the t^k E_ij basis, in (i, j, k) order, and
+    the stacked rational system is solved by rational_kernel.
     """
-    r = ext.degree
-    nunk = nrows * ncols * r
+    nunk = nrows * ncols * ext.degree
     columns = []
-    out_len = None
-    for i in range(nrows):
-        for j in range(ncols):
-            for k in range(r):
-                basis_mat = Mat.zeros(ext, nrows, ncols)
-                rows = [list(row) for row in basis_mat.rows]
-                rows[i][j] = ext.element([0] * k + [1])
-                basis_mat = Mat(ext, rows)
-                stacked: list[Fraction] = []
-                for f in maps:
-                    stacked.extend(mat_to_rational_vector(f(basis_mat)))
-                columns.append(stacked)
-                out_len = len(stacked)
-    eq_rows = [[columns[u][e] for u in range(nunk)] for e in range(out_len)]
-    kern = rational_kernel(eq_rows, nunk)
+    for u in range(nunk):
+        basis_mat = rational_vector_to_mat(ext, [int(u == v) for v in range(nunk)], nrows, ncols)
+        columns.append([c for f in maps for c in mat_to_rational_vector(f(basis_mat))])
+    kern = rational_kernel(list(zip(*columns)), nunk)
     return [rational_vector_to_mat(ext, v, nrows, ncols) for v in kern]
 
 

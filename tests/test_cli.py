@@ -18,7 +18,7 @@ from galois_equiv.equivariance import compute_X, lambda_invariant, verify_certif
 from galois_equiv.errors import Singular
 from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
-from galois_equiv.linalg import Mat, inverse
+from galois_equiv.linalg import Mat, inverse, matrix_norm
 from galois_equiv.rep import evaluate_word
 
 A5 = fixture_path("a5_3dim.json")
@@ -332,6 +332,19 @@ def test_every_command_checks_the_witness(command, capsys):
     assert main([command, A5, "--witness", "2,-1"]) == 0
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--out"), ("induce", "--out"), ("lambda", "--seed"), ("validate", "--witness"),
+])
+def test_a_flag_the_command_does_not_read_is_rejected(command, flag, tmp_path, capsys):
+    # argparse exits 2 on an unknown flag, so nothing is silently ignored
+    out = tmp_path / "f"
+    with pytest.raises(SystemExit) as exc:
+        main([command, A5, flag, str(out) if flag == "--out" else "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["lambda", str(tmp_path / "nope.json")]) == 2
 
@@ -481,4 +494,13 @@ def test_only_the_conjugation_inverts_a_matrix(monkeypatch, tmp_path, capsys):
         counts.clear()
         assert main(["equivariant", A5, *extra]) == 0
         assert counts["inverse"] == 1, extra
+    capsys.readouterr()
+
+
+def test_equivariant_takes_at_most_three_twisted_norms(monkeypatch, capsys):
+    # lambda from X, the norm-I check of mu X in hilbert90, and the
+    # certificate's re-check of lambda
+    counts = count_calls(monkeypatch, [matrix_norm])
+    assert main(["equivariant", A5]) == 0
+    assert counts["matrix_norm"] <= 3
     capsys.readouterr()

@@ -2,6 +2,7 @@
 rational elimination engine."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -96,31 +97,48 @@ def test_rational_elimination_matches_oracle_on_random_systems():
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def random_sparse_system(rng):
+    n = rng.randint(1, 30)
+    m = rng.randint(1, 40)
+    rows = [
+        [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) if rng.random() < 0.05 else Fraction(0)
+         for _ in range(m)]
+        for _ in range(n)
+    ]
+    # dependent rows, so that elimination cancels and the rank drops
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        rows.append([x + c * y for x, y in zip(a, b)])
+    return rows, m
+
+
 def test_sparse_rows_match_oracle_on_random_sparse_systems():
     rng = random.Random(37)
     for _ in range(60):
-        n = rng.randint(1, 30)
-        m = rng.randint(1, 40)
-        rows = [
-            [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) if rng.random() < 0.05 else Fraction(0)
-             for _ in range(m)]
-            for _ in range(n)
-        ]
-        # dependent rows, so that elimination cancels and the rank drops
-        for _ in range(rng.randint(0, 4)):
-            a, b = rng.choice(rows), rng.choice(rows)
-            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            rows.append([x + c * y for x, y in zip(a, b)])
-        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+        rows, m = random_sparse_system(rng)
         rank = oracle_rank(rows, m)
         assert rational_rank(rows, m) == rank
-        assert rational_rank(sparse, m) == rank
-        kern = rational_kernel(sparse, m)
-        assert kern == rational_kernel(rows, m)
+        kern = rational_kernel(rows, m)
         assert len(kern) == m - rank
         for v in kern:
-            for row in sparse:
-                assert sum(x * v[j] for j, x in row) == 0
+            for row in rows:
+                assert sum(x * y for x, y in zip(row, v) if x) == 0
+
+
+def test_elimination_returns_coprime_reduced_echelon_rows():
+    rng = random.Random(41)
+    for _ in range(60):
+        rows, m = random_sparse_system(rng)
+        mat, piv_cols, piv_rows = linalg.rational_elimination(rows, m)
+        assert len(mat) == len(piv_cols) == oracle_rank(rows, m)
+        assert piv_cols == sorted(set(piv_cols)) and piv_rows == list(range(len(mat)))
+        for k, (row, pcol) in enumerate(zip(mat, piv_cols)):
+            assert all(isinstance(x, int) for x in row) and math.gcd(*row) == 1
+            assert row[pcol] > 0 and not any(row[:pcol])
+            assert all(other[pcol] == 0 for other in mat[:k] + mat[k + 1:])
+        # the rows span the input's row space
+        assert oracle_rank(mat + rows, m) == len(mat)
 
 
 def test_rational_kernel_is_deterministic():
@@ -174,7 +192,7 @@ def test_require_invertible_raises_as_inverse_does(monkeypatch):
     r1 = [ext.one(), t, ext.element([2, -1])]
     r2 = [t, ext.element(3), ext.element([0, 1])]
     r3 = [t * a - 2 * b for a, b in zip(r1, r2)]
-    for a in (Mat(ext, [r1, r2, r3]), Mat(ext, [r1, [0, 0, 0], r2]), Mat.zeros(ext, 2, 2), Mat(ext, [r1, r2])):
+    for a in (Mat(ext, [r1, r2, r3]), Mat(ext, [r1, [0, 0, 0], r2]), Mat(ext, [[0, 0], [0, 0]]), Mat(ext, [r1, r2])):
         with pytest.raises(Singular) as expected:
             inverse(a)
         with pytest.raises(Singular, match=f"^{expected.value}$"):
@@ -232,7 +250,7 @@ def test_rank_and_kernel_over_l():
     assert len(kern) == 2
     for v in kern:
         col = Mat(ext, [[e] for e in v])
-        assert a * col == Mat.zeros(ext, 2, 1)
+        assert a * col == Mat(ext, [[0], [0]])
 
 
 def test_sigma_acts_entrywise():
