@@ -188,7 +188,9 @@ def equivariant_form(
     x = compute_X(rep)
     lam = _norm_scalar(x)
 
-    # mu, the scalar rescaling X to twisted norm 1, checked where it is obtained
+    # mu, the scalar rescaling X to twisted norm 1, checked where it is
+    # obtained; a supplied witness is checked even when a replayed Y gives mu
+    mu = None if witness is None else _witness_to_rescaler(witness, lam)
     if replay_y is not None:
         require_invertible(replay_y)
         z = replay_y.galois() * x  # not 0, as Y is invertible and X is not 0
@@ -197,9 +199,7 @@ def equivariant_form(
             raise BadWitness("replayed Y does not solve the twisted equation for X")
         if norm(mu) * lam != 1:
             raise BadWitness("replayed Y implies an incompatible scalar")
-    elif witness is not None:
-        mu = _witness_to_rescaler(witness, lam)
-    else:
+    elif mu is None:
         inv = decide_lambda(lam, rep.ext, None)
         if not inv.is_trivial:
             cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, False, None, None, None, seed)

@@ -251,8 +251,9 @@ class CyclicExtension:
             raise ValueError("min_poly must have integer coefficients")
         self.min_poly = mp
         self.degree = r = len(mp) - 1
-        # t^r = -sum c_k t^k: the nonzero (k, c_k) below the leading term
-        self._m_terms = tuple((k, c.numerator) for k, c in enumerate(mp[:r]) if c)
+        # t^r = -sum c_k t^k: the c_k, and the nonzero (k, c_k), below the leading term
+        self._m_coeffs = tuple(c.numerator for c in mp[:r])
+        self._m_terms = tuple((k, c) for k, c in enumerate(self._m_coeffs) if c)
         s = tuple(Fraction(c) for c in sigma_image)
         if len(s) > r:
             raise ValueError("sigma_image degree must be below deg m")

@@ -1,7 +1,9 @@
 """Exact matrices over a cyclic extension, plus a dense rational reference.
 
-Entries are FieldElements, integer numerators over one denominator; each
-entry of a product is one fused field.dot, normalized once.  Elimination
+A matrix is integer numerator polynomials over one denominator for all its
+entries (Cohen's element form, 4.2, lifted to matrices).  A product sums the
+unreduced Z[t] products over den_A den_B, reduces each entry mod m and takes
+one gcd for the whole matrix; for r = 2 the entry loop is fused.  Elimination
 over L, as in matrix inverses, goes through IncrementalSpan (sizes here are
 tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
 solved over F_p at the field's split primes, lifted by CRT and rational
@@ -16,6 +18,7 @@ for the induced commutant.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -25,70 +28,128 @@ from .field import CyclicExtension, FieldElement, _modular_root, _split_primes, 
 
 
 class Mat:
-    """A dense matrix with FieldElement entries."""
+    """A dense matrix over L: the numerators num[i][j] (tuples of r integers
+    in the basis 1, t, ..., t^(r-1)) of its entries over one denominator
+    den > 0, with gcd(den, every numerator) = 1.  So equal matrices have
+    equal (num, den): a prime dividing den and every numerator would divide
+    the entry whose denominator set den.  rows holds the entries as
+    FieldElements, built on first use."""
 
-    __slots__ = ("ext", "nrows", "ncols", "rows")
+    __slots__ = ("ext", "nrows", "ncols", "num", "den", "_rows")
 
     def __init__(self, ext: CyclicExtension, rows: Sequence[Sequence]):
-        self.ext = ext
-        self.rows = tuple(
+        elements = tuple(
             tuple(e if isinstance(e, FieldElement) and e.ext is ext else ext.element(e) for e in row)
             for row in rows
         )
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        if any(len(r) != len(elements[0]) for r in elements):
             raise ValueError("ragged rows")
+        den = lcm(*(e.den for row in elements for e in row))
+        num = tuple(tuple(tuple(c * (den // e.den) for c in e.num) for e in row) for row in elements)
+        self._set(ext, num, den, elements)
+
+    def _set(self, ext: CyclicExtension, num: tuple, den: int, rows=None):
+        self.ext, self.num, self.den, self._rows = ext, num, den, rows
+        self.nrows = len(num)
+        self.ncols = len(num[0]) if num else 0
+
+    @staticmethod
+    def _of(ext: CyclicExtension, num, den: int) -> "Mat":
+        """num / den, with the gcd of den and every numerator divided out."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(chain.from_iterable(num)))
+            if g != 1:
+                num = [[tuple(c // g for c in e) for e in row] for row in num]
+                den //= g
+        out = Mat.__new__(Mat)
+        out._set(ext, tuple(map(tuple, num)), den)
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
+        if self._rows is None:
+            make, den = self.ext._make, self.den
+            self._rows = tuple(tuple(make(e, den) for e in row) for row in self.num)
+        return self._rows
 
     @staticmethod
     def identity(ext: CyclicExtension, n: int) -> "Mat":
-        return Mat(ext, [[int(i == j) for j in range(n)] for i in range(n)])
+        zero = ext._zero_num
+        one = (1,) + zero[1:]
+        return Mat._of(ext, [[one if i == j else zero for j in range(n)] for i in range(n)], 1)
 
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(self.ext, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat(self.ext, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.ext, [[-a for a in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.ncols != other.nrows:
-                raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-            ext = self.ext
-            cols = list(zip(*other.rows))
-            return Mat(ext, [[dot(ext, row, col) for col in cols] for row in self.rows])
-        scalar = self.ext.element(other)
-        return Mat(self.ext, [[a * scalar for a in r] for r in self.rows])
-
-    def __rmul__(self, other):
-        scalar = self.ext.element(other)
-        return Mat(self.ext, [[scalar * a for a in r] for r in self.rows])
-
-    def _check_same_shape(self, other: "Mat"):
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        num = [
+            [tuple(x * fa + y * fb for x, y in zip(a, b)) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.num, other.num)
+        ]
+        return Mat._of(self.ext, num, self.den * fa)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Mat":
+        return Mat._of(self.ext, [[tuple(-c for c in e) for e in row] for row in self.num], self.den)
+
+    def __mul__(self, other):
+        """A B sums the unreduced Z[t] products over den_A den_B, reduces each
+        entry mod m and takes one gcd; a scalar multiplies every entry."""
+        ext = self.ext
+        if not isinstance(other, Mat):
+            scalar = ext.element(other)
+            num = [[_reduce_sum(ext, ((e, scalar.num),)) for e in row] for row in self.num]
+            return Mat._of(ext, num, self.den * scalar.den)
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
+        cols = list(zip(*other.num))
+        if ext.degree == 2:
+            # t^2 = -m1 t - m0
+            m0, m1 = ext._m_coeffs
+            num = []
+            for row in self.num:
+                out = []
+                for col in cols:
+                    c0 = c1 = c2 = 0
+                    for (a0, a1), (b0, b1) in zip(row, col):
+                        c0 += a0 * b0
+                        c1 += a0 * b1 + a1 * b0
+                        c2 += a1 * b1
+                    out.append((c0 - m0 * c2, c1 - m1 * c2))
+                num.append(out)
+        else:
+            num = [[_reduce_sum(ext, zip(row, col)) for col in cols] for row in self.num]
+        return Mat._of(ext, num, self.den * other.den)
+
+    __rmul__ = __mul__  # scalars commute with L-matrices
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.ext == other.ext
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def galois(self, i: int = 1) -> "Mat":
-        return Mat(self.ext, [[a.galois(i) for a in r] for r in self.rows])
+        """Apply sigma^i: each numerator times the table of sigma^i(t^k)."""
+        table, tden = self.ext._sigma_tables[i % self.ext.degree]
+        cols = list(zip(*table))
+        num = [[tuple(sum(map(mul, e, col)) for col in cols) for e in row] for row in self.num]
+        return Mat._of(self.ext, num, self.den * tden)
 
     def trace(self) -> FieldElement:
         if self.nrows != self.ncols:
@@ -102,13 +163,8 @@ class Mat:
         return self == Mat.identity(self.ext, self.nrows)
 
     def is_scalar(self) -> bool:
-        n = self.nrows
-        d = self.rows[0][0]
-        return all(
-            self.rows[i][j] == (d if i == j else self.ext.zero())
-            for i in range(n)
-            for j in range(n)
-        )
+        d, zero = self.num[0][0], self.ext._zero_num
+        return all(e == (d if i == j else zero) for i, row in enumerate(self.num) for j, e in enumerate(row))
 
     def flatten(self) -> list[FieldElement]:
         return [e for row in self.rows for e in row]
@@ -116,6 +172,17 @@ class Mat:
     def __repr__(self):
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         return f"Mat[{body}]"
+
+
+def _reduce_sum(ext: CyclicExtension, pairs) -> tuple[int, ...]:
+    """sum x y over pairs of numerator tuples, taken in Z[t] and reduced mod m."""
+    acc = [0] * (2 * ext.degree - 1)
+    for x, y in pairs:
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    acc[i + j] += a * b
+    return tuple(ext._reduce(acc))
 
 
 def matrix_norm(a: Mat) -> Mat:
@@ -188,8 +255,9 @@ def require_invertible(a: Mat) -> None:
     rank n mod p certifies det A != 0 with no elimination over L.  Otherwise
     inverse(A) decides, since p may merely divide det A."""
     echelon: dict[int, list[int]] = {}
-    p, root = _modular_root(a.ext, lcm(*(e.den for e in a.flatten())))
-    rank = sum(_insert_mod_p(echelon, row, p) for row in _reduce_mod_p(a.ext, a.rows, p, root))
+    p, root = _modular_root(a.ext, a.den)
+    flat, n = _reduce_mod_p(a, p, root), a.ncols
+    rank = sum(_insert_mod_p(echelon, flat[i:i + n], p) for i in range(0, a.nrows * n, n))
     if rank < a.nrows or a.nrows != a.ncols:
         inverse(a)
 
@@ -325,15 +393,15 @@ def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
         raise ValueError("need at least one pair")
     ext = pairs[0][0].ext
     n = pairs[0][0].nrows
-    flat = [m.flatten() for pair in pairs for m in pair]
-    den = lcm(*(e.den for entries in flat for e in entries))
+    mats = [m for pair in pairs for m in pair]
+    den = lcm(*(m.den for m in mats))
     lift = None  # (kernel size, pivots), modulus, coefficient residues
     for p, orbit in _split_primes(ext):
         if den % p == 0:
             continue
         images = []
         for theta in orbit:
-            pivots, kernel = _sylvester_kernel_mod_p(_reduce_mod_p(ext, flat, p, theta), n, p)
+            pivots, kernel = _sylvester_kernel_mod_p([_reduce_mod_p(m, p, theta) for m in mats], n, p)
             if not kernel:
                 return []
             images.append((pivots, kernel))
@@ -389,11 +457,12 @@ def _sylvester_kernel_mod_p(reduced: list[list[int]], n: int, p: int) -> tuple[t
     return tuple(order[::-1]), kernel
 
 
-def _reduce_mod_p(ext: CyclicExtension, rows: Sequence[Sequence[FieldElement]], p: int, root: int) -> list[list[int]]:
-    """Each entry num(t)/den sent to num(root)/den in F_p, for p dividing no den."""
-    powers = [pow(root, k, p) for k in range(ext.degree)]
-    inverses = {e.den: pow(e.den, -1, p) for row in rows for e in row}
-    return [[sum(map(mul, e.num, powers)) * inverses[e.den] % p for e in row] for row in rows]
+def _reduce_mod_p(a: Mat, p: int, root: int) -> list[int]:
+    """The entries of A, row-major, each num(t)/den sent to num(root)/den in
+    F_p, for p not dividing den."""
+    powers = [pow(root, k, p) for k in range(a.ext.degree)]
+    inv = pow(a.den, -1, p)
+    return [sum(map(mul, e, powers)) * inv % p for row in a.num for e in row]
 
 
 def _insert_mod_p(echelon: dict[int, list[int]], v: list[int], p: int) -> bool:

@@ -134,7 +134,7 @@ class Representation:
         self.dim = images[0].nrows
         self._inverses: list[Optional[Mat]] = [None] * len(images)
         self._inverse_of = inverse_of
-        self._twist_images: dict[int, list[Mat]] = {}
+        self._twists: dict[int, "Representation"] = {}
         if inverse_of is None:
             for name, m in zip(group.gen_names, images):
                 try:
@@ -171,14 +171,21 @@ def evaluate_word(rep: Representation, word: Word) -> Mat:
 
 
 def twist(rep: Representation, j: int) -> Representation:
-    """rho o tau^j: generator k maps to rho(tau^j(g_k)), whose inverse is
-    rho of the inverted word, evaluated on first use with no elimination.
-    The images are evaluated once per rep and j, and shared by every twist
-    built from them."""
-    words = [rep.group.tau_apply(((k, 1),), j) for k in range(len(rep.images))]
-    if j not in rep._twist_images:
-        rep._twist_images[j] = [evaluate_word(rep, w) for w in words]
-    return Representation(rep.group, rep.ext, rep._twist_images[j], lambda k: evaluate_word(rep, invert_word(words[k])))
+    """rho o tau^j: generator k maps to rho(tau^j(g_k)).  tau acts on words
+    as a free-group endomorphism, so for j >= 1 that is rho o tau^(j-1)
+    evaluated on the short word tau(g_k), and an inverse is rho o tau^(j-1)
+    of the inverted word, evaluated on first use with no elimination.  Each
+    twist is built once per rep and j, from the one before it."""
+    if j == 0:
+        return rep
+    if j not in rep._twists:
+        prev = twist(rep, j - 1)
+        words = [rep.group.tau_apply(((k, 1),)) for k in range(len(rep.images))]
+        images = [evaluate_word(prev, w) for w in words]
+        rep._twists[j] = Representation(
+            rep.group, rep.ext, images, lambda k: evaluate_word(prev, invert_word(words[k]))
+        )
+    return rep._twists[j]
 
 
 @dataclass
@@ -225,7 +232,7 @@ def burnside_dim(rep: Representation) -> int:
     n = rep.dim
     if n == 1:  # the identity alone spans L^(1x1)
         return 1
-    den = math.lcm(*(e.den for m in rep.images for e in m.flatten()))
+    den = math.lcm(*(m.den for m in rep.images))
     if _burnside_dim_mod_p(rep, *_modular_root(rep.ext, den)) == n * n:
         return n * n
     span = IncrementalSpan(rep.ext, n * n)
@@ -236,7 +243,7 @@ def burnside_dim(rep: Representation) -> int:
 def _burnside_dim_mod_p(rep: Representation, p: int, root: int) -> int:
     """burnside_dim over F_p, with each entry num(t)/den sent to num(root)/den."""
     n = rep.dim
-    gens = _reduce_mod_p(rep.ext, [m.flatten() for m in rep.images], p, root)
+    gens = [_reduce_mod_p(m, p, root) for m in rep.images]
     rows: dict[int, list[int]] = {}
 
     def product(a: list[int], b: list[int]) -> list[int]:

@@ -103,6 +103,20 @@ def test_replay_uses_the_given_matrix(tmp_path, capsys):
     assert cert["rho_prime"]["b"][0][0] == ["1/4", "-1/10"]
 
 
+def test_replay_checks_a_supplied_witness(tmp_path, capsys):
+    # norm(1 + t) = -4 is neither lambda = -1 nor its inverse, from the flag
+    # or from the problem file's options; the replayed Y's own mu passes
+    assert main(["equivariant", A5, "--replay-Y", REPLAY, "--witness", "1,1"]) == 1
+    assert "BadWitness" in capsys.readouterr().err
+    with open(A5, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data.setdefault("options", {})["witness"] = ["1", "1"]
+    assert main(["equivariant", write_problem(tmp_path, data), "--replay-Y", REPLAY]) == 1
+    assert "BadWitness" in capsys.readouterr().err
+    assert main(["equivariant", A5, "--replay-Y", REPLAY, "--witness", "2,-1"]) == 0
+    assert report_of(capsys)["certificate"]["witness"] == ["2", "-1"]
+
+
 def test_equivariant_c3_one_by_one(capsys):
     assert main(["equivariant", C3]) == 0
     report = report_of(capsys)
@@ -397,6 +411,24 @@ def test_each_command_computes_each_stage_once(monkeypatch, tmp_path, capsys):
     # --out adds exactly the re-verification of the certificate read back
     assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
     assert counts == {"compute_X": 1, "verify_certificate": 2}
+
+
+def test_twists_are_built_from_the_short_tau_words(monkeypatch, capsys):
+    # twist j evaluates the words tau(g) on twist j - 1, not tau^j(g) on rho:
+    # on A5 tau^2(b) has 43 letters and tau(b) 8
+    products = Counter()
+    product = Mat.__mul__
+
+    def counted(a, b):
+        products["mul"] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    for command, path, want in (("validate", A5, 28), ("induce", A5, 54), ("validate", A7D, 36), ("induce", A7D, 62)):
+        products.clear()
+        main([command, path])
+        assert products["mul"] == want, (command, path)
+    capsys.readouterr()
 
 
 def test_induce_evaluates_each_twist_word_once(monkeypatch, capsys):

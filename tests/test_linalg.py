@@ -171,6 +171,71 @@ def test_matrix_arithmetic_and_inverse():
             assert (a * b).galois() == a.galois() * b.galois()
 
 
+def property_entry(ext, rng):
+    """0, or an element with small or up-to-10^6 coefficients over mixed denominators."""
+    if rng.random() < 0.2:
+        return ext.zero()
+    span = 10**6 if rng.random() < 0.3 else 9
+    return ext.element([Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3, 4, 7, 10, 49)))
+                        for _ in range(ext.degree)])
+
+
+def property_mat(ext, n, m, rng):
+    if rng.random() < 0.15:
+        return Mat(ext, [[0] * m for _ in range(n)])
+    return Mat(ext, [[property_entry(ext, rng) for _ in range(m)] for _ in range(n)])
+
+
+def assert_entrywise(mat, rows):
+    """mat holds the FieldElement rows, in lowest terms over one denominator,
+    and equals (with its hash) the matrix built from those rows."""
+    assert mat.den > 0 and math.gcd(mat.den, *(c for row in mat.num for e in row for c in e)) == 1
+    assert [list(r) for r in mat.rows] == [list(r) for r in rows]
+    rebuilt = Mat(mat.ext, rows)
+    assert mat == rebuilt and hash(mat) == hash(rebuilt)
+    assert (mat.num, mat.den) == (rebuilt.num, rebuilt.den)
+
+
+@pytest.mark.parametrize("make_ext", [q5, qm7, cyclic_cubic], ids=["q5", "qm7", "cubic"])
+def test_mat_operations_match_an_entrywise_reference(make_ext):
+    ext = make_ext()
+    rng = random.Random(f"mat-{ext.min_poly}")
+    zero = ext.zero()
+    for _ in range(40):
+        n, k, m = (rng.choice((1, 1, 2, 3, 4)) for _ in range(3))
+        a, c = property_mat(ext, n, k, rng), property_mat(ext, n, k, rng)
+        b = property_mat(ext, k, m, rng)
+        ea, eb, ec = a.rows, b.rows, c.rows
+        assert_entrywise(a, ea)
+        assert_entrywise(a * b, [[sum((ea[i][t] * eb[t][j] for t in range(k)), zero) for j in range(m)]
+                                 for i in range(n)])
+        assert_entrywise(a + c, [[x + y for x, y in zip(r, s)] for r, s in zip(ea, ec)])
+        assert_entrywise(a - c, [[x - y for x, y in zip(r, s)] for r, s in zip(ea, ec)])
+        assert_entrywise(-a, [[-x for x in r] for r in ea])
+        for s in (property_entry(ext, rng), rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)):
+            scaled = [[x * s for x in r] for r in ea]
+            assert_entrywise(a * s, scaled)
+            assert_entrywise(s * a, scaled)
+        for i in range(ext.degree + 1):
+            assert_entrywise(a.galois(i), [[x.galois(i) for x in r] for r in ea])
+        # equal matrices by different routes, and unequal ones
+        assert (a + c) - c == a and hash((a + c) - c) == hash(a)
+        assert (a * 6) * Fraction(1, 6) == a
+        is_zero = not any(x for r in ea for x in r)
+        assert all((a * f == a) == is_zero for f in (2, Fraction(1, 2)))
+        assert (a == c) == (ea == ec) and (a == a.galois()) == (ea == a.galois().rows)
+        ident = Mat.identity(ext, n)
+        assert_entrywise(ident, [[ext.one() if i == j else zero for j in range(n)] for i in range(n)])
+        assert ident.is_identity() and ident.is_scalar()
+        d = property_entry(ext, rng)
+        assert_entrywise(d * ident, [[d if i == j else zero for j in range(n)] for i in range(n)])
+        assert (d * ident).is_scalar() and (d * ident).is_identity() == (d == ext.one())
+        if n == k:
+            scalar = all(ea[i][j] == (ea[0][0] if i == j else zero) for i in range(n) for j in range(n))
+            assert a.is_scalar() == scalar
+            assert a.is_identity() == (scalar and ea[0][0] == ext.one())
+
+
 def test_inverse_raises_on_singular():
     ext = q5()
     with pytest.raises(Singular):

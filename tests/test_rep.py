@@ -253,6 +253,16 @@ def test_twist_inverses_come_from_the_source_letters(build, monkeypatch):
             assert (tw.letter(k, -1) * image).is_identity()
 
 
+@pytest.mark.parametrize("build", [build_c3, build_a5, build_a7_double], ids=["c3", "a5", "2a7"])
+def test_twist_images_are_rho_of_the_tau_power_words(build):
+    # twist j is built from twist j - 1 and the words tau(g); tau acts on
+    # words as a free-group endomorphism, so the images are rho(tau^j(g))
+    rep = build()
+    for j in range(rep.ext.degree + 2):
+        words = [rep.group.tau_apply(((k, 1),), j) for k in range(len(rep.images))]
+        assert list(twist(rep, j).images) == [evaluate_word(rep, w) for w in words]
+
+
 def test_fixture_builders_are_deterministic():
     r1, r2 = build_a5(), build_a5()
     assert r1.images[1] == r2.images[1]
