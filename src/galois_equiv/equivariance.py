@@ -18,6 +18,7 @@ from .errors import (
     InternalInvariantViolation,
     NotEquivalent,
     NotIrreducible,
+    Singular,
     Unsupported,
 )
 from .field import CyclicExtension, FieldElement, canonical_lambda, norm, norm_witness
@@ -67,8 +68,8 @@ def compute_X(rep: Representation) -> Mat:
             f"intertwiner space has L-dimension {len(basis)}; rho is not absolutely irreducible"
         )
     x = basis[0]
-    lead = next(e for e in x.flatten() if e)
-    return x * lead.inverse()
+    lead = next((i, j) for i, row in enumerate(x.num) for j, e in enumerate(row) if any(e))
+    return x * x[lead].inverse()
 
 
 class LambdaInvariant(NamedTuple):
@@ -82,10 +83,16 @@ def _norm_scalar(x: Mat) -> Fraction:
 
 
 def _scalar_of(n: Mat) -> Fraction:
-    """lambda, for a twisted norm n = lambda I."""
-    if not n.is_scalar():
-        raise InternalInvariantViolation("twisted norm of X is not scalar")
+    """lambda, for a twisted norm n = lambda I.  det N(X) = N(det X), so a
+    singular n comes from a singular X != 0, whose kernel is a proper nonzero
+    rho-stable subspace: rho is then not absolutely irreducible."""
     lam = n[0, 0]
+    if not (lam and n.is_scalar()):
+        try:
+            require_invertible(n)
+        except Singular:
+            raise NotIrreducible("the intertwiner X is singular; rho is not absolutely irreducible") from None
+        raise InternalInvariantViolation("twisted norm of X is not scalar")
     if not lam.is_rational():
         raise InternalInvariantViolation("twisted norm of X is not rational")
     return lam.as_rational()

@@ -7,8 +7,12 @@ one gcd for the whole matrix; for r = 2 the entry loop is fused.  Elimination
 over L, as in matrix inverses, goes through IncrementalSpan (sizes here are
 tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
 solved over F_p at the field's split primes, lifted by CRT and rational
-reconstruction, and certified exactly; the same echelon routine mod p grows
-rep.burnside_dim's modular span and certifies require_invertible.  The
+reconstruction, and certified exactly.  The echelon form mod p is sparse,
+each row the list of its nonzero (column, value) pairs, since a condition
+row has at most 2n - 1 nonzeros; the same routine grows rep.burnside_dim's
+modular span and certifies require_invertible.  Reconstruction writes each
+matrix's integer numerators over one denominator, running Euclid only for
+the coefficients that the denominator found so far does not explain.  The
 rational section is a dense reduced echelon form over Q, inserting rows as
 IncrementalSpan does, and a restriction-of-scalars kernel built on it.  They
 have no caller in the package: the tests keep the kernel as a dense oracle
@@ -142,7 +146,9 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if self._rows is None:  # one entry, without building the rest
+            return self.ext._make(self.num[i][j], self.den)
+        return self._rows[i][j]
 
     def galois(self, i: int = 1) -> "Mat":
         """Apply sigma^i: each numerator times the table of sigma^i(t^k)."""
@@ -434,7 +440,7 @@ def _sylvester_kernel_mod_p(reduced: list[list[int]], n: int, p: int) -> tuple[t
     the flattened images of A_1, B_1, A_2, B_2, ... mod p.  The basis has one
     vector per free column f, in column order, 1 at f and 0 at the other free
     columns."""
-    echelon: dict[int, list[int]] = {}
+    echelon: dict[int, list[tuple[int, int]]] = {}
     for a, b in zip(reduced[::2], reduced[1::2]):
         for i in range(n):
             for j in range(n):
@@ -452,7 +458,7 @@ def _sylvester_kernel_mod_p(reduced: list[list[int]], n: int, p: int) -> tuple[t
             v = [0] * (n * n)
             v[f] = 1
             for pcol in order:
-                v[pcol] = -sum(map(mul, echelon[pcol], v)) % p
+                v[pcol] = -sum(v[j] * x for j, x in echelon[pcol]) % p
             kernel.append(v)
     return tuple(order[::-1]), kernel
 
@@ -465,19 +471,24 @@ def _reduce_mod_p(a: Mat, p: int, root: int) -> list[int]:
     return [sum(map(mul, e, powers)) * inv % p for row in a.num for e in row]
 
 
-def _insert_mod_p(echelon: dict[int, list[int]], v: list[int], p: int) -> bool:
-    """Reduce v mod p against an echelon form (pivot column -> row, 1 at its
-    pivot and 0 left of it and at the pivots of the rows before it) and add
-    it as a row if it is not 0 then; returns whether it was added.  The
-    pivots are those of the reduced echelon form of the rows inserted."""
-    for pcol, row in echelon.items():
+def _insert_mod_p(echelon: dict[int, list[tuple[int, int]]], v: Sequence[int], p: int) -> bool:
+    """Reduce a copy of v mod p against an echelon form (pivot column -> the
+    row's nonzero (column, value) pairs, the first (pivot, 1)) and add it as
+    a row if it is not 0 then; returns whether it was added.  The rows are
+    taken in increasing pivot order: a row is 0 left of its pivot, so clearing
+    column c touches only columns >= c.  The pivots are those of the reduced
+    echelon form of the rows inserted, as any echelon form of a row space has
+    the same leading columns."""
+    v = list(v)
+    for pcol in sorted(echelon):
         if f := v[pcol] % p:
-            v = [(a - f * b) % p for a, b in zip(v, row)]
+            for j, x in echelon[pcol]:
+                v[j] -= f * x
     lead = next((j for j, a in enumerate(v) if a % p), None)
     if lead is None:
         return False
     inv = pow(v[lead], -1, p)
-    echelon[lead] = [a * inv % p for a in v]
+    echelon[lead] = [(j, x) for j, a in enumerate(v[lead:], lead) if (x := a * inv % p)]
     return True
 
 
@@ -500,23 +511,38 @@ def _interpolation_mod_p(orbit: Sequence[int], p: int) -> list[list[int]]:
 def _reconstruct_matrices(ext: CyclicExtension, n: int, modulus: int, residues: list[int]) -> list[Mat] | None:
     """The n x n matrices whose entries' coefficients are the rational
     reconstructions of residues (matrix by matrix, row-major, r coefficients
-    per entry), or None when a residue has no reconstruction yet."""
+    per entry), or None when a residue has no reconstruction yet.
+
+    den is the lcm of the denominators found so far in a matrix.  When
+    den <= bound and the symmetric residue w of u den has |w| <= bound, w/den
+    is the coefficient with no Euclid: it is the unique reconstruction, as
+    2 bound^2 < modulus."""
     r = ext.degree
-    bound = isqrt(modulus // 2)
-    coeffs = []
-    for u in residues:
-        q = _rational_reconstruction(u, modulus, bound)
-        if q is None:
-            return None
-        coeffs.append(q)
-    entries = [ext.element(coeffs[k:k + r]) for k in range(0, len(coeffs), r)]
-    return [Mat(ext, [entries[k + i:k + i + n] for i in range(0, n * n, n)]) for k in range(0, len(entries), n * n)]
+    bound, half = isqrt(modulus // 2), modulus // 2
+    size = n * n * r
+    basis = []
+    for k in range(0, len(residues), size):
+        den, coeffs = 1, []
+        for u in residues[k:k + size]:
+            w = (u * den + half) % modulus - half
+            if den <= bound and -bound <= w <= bound:
+                coeffs.append((w, den))
+                continue
+            q = _rational_reconstruction(u, modulus, bound)
+            if q is None:
+                return None
+            coeffs.append(q)
+            den = lcm(den, q[1])
+        num = [tuple(a * (den // b) for a, b in coeffs[e:e + r]) for e in range(0, size, r)]
+        basis.append(Mat._of(ext, [num[i:i + n] for i in range(0, n * n, n)], den))
+    return basis
 
 
-def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:
-    """The a/b with a = b u mod modulus, |a| <= bound and 0 < b <= bound, or
-    None; unique when 2 bound^2 < modulus.  The extended Euclidean algorithm
-    on (modulus, u) stops at the first remainder at most bound."""
+def _rational_reconstruction(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b u mod modulus, |a| <= bound, 0 < b <= bound and
+    gcd(a, b) = 1, or None; unique when 2 bound^2 < modulus.  The extended
+    Euclidean algorithm on (modulus, u) stops at the first remainder at most
+    bound."""
     r0, r1, t0, t1 = modulus, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -524,4 +550,4 @@ def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | Non
         t0, t1 = t1, t0 - q * t1
     if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)

@@ -45,6 +45,16 @@ OBSTRUCTED = {
 }
 
 
+# Free representations over Q(sqrt5), tau the identity, whose intertwiner X
+# with the twist is singular: its kernel is a proper rho-stable subspace, so
+# rho is reducible.  X = E12 with N(X) = 0 for the first, X = E11 with
+# N(X) = E11 for the second.
+SINGULAR_X = {
+    "lambda-zero": {"g": [[1, [0, 1]], [0, 1]], "h": [[[0, 1], 0], [0, [0, -1]]]},
+    "norm-e11": {"g": [[1, 0], [0, [0, 1]]]},
+}
+
+
 def report_of(capsys):
     return json.loads(capsys.readouterr().out)
 
@@ -197,6 +207,21 @@ def test_obstructed_induce_reports_index_two(tmp_path, capsys):
     assert report["schur_index"] == 2
     assert report["symbol"] == ["-2", "-7"]
     assert report["endo_dim"] == 4
+
+
+@pytest.mark.parametrize("witness", [[], ["--witness", "1,0"]], ids=["plain", "witness"])
+@pytest.mark.parametrize("command", ["lambda", "equivariant", "induce"])
+@pytest.mark.parametrize("images", SINGULAR_X.values(), ids=SINGULAR_X)
+def test_a_singular_intertwiner_is_not_irreducible(images, command, witness, tmp_path, capsys):
+    data = {
+        "field": {"min_poly": [-5, 0, 1], "sigma_image": [0, -1]},
+        "group": {"generators": list(images), "relations": [], "tau": {g: g for g in images}, "tau_order": 2},
+        "representation": images,
+    }
+    assert main([command, write_problem(tmp_path, data)] + witness) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NotIrreducible: the intertwiner X is singular; rho is not absolutely irreducible\n"
 
 
 def test_validate_catches_broken_relation(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from galois_equiv.errors import (
     BadWitness,
+    InternalInvariantViolation,
     NotEquivalent,
     NotIrreducible,
     Singular,
@@ -195,6 +196,18 @@ def test_not_irreducible_on_isotypic_double():
     rep = Representation(group, ext, [Mat(ext, [[omega, 0], [0, omega]])])
     with pytest.raises(NotIrreducible):
         compute_X(rep)
+
+
+def test_a_singular_twisted_norm_is_not_irreducible():
+    # det N(X) = N(det X): a singular twisted norm means a singular X, whose
+    # kernel is a proper rho-stable subspace
+    ext = CyclicExtension([-5, 0, 1], [0, -1])
+    for n in (Mat(ext, [[0, 0], [0, 0]]), Mat(ext, [[1, 0], [0, 0]]), Mat(ext, [[1, 2], [2, 4]])):
+        with pytest.raises(NotIrreducible, match="X is singular"):
+            equivariance._scalar_of(n)
+    with pytest.raises(InternalInvariantViolation, match="not scalar"):
+        equivariance._scalar_of(Mat(ext, [[1, 0], [0, 2]]))
+    assert equivariance._scalar_of(Mat(ext, [[-2, 0], [0, -2]])) == -2
 
 
 def test_unsupported_without_witness_beyond_quadratic():

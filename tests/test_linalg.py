@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from galois_equiv import linalg
+from galois_equiv import rep as rep_module
 from galois_equiv.equivariance import twisted_images
 from galois_equiv.errors import Singular
 from galois_equiv.field import CyclicExtension, _modular_root, _split_primes, norm
@@ -27,7 +28,7 @@ from galois_equiv.linalg import (
 )
 from galois_equiv.rep import GroupData, Representation
 
-from conftest import build_a5, build_a7_double
+from conftest import build_a5, build_a7_double, build_c3
 
 
 def q5():
@@ -563,3 +564,190 @@ def test_a_prime_in_an_entry_denominator_is_skipped(monkeypatch):
     taken = take_primes(monkeypatch)
     assert solve_sylvester_space(pairs) == exact_sylvester_space(pairs)
     assert taken[0] == p and len(taken) > 1
+
+
+# ---------------------------------------------------------------------------
+# the sparse echelon mod p and the shared-denominator reconstruction
+
+
+def dense_insert_mod_p(echelon, v, p):
+    """_insert_mod_p as it was with dense rows: pivot column -> the whole
+    row, every entry reduced mod p at each pivot cleared."""
+    for pcol, row in echelon.items():
+        if f := v[pcol] % p:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    lead = next((j for j, a in enumerate(v) if a % p), None)
+    if lead is None:
+        return False
+    inv = pow(v[lead], -1, p)
+    echelon[lead] = [a * inv % p for a in v]
+    return True
+
+
+def dense_sylvester_kernel_mod_p(reduced, n, p):
+    """_sylvester_kernel_mod_p as it was with dense rows."""
+    echelon = {}
+    for a, b in zip(reduced[::2], reduced[1::2]):
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for m in range(n):
+                    row[i * n + m] += a[m * n + j]
+                    row[m * n + j] -= b[i * n + m]
+                dense_insert_mod_p(echelon, row, p)
+    order = sorted(echelon, reverse=True)
+    kernel = []
+    for f in range(n * n):
+        if f not in echelon:
+            v = [0] * (n * n)
+            v[f] = 1
+            for pcol in order:
+                v[pcol] = -sum(a * b for a, b in zip(echelon[pcol], v)) % p
+            kernel.append(v)
+    return tuple(order[::-1]), kernel
+
+
+def random_monomial(ext, n, rng):
+    """A permutation matrix with a random nonzero element in each of its 1s."""
+    perm = rng.sample(range(n), n)
+    return Mat(ext, [[ext.element([rng.choice([-2, -1, 1, 3])] + [rng.randint(-2, 2) for _ in range(ext.degree - 1)])
+                      if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+
+
+def random_sylvester_pairs(ext, n, rng):
+    """1 to 3 pairs (A, B), monomial or dense, with B = A (a commutant),
+    B = Y A Y^-1 (a kernel of dimension at least 1) or B unrelated to A (in
+    general an empty kernel)."""
+    make = rng.choice([random_monomial, lambda ext, n, rng: random_mat(ext, n, n, rng)])
+    kind = rng.choice(["commutant", "conjugate", "unrelated"])
+    y = random_invertible(ext, n, rng)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        a = make(ext, n, rng)
+        if kind == "conjugate":
+            pairs.append((a, y * a * inverse(y)))
+        else:
+            pairs.append((a, a if kind == "commutant" else make(ext, n, rng)))
+    return pairs
+
+
+@pytest.mark.parametrize("make_ext", [q5, cyclic_cubic], ids=["q5", "cubic"])
+def test_sparse_echelon_matches_the_dense_reference(make_ext):
+    ext = make_ext()
+    rng = random.Random(71)
+    (p, orbit), = itertools.islice(_split_primes(ext), 1)
+    sizes = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            mats = [m for pair in random_sylvester_pairs(ext, n, rng) for m in pair]
+            for theta in orbit:
+                reduced = [linalg._reduce_mod_p(m, p, theta) for m in mats]
+                got = linalg._sylvester_kernel_mod_p(reduced, n, p)
+                assert got == dense_sylvester_kernel_mod_p(reduced, n, p)
+                sizes.add(len(got[1]))
+            # row by row: the same answers and the same rows, and the
+            # argument is left as it was
+            sparse, dense = {}, {}
+            for a, b in zip(reduced[::2], reduced[1::2]):
+                for v in (a, b, [x - y for x, y in zip(a, b)], [x + 3 * y for x, y in zip(a, b)]):
+                    before = list(v)
+                    assert linalg._insert_mod_p(sparse, v, p) == dense_insert_mod_p(dense, v, p)
+                    assert v == before
+            assert sorted(sparse) == sorted(dense)
+            for pcol, row in sparse.items():
+                assert row[0] == (pcol, 1)
+                assert row == [(j, x) for j, x in enumerate(dense[pcol]) if x]
+    # an empty kernel and a kernel of dimension at least 2 were both met
+    assert 0 in sizes and max(sizes) >= 2
+
+
+@pytest.mark.parametrize("build", [build_c3, build_a5, build_a7_double], ids=["c3", "a5", "2a7"])
+def test_modular_ranks_match_the_dense_echelon(build, monkeypatch):
+    rep = build()
+    p, root = _modular_root(rep.ext, 1)
+    burnside = rep_module._burnside_dim_mod_p(rep, p, root)
+    sparse, added = linalg._insert_mod_p, []
+    monkeypatch.setattr(linalg, "_insert_mod_p", lambda *args: added.append(sparse(*args)) or added[-1])
+    ident = Mat.identity(rep.ext, rep.dim)
+    for m in [*rep.images, *(m - ident for m in rep.images)]:
+        p_m, root_m = _modular_root(rep.ext, m.den)
+        flat, echelon = linalg._reduce_mod_p(m, p_m, root_m), {}
+        rank = sum(dense_insert_mod_p(echelon, flat[i:i + m.ncols], p_m) for i in range(0, len(flat), m.ncols))
+        added.clear()
+        try:
+            linalg.require_invertible(m)
+        except Singular:
+            assert rank < m.nrows
+        assert sum(added) == rank
+    monkeypatch.setattr(rep_module, "_insert_mod_p", dense_insert_mod_p)
+    assert rep_module._burnside_dim_mod_p(rep, p, root) == burnside
+
+
+def wang_reference(u, modulus):
+    """The rational a/b = u mod modulus with |a|, b <= sqrt(modulus / 2), by
+    the extended Euclidean algorithm, or None."""
+    bound = math.isqrt(modulus // 2)
+    (r0, s0), (r1, s1) = (modulus, 0), (u % modulus, 1)
+    while r1 > bound:
+        q = r0 // r1
+        (r0, s0), (r1, s1) = (r1, s1), (r0 - q * r1, s0 - q * s1)
+    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def reconstruct_by_reference(ext, n, modulus, residues):
+    """_reconstruct_matrices with Wang's reconstruction on every coefficient."""
+    coeffs = [wang_reference(u, modulus) for u in residues]
+    if None in coeffs:
+        return None
+    r = ext.degree
+    entries = [ext.element(coeffs[k:k + r]) for k in range(0, len(coeffs), r)]
+    return [Mat(ext, [entries[k + i:k + i + n] for i in range(0, n * n, n)]) for k in range(0, len(entries), n * n)]
+
+
+def residues_of(values, modulus):
+    return [q.numerator * pow(q.denominator, -1, modulus) % modulus for q in values]
+
+
+@pytest.mark.parametrize("make_ext", [q5, cyclic_cubic], ids=["q5", "cubic"])
+def test_shared_denominator_reconstruction_matches_wang(make_ext, monkeypatch):
+    ext = make_ext()
+    rng = random.Random(73)
+    primes = [p for p, _ in itertools.islice(_split_primes(ext), 3)]
+    for count in (1, 3):
+        modulus = math.prod(primes[:count])
+        for n in (1, 2, 3):
+            for den_span in (1, 12, 10**6):
+                size = n * n * ext.degree
+                values = [Fraction(rng.randint(-50, 50), rng.randint(1, den_span)) if rng.random() < 0.7 else Fraction(0)
+                          for _ in range(2 * size)]
+                residues = residues_of(values, modulus)
+                got = linalg._reconstruct_matrices(ext, n, modulus, residues)
+                assert got == reconstruct_by_reference(ext, n, modulus, residues)
+                assert [c for m in got for row in m.rows for e in row for c in e.coeffs] == values
+
+    modulus = primes[0]
+    bound = math.isqrt(modulus // 2)
+    n = 2
+    # coefficients over the denominator found so far, negative ones too,
+    # need no Euclid
+    wang, calls = linalg._rational_reconstruction, []
+    monkeypatch.setattr(linalg, "_rational_reconstruction", lambda *args: calls.append(args) or wang(*args))
+    values = [Fraction(-3), Fraction(5, 6), Fraction(-1, 3)] + [Fraction(k, 6) for k in range(n * n * ext.degree - 3)]
+    got = linalg._reconstruct_matrices(ext, n, modulus, residues_of(values, modulus))
+    assert got == reconstruct_by_reference(ext, n, modulus, residues_of(values, modulus))
+    assert len(calls) == 1  # 5/6, which sets the denominator 6
+    zeros = [Fraction(0)] * (n * n * ext.degree - 3)
+    # d1, d2 <= bound with d1 d2 > bound: after 1/d1 and -1/d2 the running
+    # denominator d1 d2 exceeds bound, and u d1 d2 = 1 for the residue u of
+    # 1/(d1 d2), which is out of bounds, so Wang gives something else
+    d1, d2 = 2**20 + 7, 2**20 + 9
+    values = [Fraction(1, d1), Fraction(-1, d2), Fraction(1, d1 * d2)] + zeros
+    residues = residues_of(values, modulus)
+    assert max(d1, d2) <= bound < d1 * d2 and wang_reference(residues[2], modulus) != values[2]
+    assert linalg._reconstruct_matrices(ext, n, modulus, residues) == reconstruct_by_reference(ext, n, modulus, residues)
+    # the integer bound + 1 has no reconstruction yet
+    residues = residues_of([Fraction(0), Fraction(bound + 1), Fraction(0)] + zeros, modulus)
+    assert reconstruct_by_reference(ext, n, modulus, residues) is None
+    assert linalg._reconstruct_matrices(ext, n, modulus, residues) is None
