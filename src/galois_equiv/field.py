@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -30,11 +32,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rational_from_string(text: str) -> Fraction:
-    """Parse "p/q" or "n" into a Fraction. Decimal points are rejected."""
+    """Parse "p/q" or "n" into a Fraction.  Anything else, such as "1.5",
+    "1e-3" or "1_000", raises ValueError."""
     text = text.strip()
-    if "." in text:
-        raise ValueError(f"decimal notation not accepted: {text!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected an integer or 'p/q', got {text!r}")
     return Fraction(text)
 
 
@@ -237,8 +243,8 @@ class CyclicExtension:
 
     Since m is monic with integer coefficients, reducing an integer
     polynomial mod m keeps it integral.  sigma^i is held as a table of
-    integer rows over one denominator: row k is the numerator of
-    sigma^i(t^k).
+    integer columns over one denominator: entry k of column j is coefficient
+    j of the numerator of sigma^i(t^k).
     """
 
     def __init__(self, min_poly: Sequence, sigma_image: Sequence):
@@ -293,8 +299,8 @@ class CyclicExtension:
         return FieldElement(self, tuple(num), den)
 
     def _build_sigma_tables(self):
-        """Check sigma and set _sigma_tables[i] = (rows, den), the numerators
-        of sigma^i(t^k) over one denominator, for i < r."""
+        """Check sigma and set _sigma_tables[i] = (columns, den), the
+        numerators of sigma^i(t^k) over one denominator, for i < r."""
         r = self.degree
         s = self.element(self.sigma_image)
         acc = self.zero()
@@ -305,7 +311,7 @@ class CyclicExtension:
         powers = [self.one()]
         for _ in range(1, r):
             powers.append(powers[-1] * s)
-        ident = tuple(tuple(int(j == k) for j in range(r)) for k in range(r))
+        ident = tuple(tuple(int(j == k) for j in range(r)) for k in range(r))  # its own columns
         # galois(1) reads tables[1], from which the later tables are built
         tables = self._sigma_tables = [(ident, 1), _common_denominator(powers)]
         images = [s]  # sigma^i(t) for i = 1 .. r
@@ -370,9 +376,10 @@ class CyclicExtension:
 
 
 def _common_denominator(elements) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The numerators of elements over their least common denominator."""
+    """The numerators of elements over their least common denominator, as
+    columns: column j holds coefficient j of each element."""
     den = math.lcm(*(e.den for e in elements))
-    return tuple(tuple(c * (den // e.den) for c in e.num) for e in elements), den
+    return tuple(zip(*(tuple(c * (den // e.den) for c in e.num) for e in elements))), den
 
 
 # m of degree r > 2 is certified irreducible by a prime below this bound
@@ -576,7 +583,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return dot(self.ext, (self,), (o,))
+        return self.ext._make(_reduce_sum(self.ext, ((self.num, o.num),)), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -623,15 +630,10 @@ class FieldElement:
         return self.ext._make([c * scale for c in conj.num], abs(n0) * conj.den)
 
     def galois(self, i: int = 1) -> "FieldElement":
-        """Apply sigma^i."""
+        """Apply sigma^i: the numerator times each column of sigma^i's table."""
         ext = self.ext
-        rows, tden = ext._sigma_tables[i % ext.degree]
-        out = [0] * ext.degree
-        for c, row in zip(self.num, rows):
-            if c:
-                for j, v in enumerate(row):
-                    out[j] += c * v
-        return ext._make(out, self.den * tden)
+        cols, tden = ext._sigma_tables[i % ext.degree]
+        return ext._make([sum(map(mul, self.num, col)) for col in cols], self.den * tden)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -666,30 +668,15 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-def dot(ext: CyclicExtension, xs: Sequence[FieldElement], ys: Sequence[FieldElement]) -> FieldElement:
-    """sum x_k y_k, normalized once: the products are summed in Z[t] over a
-    common denominator, then reduced mod m."""
+def _reduce_sum(ext: CyclicExtension, pairs) -> tuple[int, ...]:
+    """sum x y over pairs of numerator tuples, taken in Z[t] and reduced mod m."""
     acc = [0] * (2 * ext.degree - 1)
-    den = 1
-    for x, y in zip(xs, ys):
-        xn, yn = x.num, y.num
-        if not (any(xn) and any(yn)):
-            continue
-        d = x.den * y.den
-        scale = 1
-        if d != den:
-            g = math.gcd(den, d)
-            grow = d // g
-            if grow != 1:
-                acc = [c * grow for c in acc]
-                den *= grow
-            scale = den // d
-        for i, a in enumerate(xn):
+    for x, y in pairs:
+        for i, a in enumerate(x):
             if a:
-                a *= scale
-                for j, b in enumerate(yn):
+                for j, b in enumerate(y):
                     acc[i + j] += a * b
-    return ext._make(ext._reduce(acc), den)
+    return tuple(ext._reduce(acc))
 
 
 def norm(x: FieldElement) -> Fraction:

@@ -4,8 +4,9 @@ A matrix is integer numerator polynomials over one denominator for all its
 entries (Cohen's element form, 4.2, lifted to matrices).  A product sums the
 unreduced Z[t] products over den_A den_B, reduces each entry mod m and takes
 one gcd for the whole matrix; for r = 2 the entry loop is fused.  Elimination
-over L, as in matrix inverses, goes through IncrementalSpan (sizes here are
-tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
+over L, as in matrix inverses, goes through IncrementalSpan, whose rows are
+1 x width matrices, so clearing a pivot normalizes once per row (sizes here
+are tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
 solved over F_p at the field's split primes, lifted by CRT and rational
 reconstruction, and certified exactly.  The echelon form mod p is sparse,
 each row the list of its nonzero (column, value) pairs, since a condition
@@ -28,7 +29,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import Singular
-from .field import CyclicExtension, FieldElement, _modular_root, _split_primes, dot
+from .field import CyclicExtension, FieldElement, _modular_root, _reduce_sum, _split_primes
 
 
 class Mat:
@@ -108,7 +109,7 @@ class Mat:
         ext = self.ext
         if not isinstance(other, Mat):
             scalar = ext.element(other)
-            num = [[_reduce_sum(ext, ((e, scalar.num),)) for e in row] for row in self.num]
+            num = [[_reduce_sum(ext, ((e, scalar.num),)) if any(e) else e for e in row] for row in self.num]
             return Mat._of(ext, num, self.den * scalar.den)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
@@ -151,19 +152,10 @@ class Mat:
         return self._rows[i][j]
 
     def galois(self, i: int = 1) -> "Mat":
-        """Apply sigma^i: each numerator times the table of sigma^i(t^k)."""
-        table, tden = self.ext._sigma_tables[i % self.ext.degree]
-        cols = list(zip(*table))
+        """Apply sigma^i: each numerator times each column of sigma^i's table."""
+        cols, tden = self.ext._sigma_tables[i % self.ext.degree]
         num = [[tuple(sum(map(mul, e, col)) for col in cols) for e in row] for row in self.num]
         return Mat._of(self.ext, num, self.den * tden)
-
-    def trace(self) -> FieldElement:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        acc = self.ext.zero()
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ext, self.nrows)
@@ -180,17 +172,6 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _reduce_sum(ext: CyclicExtension, pairs) -> tuple[int, ...]:
-    """sum x y over pairs of numerator tuples, taken in Z[t] and reduced mod m."""
-    acc = [0] * (2 * ext.degree - 1)
-    for x, y in pairs:
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    acc[i + j] += a * b
-    return tuple(ext._reduce(acc))
-
-
 def matrix_norm(a: Mat) -> Mat:
     """sigma^(r-1)(A) ... sigma(A) A, the twisted norm of a square matrix."""
     if a.nrows != a.ncols:
@@ -202,29 +183,28 @@ def matrix_norm(a: Mat) -> Mat:
 
 
 class IncrementalSpan:
-    """An L-subspace of L^width maintained in reduced echelon form."""
+    """An L-subspace of L^width maintained in reduced echelon form, each row
+    a 1 x width Mat."""
 
     def __init__(self, ext: CyclicExtension, width: int):
         self.ext = ext
         self.width = width
-        self.rows: list[list[FieldElement]] = []
+        self.rows: list[Mat] = []
         self.pivots: list[int] = []
 
     def insert(self, vec: Sequence[FieldElement]) -> bool:
         """Reduce vec against the span; returns True if the dimension grew."""
-        ext, one = self.ext, self.ext.one()
-        row = list(vec)
+        row = Mat(self.ext, [vec])
         for prow, pcol in zip(self.rows, self.pivots):
-            if nf := -row[pcol]:  # a - f b as one dot, normalized once
-                row = [dot(ext, (a, nf), (one, b)) if b else a for a, b in zip(row, prow)]
-        lead = next((j for j in range(self.width) if row[j]), None)
+            if f := row[0, pcol]:
+                row = row - prow * f
+        lead = next((j for j, e in enumerate(row.num[0]) if any(e)), None)
         if lead is None:
             return False
-        inv = row[lead].inverse()
-        row = [a * inv for a in row]
+        row = row * row[0, lead].inverse()
         for k, prow in enumerate(self.rows):
-            if nf := -prow[lead]:
-                self.rows[k] = [dot(ext, (a, nf), (one, b)) if b else a for a, b in zip(prow, row)]
+            if f := prow[0, lead]:
+                self.rows[k] = prow - row * f
         self.rows.append(row)
         self.pivots.append(lead)
         return True
@@ -252,7 +232,7 @@ def inverse(a: Mat) -> Mat:
     if sorted(span.pivots) != list(range(n)):
         raise Singular("matrix is singular")
     by_pivot = dict(zip(span.pivots, span.rows))
-    return Mat(ext, [by_pivot[i][n:] for i in range(n)])
+    return Mat(ext, [by_pivot[i].rows[0][n:] for i in range(n)])
 
 
 def require_invertible(a: Mat) -> None:

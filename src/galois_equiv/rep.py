@@ -95,15 +95,12 @@ class GroupData:
             images.append(parse_word(tau[name], generators))
         return cls(generators, rel_words, images, declared_order)
 
-    def tau_apply(self, word: Word, times: int = 1) -> Word:
-        out = word
-        for _ in range(times):
-            letters: list[tuple[int, int]] = []
-            for g, e in out:
-                image = self.tau_images[g] if e > 0 else invert_word(self.tau_images[g])
-                letters.extend(image)
-            out = free_reduce(tuple(letters))
-        return out
+    def tau_apply(self, word: Word) -> Word:
+        letters: list[tuple[int, int]] = []
+        for g, e in word:
+            image = self.tau_images[g] if e > 0 else invert_word(self.tau_images[g])
+            letters.extend(image)
+        return free_reduce(tuple(letters))
 
 
 class Representation:

@@ -358,6 +358,23 @@ def test_reducible_cubic_min_poly_exits_2(tmp_path, capsys):
     assert "field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["1e-3", "1E2", "1_000", "0x10", "1.5"])
+def test_a_matrix_entry_that_is_not_p_over_q_exits_2(entry, tmp_path, capsys):
+    # Fraction would read "1e-3" as 1/1000; a problem file takes only n and p/q
+    data = json.loads(open(C3).read())
+    data["representation"]["g"] = [[[entry, "1/2"]]]
+    path = write_problem(tmp_path, data)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and repr(entry) in err and "representation.g[0][0][0]" in err
+
+
+def test_a_witness_that_is_not_p_over_q_exits_2(capsys):
+    assert main(["lambda", A5, "--witness", "1e0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "'1e0'" in err and "--witness[0]" in err
+
+
 def test_witness_flag_is_parsed(capsys):
     assert main(["lambda", A5, "--witness", "2,-1"]) == 0
     assert report_of(capsys)["is_trivial"] is True

@@ -579,7 +579,15 @@ def test_canonical_lambda_of_a_product_of_two_inert_primes_is_fast():
 def test_rational_string_round_trip():
     assert rational_from_string("3/4") == Fraction(3, 4)
     assert rational_from_string("-7") == Fraction(-7)
+    assert rational_from_string(" -3/6 ") == Fraction(-1, 2)
+    assert rational_from_string("+12") == Fraction(12)
     assert rational_to_string(Fraction(-3, 4)) == "-3/4"
     assert rational_to_string(Fraction(5)) == "5"
     with pytest.raises(ValueError):
         rational_from_string("1.5")
+
+
+@pytest.mark.parametrize("text", ["1e-3", "1E2", "1_000", "1/2/3", "+", "/2", "1/-2", "1 / 2", ""])
+def test_only_integers_and_p_over_q_are_rationals(text):
+    with pytest.raises(ValueError):
+        rational_from_string(text)

@@ -3,11 +3,16 @@
 import ast
 import importlib
 import importlib.util
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import galois_equiv
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_library_has_no_assert_statements():
@@ -37,3 +42,18 @@ def test_every_traced_name_resolves():
             missing.append(f"{module_name}.{attr}")
     assert tracing.WRAPPED
     assert missing == []
+
+
+def test_double_cover_generator_rewrites_the_shipped_fixture(tmp_path):
+    # the generator re-checks its construction with the library, so a library
+    # change that breaks it, or changes what it writes, shows here
+    src = Path(galois_equiv.__file__).resolve().parent.parent
+    tool = tmp_path / "tools" / "make_double_cover_fixture.py"
+    tool.parent.mkdir()
+    shutil.copy(ROOT / "tools" / tool.name, tool)
+    fixtures = tmp_path / "src" / "galois_equiv" / "fixtures"
+    fixtures.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, str(tool)], env=env, check=True, capture_output=True, timeout=120)
+    shipped = src / "galois_equiv" / "fixtures" / "2a7_4dim.json"
+    assert (fixtures / "2a7_4dim.json").read_bytes() == shipped.read_bytes()
