@@ -5,6 +5,10 @@ read off the norm invariant lambda from sigma^(r-1)(X)...sigma(X)X = lambda I,
 decide lambda mod norms, and when trivial rescale X and solve the matrix
 Hilbert 90 equation sigma(Y)^-1 Y = X row by row by telescoping, giving the
 conjugated representation rho' = Y rho Y^-1 which commutes with the twist.
+
+For quadratic L and odd n, N(det X) = det N(X) = lambda^n and N(lambda) =
+lambda^2, so w = det X lambda^-(n-1)/2 has N(w) = lambda: no factoring needed.
+equivariant_form still rescales by norm_witness(lambda), keeping Y and rho'.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from .errors import (
     Singular,
     Unsupported,
 )
-from .field import CyclicExtension, FieldElement, canonical_lambda, norm, norm_witness
-from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, require_invertible, solve_sylvester_space
+from .field import FieldElement, canonical_lambda, norm, norm_witness
+from .linalg import IncrementalSpan, Mat, determinant, inverse, matrix_norm, require_invertible, solve_sylvester_space
 from .rep import CheckReport, Representation, evaluate_word, twist
 
 _LCG_MULT = 6364136223846793005
@@ -78,10 +82,6 @@ class LambdaInvariant(NamedTuple):
     is_trivial: bool
 
 
-def _norm_scalar(x: Mat) -> Fraction:
-    return _scalar_of(matrix_norm(x))
-
-
 def _scalar_of(n: Mat) -> Fraction:
     """lambda, for a twisted norm n = lambda I.  det N(X) = N(det X), so a
     singular n comes from a singular X != 0, whose kernel is a proper nonzero
@@ -111,24 +111,28 @@ def _witness_to_rescaler(witness: FieldElement, lam: Fraction) -> FieldElement:
 
 def lambda_invariant(rep: Representation, witness: Optional[FieldElement] = None) -> LambdaInvariant:
     """(lambda_rep, lambda_canonical, is_trivial) for the intertwiner of rep."""
-    return decide_lambda(_norm_scalar(compute_X(rep)), rep.ext, witness)
+    x = compute_X(rep)
+    return decide_lambda(_scalar_of(matrix_norm(x)), x, witness)
 
 
-def decide_lambda(lam: Fraction, ext: CyclicExtension, witness: Optional[FieldElement]) -> LambdaInvariant:
+def decide_lambda(lam: Fraction, x: Mat, witness: Optional[FieldElement]) -> LambdaInvariant:
     """The class of lambda mod norms, for lambda the twisted norm of X.
 
     A supplied witness is checked first at every degree: one of norm lambda
     or 1/lambda decides the class trivial, any other is a BadWitness.  Without
-    one, quadratic extensions are decided by Hilbert symbols and r > 2 is
-    Unsupported.
+    one, r > 2 is Unsupported.  For quadratic L and odd n, a checked
+    N(det X) = lambda^n, that is N(w) = lambda for w = det X lambda^-(n-1)/2,
+    decides it trivial (see the module docstring); else Hilbert symbols do.
     """
     if witness is not None:
         _witness_to_rescaler(witness, lam)
         return LambdaInvariant(lam, Fraction(1), True)
-    if ext.degree == 2:
-        canonical = canonical_lambda(lam, ext)
-        return LambdaInvariant(lam, canonical, canonical == 1)
-    raise Unsupported("deciding lambda mod norms needs a witness when r > 2")
+    if x.ext.degree != 2:
+        raise Unsupported("deciding lambda mod norms needs a witness when r > 2")
+    if x.nrows % 2 and lam and norm(determinant(x)) == lam**x.nrows:
+        return LambdaInvariant(lam, Fraction(1), True)
+    canonical = canonical_lambda(lam, x.ext)
+    return LambdaInvariant(lam, canonical, canonical == 1)
 
 
 def hilbert90(x: Mat, seed: int = 0) -> Mat:
@@ -193,7 +197,7 @@ def equivariant_form(
     is Y = c sigma(Y) X, for a scalar c compatible with lambda.
     """
     x = compute_X(rep)
-    lam = _norm_scalar(x)
+    lam = _scalar_of(matrix_norm(x))
 
     # mu, the scalar rescaling X to twisted norm 1, checked where it is
     # obtained; a supplied witness is checked even when a replayed Y gives mu
@@ -207,7 +211,7 @@ def equivariant_form(
         if norm(mu) * lam != 1:
             raise BadWitness("replayed Y implies an incompatible scalar")
     elif mu is None:
-        inv = decide_lambda(lam, rep.ext, None)
+        inv = decide_lambda(lam, x, None)
         if not inv.is_trivial:
             cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, False, None, None, None, seed)
             _require_valid(cert, rep)
@@ -242,7 +246,7 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
     entries.append(("twisted norm of X is lambda_rep I", norm_x == cert.lambda_rep * ident))
 
     if ext.degree == 2:
-        canonical = canonical_lambda(cert.lambda_rep, ext)
+        canonical = decide_lambda(cert.lambda_rep, cert.x, None).lambda_canonical
         entries.append(("is_trivial matches the norm test", cert.is_trivial == (canonical == 1)))
         entries.append(("lambda_canonical matches", cert.lambda_canonical == canonical))
 
@@ -258,11 +262,9 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
         if cert.y is not None:  # rp, like rep, has one image per generator
             conjugates = all(a * cert.y == cert.y * b for a, b in zip(rp.images, rep.images))
             entries.append(("rho' is Y rho Y^-1", conjugates))
-        equi_ok = True
-        for k in range(len(rep.images)):
-            tau_word = rep.group.tau_apply(((k, 1),))
-            if evaluate_word(rp, tau_word) != rp.images[k].galois():
-                equi_ok = False
+        equi_ok = all(
+            evaluate_word(rp, rep.group.tau_apply(((k, 1),))) == image.galois() for k, image in enumerate(rp.images)
+        )
         entries.append(("rho' commutes with the sigma/tau twist", equi_ok))
 
     return CheckReport(entries)

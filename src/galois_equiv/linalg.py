@@ -235,6 +235,33 @@ def inverse(a: Mat) -> Mat:
     return Mat(ext, [by_pivot[i].rows[0][n:] for i in range(n)])
 
 
+def determinant(a: Mat) -> FieldElement:
+    """det A by fraction-free (Bareiss) elimination on the numerators: step k
+    sets entry (i, j) below and right of the pivot p_k to (p_k e_ij - e_ik
+    e_kj) / p_(k-1), a minor of num by Sylvester's identity, so in Z[t]/(m)
+    and exact as a product with p_(k-1)^-1.  The last pivot, negated once per
+    row swap, is det(num), and det A = det(num) / den^n."""
+    if a.nrows != a.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    ext, n = a.ext, a.nrows
+    rows = [list(row) for row in a.num]
+    pivot, sign = (1,) + ext._zero_num[1:], 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if any(rows[i][k])), None)
+        if i is None:
+            return ext.zero()
+        if i != k:
+            rows[k], rows[i], sign = rows[i], rows[k], -sign
+        inv = ext._make(pivot, 1).inverse() if 0 < k < n - 1 else None
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            c = tuple(-x for x in row[k])
+            for j in range(k + 1, n):
+                e = _reduce_sum(ext, ((pivot, row[j]), (c, top[j])))
+                row[j] = e if inv is None else tuple(x // inv.den for x in _reduce_sum(ext, ((e, inv.num),)))
+    return ext._make([sign * x for x in pivot], a.den**n)
+
+
 def require_invertible(a: Mat) -> None:
     """Raise Singular, as inverse(A) does, unless A is invertible.  t -> a
     root of m mod a split prime p is a ring map, so it only lowers the rank:

@@ -11,6 +11,8 @@ Each test pins an externally checkable fact with exact arithmetic:
     Q-dimension 4 on every bundled example;
   * agreement between the norm-class invariant and the Schur index on the
     bundled examples and on randomly conjugated and rescaled copies;
+  * odd-dimensional examples decided trivial from det X at every height,
+    with no factoring of lambda;
   * the constructive Hilbert 90 solver on seeded random cocycles;
   * the Hilbert symbol product formula and the norm decision against
     brute-force oracles.
@@ -23,6 +25,7 @@ import random
 import time
 from fractions import Fraction
 
+from galois_equiv import field
 from galois_equiv.field import (
     INF,
     CyclicExtension,
@@ -39,6 +42,7 @@ from galois_equiv.equivariance import (
     equivariant_form,
     hilbert90,
     lambda_invariant,
+    verify_certificate,
 )
 from galois_equiv.induced import (
     build_crossed_product,
@@ -46,7 +50,7 @@ from galois_equiv.induced import (
     endomorphism_dim,
     schur_index,
 )
-from galois_equiv.errors import Singular
+from galois_equiv.errors import FactorizationIncomplete, NoWitnessFound, Singular
 
 from conftest import build_a5, build_a7_double, build_c3, dense_m, dense_xi
 from test_field import oracle_is_norm
@@ -279,6 +283,38 @@ def test_invariant_agrees_with_schur_index_under_conjugation():
             twisted = matrix_norm(mu * x)
             assert twisted == (norm(mu) * inv.lambda_rep) * Mat.identity(ext, rep.dim)
             assert canonical_lambda(norm(mu) * inv.lambda_rep, ext) == inv.lambda_canonical
+
+
+def test_odd_n_is_decided_from_det_x_at_every_height(monkeypatch):
+    # N(det X) = lambda^n and N(lambda) = lambda^2, so for odd n the class is
+    # trivial whatever the size of lambda, and nothing factors lambda; the
+    # witness search for equivariant may still run out, and is not pinned
+    seen = []
+    real_factor = field.factor
+
+    def recording_factor(n, *args, **kwargs):
+        seen.append(abs(n))
+        return real_factor(n, *args, **kwargs)
+
+    monkeypatch.setattr(field, "factor", recording_factor)
+    for build in (build_c3, build_a5):
+        rep = build()
+        for height in (3, 10, 30, 100, 300, 1000):
+            t = random_invertible(rep.ext, rep.dim, random.Random(f"odd-n/{height}"), spread=height)
+            conjugated = Representation(rep.group, rep.ext, [t * m * inverse(t) for m in rep.images])
+            seen.clear()
+            started = time.monotonic()
+            inv = lambda_invariant(conjugated)
+            if build is build_a5 and height == 1000:
+                assert time.monotonic() - started < 1.0
+            assert inv.is_trivial and inv.lambda_canonical == 1, height
+            assert schur_index(build_crossed_product(conjugated)).index == 1, height
+            assert abs(inv.lambda_rep.numerator * inv.lambda_rep.denominator) not in seen, height
+            try:
+                cert = equivariant_form(conjugated)
+            except (FactorizationIncomplete, NoWitnessFound):
+                continue
+            assert verify_certificate(cert, conjugated).ok, height
 
 
 # ---------------------------------------------------------------------------

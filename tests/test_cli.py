@@ -509,12 +509,16 @@ def write_conjugate(tmp_path, path, seed):
     "fixture, code, expected",
     [
         pytest.param(A7D, 3, {"lambda": 1, "induce": 1, "equivariant": 2}, id="2a7-obstruction"),
-        pytest.param(A5, 0, {"lambda": 1, "induce": 1, "equivariant": 3}, id="a5-trivial"),
+        pytest.param(A5, 0, {"lambda": 0, "induce": 0, "equivariant": 1}, id="a5-trivial"),
+        # lambda = 1 on c3, so the witness search's factor(denominator) counts too
+        pytest.param(C3, 0, {"lambda": 0, "induce": 0, "equivariant": 2}, id="c3-trivial"),
     ],
 )
 def test_each_decision_factors_lambda_once(monkeypatch, tmp_path, capsys, fixture, code, expected):
-    # equivariant re-decides lambda in verify_certificate, and norm_witness
-    # checks its own is_norm precondition on the trivial path
+    # even n: Hilbert symbols decide, factoring lambda once per decision, and
+    # equivariant decides twice (verify_certificate re-decides).  Odd n: det X
+    # decides with no factoring; on the trivial path equivariant factors
+    # lambda once, in norm_witness's own is_norm guard
     path = write_conjugate(tmp_path, fixture, seed=0)
     lam = lambda_invariant(load_problem(path).representation()).lambda_rep
     target = abs(lam.numerator * lam.denominator)

@@ -234,6 +234,7 @@ def tampered_certificates(cert, rep):
         ("rho' perturbed", replace(cert, rho_prime=(a_prime, bumped))),
         ("2 witness", replace(cert, witness=2 * cert.witness)),
         ("2X", replace(cert, x=2 * cert.x)),
+        ("3 lambda", replace(cert, lambda_rep=3 * cert.lambda_rep)),
     ]
 
 
@@ -245,6 +246,12 @@ FALSIFIED = {
     "rho' perturbed": {"rho' is Y rho Y^-1", "rho' commutes with the sigma/tau twist"},
     "2 witness": {"witness norm is lambda^-1", "Y solves sigma(Y)^-1 Y = mu X"},
     "2X": {"twisted norm of X is lambda_rep I", "Y solves sigma(Y)^-1 Y = mu X"},
+    "3 lambda": {
+        "twisted norm of X is lambda_rep I",
+        "is_trivial matches the norm test",
+        "lambda_canonical matches",
+        "witness norm is lambda^-1",
+    },
 }
 
 

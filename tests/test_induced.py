@@ -11,7 +11,7 @@ from galois_equiv.errors import (
     InternalInvariantViolation,
     Unsupported,
 )
-from galois_equiv.field import CyclicExtension
+from galois_equiv.field import CyclicExtension, canonical_lambda
 from galois_equiv.linalg import Mat, inverse, kernel_of_linear_maps, matrix_norm, solve_sylvester_space
 from galois_equiv.rep import GroupData, Representation, parse_word
 from galois_equiv.equivariance import compute_X, twisted_images
@@ -327,6 +327,17 @@ def test_schur_index_of_the_double_cover(a7d):
     assert report.symbol == (Fraction(-2), -7)
     assert not report.invariant.is_trivial
     assert report.invariant.lambda_canonical == Fraction(-2)
+
+
+def test_a_lambda_that_is_not_the_twisted_norm_of_x_is_decided_by_symbols(a5):
+    # 3 lambda fails N(w) = lambda for w = det X lambda^-1, so Hilbert
+    # symbols decide it: -3 is not a norm from Q(sqrt5), since (-3, 5)_3 = -1
+    x = compute_X(a5)
+    lam = matrix_norm(x)[0, 0].as_rational()
+    report = schur_index(CrossedProduct(build_induced(a5), x, lambda_rep=3 * lam))
+    assert report.invariant.lambda_rep == -3
+    assert report.index == 2 and not report.invariant.is_trivial
+    assert report.symbol == (canonical_lambda(Fraction(-3), a5.ext), 5) and report.symbol[0] != 1
 
 
 def test_double_cover_crossed_product(a7d):

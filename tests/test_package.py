@@ -8,11 +8,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import galois_equiv
+import galois_equiv.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def test_library_has_no_assert_statements():
@@ -57,3 +60,22 @@ def test_double_cover_generator_rewrites_the_shipped_fixture(tmp_path):
     subprocess.run([sys.executable, str(tool)], env=env, check=True, capture_output=True, timeout=120)
     shipped = src / "galois_equiv" / "fixtures" / "2a7_4dim.json"
     assert (fixtures / "2a7_4dim.json").read_bytes() == shipped.read_bytes()
+
+
+def test_fixture_grid_outputs_match_the_recorded_bytes(tmp_path, monkeypatch):
+    # the benchmark's fixture-grid calls, built and run as the benchmark does
+    # but in-process: every exit code, stdout and the --out certificate must
+    # equal bench/expected/fixture_grid.json byte for byte
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    program = SimpleNamespace(cli=galois_equiv.cli)
+    expected = workloads.load_expected("fixture_grid")
+    argvs = workloads.fixture_grid_argvs(program, tmp_path)
+    assert sorted(argvs) == sorted(expected)
+    for name, argv in argvs.items():
+        code, stdout, _ = workloads.cli_call(program, argv)
+        assert (code, stdout) == (expected[name]["code"], expected[name]["stdout"]), name
+        if "file" in expected[name]:
+            assert (tmp_path / "a5_certificate.json").read_text(encoding="utf-8") == expected[name]["file"], name
