@@ -3,6 +3,8 @@
 Problem files are JSON with four blocks: "field" (min_poly, sigma_image),
 "group" (generators, relations, tau, tau_order, optional order),
 "representation" (generator name -> matrix), "options" (seed, witness).
+Words are generator names separated by whitespace, with a trailing ' for an
+inverse, so a name is non-empty, has no whitespace and does not end in '.
 Rationals are integers or "p/q" strings; field elements are coefficient
 arrays in the basis 1, t, ..., t^(r-1).
 
@@ -161,6 +163,8 @@ def load_problem(path: str) -> Problem:
         raise ParseError("generators must be a non-empty list of names", "group.generators")
     if len(set(generators)) != len(generators):
         raise ParseError("generator names must be distinct", "group.generators")
+    if bad := [k for k, g in enumerate(generators) if g.split() != [g] or g.endswith("'")]:  # no word names it
+        raise ParseError("generator name is empty, has whitespace or ends in '", f"group.generators[{bad[0]}]")
     relations = _require(grp, "relations", "group")
     if not isinstance(relations, list) or not all(isinstance(w, str) for w in relations):
         raise ParseError("relations must be a list of words", "group.relations")

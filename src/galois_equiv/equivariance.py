@@ -160,9 +160,9 @@ def hilbert90(x: Mat, seed: int = 0) -> Mat:
         seeded = [ext.element([gen.small() for _ in range(r)]) for _ in range(n)]
         for c in [seeded] + basis_rows:
             row = Mat(ext, [c])
-            v = sum((row.galois(i) * bs[i] for i in range(1, r)), row).rows[0]
-            if span.insert(v):
-                rows.append(v)
+            v = sum((row.galois(i) * bs[i] for i in range(1, r)), row)
+            if span.insert(v.num[0]):
+                rows.append(v.rows[0])
                 break
     y = Mat(ext, rows)
     if y.galois() * x != y:  # sigma(Y)^-1 Y = X, as Y is invertible

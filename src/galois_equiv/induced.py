@@ -77,16 +77,16 @@ class CrossedProduct:
     X twists[i-1](g) - sigma(twists[i](g)) X, so xi is an endomorphism iff
     X intertwines each pair of consecutive twists; that is the one check
     made.  m(t) and the tau block pass by sigma^r = 1 alone.
-    lambda_rep, the twisted norm scalar of X unless given, is what xi^r
-    must recover.  The twisted norm is computed once, here.
+    lambda_rep, the twisted norm scalar of X, is what xi^r must recover.
+    The twisted norm is computed once, here.
     """
 
-    def __init__(self, induced: InducedRep, x: Mat, lambda_rep: Optional[Fraction] = None):
+    def __init__(self, induced: InducedRep, x: Mat):
         self.induced = induced
         self.x = x
         self.ext = induced.rep.ext
         self._norm_x = matrix_norm(x)
-        self.lambda_rep = _scalar_of(self._norm_x) if lambda_rep is None else lambda_rep
+        self.lambda_rep = _scalar_of(self._norm_x)
         tw = induced.twists
         for i in range(self.ext.degree):
             for before, after in zip(tw[i - 1].images, tw[i].images):
@@ -118,10 +118,8 @@ class CrossedProduct:
         ]
 
 
-def build_crossed_product(rep: Representation, x: Optional[Mat] = None) -> CrossedProduct:
-    if x is None:
-        x = compute_X(rep)
-    return CrossedProduct(build_induced(rep), x)
+def build_crossed_product(rep: Representation) -> CrossedProduct:
+    return CrossedProduct(build_induced(rep), compute_X(rep))
 
 
 def endomorphism_dim(ind: InducedRep) -> int:

@@ -3,28 +3,27 @@
 A matrix is integer numerator polynomials over one denominator for all its
 entries (Cohen's element form, 4.2, lifted to matrices).  A product sums the
 unreduced Z[t] products over den_A den_B, reduces each entry mod m and takes
-one gcd for the whole matrix; for r = 2 the entry loop is fused.  Elimination
-over L, as in matrix inverses, goes through IncrementalSpan, whose rows are
-1 x width matrices, so clearing a pivot normalizes once per row (sizes here
-are tiny).  The intertwiner space X A = B X in its n^2 unknowns is instead
-solved over F_p at the field's split primes, lifted by CRT and rational
-reconstruction, and certified exactly.  The echelon form mod p is sparse,
-each row the list of its nonzero (column, value) pairs, since a condition
-row has at most 2n - 1 nonzeros; the same routine grows rep.burnside_dim's
-modular span and certifies require_invertible.  Reconstruction writes each
-matrix's integer numerators over one denominator, running Euclid only for
-the coefficients that the denominator found so far does not explain.  The
-rational section is a dense reduced echelon form over Q, inserting rows as
-IncrementalSpan does, and a restriction-of-scalars kernel built on it.  They
-have no caller in the package: the tests keep the kernel as a dense oracle
-for the induced commutant.
+one gcd for the whole matrix; for r = 2 the entry loop is fused.  The one
+elimination over L, read by inverse and determinant, is IncrementalSpan:
+fraction-free Gauss-Jordan (Bareiss) on integer numerators.  The intertwiner
+space X A = B X in its n^2 unknowns is instead solved over F_p at the
+field's split primes, lifted by CRT and rational reconstruction, and
+certified exactly.  The echelon form mod p is sparse, each row the list of
+its nonzero (column, value) pairs, since a condition row has at most 2n - 1
+nonzeros; the same routine grows rep.burnside_dim's modular span and
+certifies require_invertible.  Reconstruction writes each matrix's integer
+numerators over one denominator, running Euclid only for the coefficients
+that the denominator found so far does not explain.  The rational section,
+a dense reduced echelon form over Q and a restriction-of-scalars kernel on
+it, has no caller in the package: the tests keep the kernel as a dense
+oracle for the induced commutant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, isqrt, lcm
+from itertools import chain, combinations
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -183,30 +182,36 @@ def matrix_norm(a: Mat) -> Mat:
 
 
 class IncrementalSpan:
-    """An L-subspace of L^width maintained in reduced echelon form, each row
-    a 1 x width Mat."""
+    """An L-subspace of L^width in fraction-free Gauss-Jordan form (Bareiss,
+    Math. Comp. 22, 1968) over Z[t]/(m): each row is 0 at the other rows'
+    pivot columns and pivot at its own, and pivot, like every entry, is a
+    minor of the inserted rows (on the pivot columns, in insertion order)."""
 
     def __init__(self, ext: CyclicExtension, width: int):
-        self.ext = ext
-        self.width = width
-        self.rows: list[Mat] = []
+        self.ext, self.width = ext, width
+        self.rows: list[list[tuple[int, ...]]] = []
         self.pivots: list[int] = []
+        self.pivot = (1,) + ext._zero_num[1:]
 
-    def insert(self, vec: Sequence[FieldElement]) -> bool:
-        """Reduce vec against the span; returns True if the dimension grew."""
-        row = Mat(self.ext, [vec])
-        for prow, pcol in zip(self.rows, self.pivots):
-            if f := row[0, pcol]:
-                row = row - prow * f
-        lead = next((j for j, e in enumerate(row.num[0]) if any(e)), None)
+    def insert(self, row: Sequence[tuple[int, ...]]) -> bool:
+        """Add a row of numerators over one denominator, as in Mat.num, and
+        return whether the dimension grew: v = pivot * row - sum row[c] u, and
+        for p' at v's first nonzero column c, each u := (p' u - u[c] v) / pivot."""
+        ext, p = self.ext, self.pivot
+        terms = [(p, row)] + [(tuple(-x for x in row[c]), u) for u, c in zip(self.rows, self.pivots) if any(row[c])]
+        v = [_reduce_sum(ext, ((f, u[j]) for f, u in terms)) for j in range(self.width)]
+        lead = next((j for j, e in enumerate(v) if any(e)), None)
         if lead is None:
             return False
-        row = row * row[0, lead].inverse()
-        for k, prow in enumerate(self.rows):
-            if f := prow[0, lead]:
-                self.rows[k] = prow - row * f
-        self.rows.append(row)
+        # a minor e over p is e c / d, for c the numerator of sigma(p) ... sigma^(r-1)(p) and d = p c in Z
+        c = prod(ext._make(p, 1).galois(i) for i in range(1, ext.degree)).num
+        d, scale = _reduce_sum(ext, ((p, c),))[0], _reduce_sum(ext, ((v[lead], c),))
+        for k, u in enumerate(self.rows):
+            f = _reduce_sum(ext, ((tuple(-x for x in u[lead]), c),))
+            self.rows[k] = [tuple(x // d for x in _reduce_sum(ext, ((scale, a), (f, b)))) for a, b in zip(u, v)]
+        self.rows.append(v)
         self.pivots.append(lead)
+        self.pivot = v[lead]
         return True
 
     @property
@@ -215,58 +220,41 @@ class IncrementalSpan:
 
 
 def inverse(a: Mat) -> Mat:
-    """A^-1 from the reduced echelon form of the rows of [A | I]; raises
-    Singular when A is not square or its rank is deficient.
-
-    The rows are independent, so their pivots are n distinct columns.  They
-    are the first n exactly when A is invertible, and then the reduced rows,
-    sorted by pivot, are [I | A^-1].
-    """
+    """A^-1 from the span of the rows of [num A | I]; raises Singular when A
+    is not square or its rank is deficient.  The rows are independent, so
+    their pivots are n distinct columns, the first n exactly when A is
+    invertible; sorted by pivot, the rows are then pivot [I | num(A)^-1], so
+    A^-1 is the right half times den / pivot, one field inverse."""
     if a.nrows != a.ncols:
         raise Singular("only square matrices are invertible")
-    n = a.nrows
-    ext = a.ext
+    ext, n = a.ext, a.nrows
     span = IncrementalSpan(ext, 2 * n)
-    for i, row in enumerate(a.rows):
-        span.insert(list(row) + [ext.element(int(i == j)) for j in range(n)])
+    for row, e in zip(a.num, Mat.identity(ext, n).num):
+        span.insert(row + e)
     if sorted(span.pivots) != list(range(n)):
         raise Singular("matrix is singular")
     by_pivot = dict(zip(span.pivots, span.rows))
-    return Mat(ext, [by_pivot[i].rows[0][n:] for i in range(n)])
+    return Mat._of(ext, [by_pivot[i][n:] for i in range(n)], 1) * ext._make(span.pivot, a.den).inverse()
 
 
 def determinant(a: Mat) -> FieldElement:
-    """det A by fraction-free (Bareiss) elimination on the numerators: step k
-    sets entry (i, j) below and right of the pivot p_k to (p_k e_ij - e_ik
-    e_kj) / p_(k-1), a minor of num by Sylvester's identity, so in Z[t]/(m)
-    and exact as a product with p_(k-1)^-1.  The last pivot, negated once per
-    row swap, is det(num), and det A = det(num) / den^n."""
+    """det A from the span of the rows of num A: 0 if a row is dependent,
+    else the pivot times the sign of the pivot columns' order is det(num A),
+    and det A = det(num A) / den^n."""
     if a.nrows != a.ncols:
         raise ValueError("determinant of a non-square matrix")
-    ext, n = a.ext, a.nrows
-    rows = [list(row) for row in a.num]
-    pivot, sign = (1,) + ext._zero_num[1:], 1
-    for k in range(n):
-        i = next((i for i in range(k, n) if any(rows[i][k])), None)
-        if i is None:
-            return ext.zero()
-        if i != k:
-            rows[k], rows[i], sign = rows[i], rows[k], -sign
-        inv = ext._make(pivot, 1).inverse() if 0 < k < n - 1 else None
-        pivot, top = rows[k][k], rows[k]
-        for row in rows[k + 1:]:
-            c = tuple(-x for x in row[k])
-            for j in range(k + 1, n):
-                e = _reduce_sum(ext, ((pivot, row[j]), (c, top[j])))
-                row[j] = e if inv is None else tuple(x // inv.den for x in _reduce_sum(ext, ((e, inv.num),)))
-    return ext._make([sign * x for x in pivot], a.den**n)
+    span = IncrementalSpan(a.ext, a.nrows)
+    if not all(map(span.insert, a.num)):
+        return a.ext.zero()
+    sign = (-1) ** sum(i > j for i, j in combinations(span.pivots, 2))
+    return a.ext._make([sign * x for x in span.pivot], a.den**a.nrows)
 
 
 def require_invertible(a: Mat) -> None:
     """Raise Singular, as inverse(A) does, unless A is invertible.  t -> a
     root of m mod a split prime p is a ring map, so it only lowers the rank:
     rank n mod p certifies det A != 0 with no elimination over L.  Otherwise
-    inverse(A) decides, since p may merely divide det A."""
+    inverse(A)'s span decides, since p may merely divide det A."""
     echelon: dict[int, list[int]] = {}
     p, root = _modular_root(a.ext, a.den)
     flat, n = _reduce_mod_p(a, p, root), a.ncols
@@ -282,9 +270,9 @@ def require_invertible(a: Mat) -> None:
 def rational_elimination(rows: Sequence[Sequence], ncols: int):
     """Reduced echelon form over Q of dense rows of ncols rationals.
 
-    Rows are inserted one at a time as IncrementalSpan.insert does over L,
-    but kept as coprime integers, positive at their pivot: clearing column c
-    of a by the row b takes b[c] a - a[c] b, divided by its content.
+    Rows are inserted one at a time, each kept as coprime integers, positive
+    at its pivot: clearing column c of a by the row b takes b[c] a - a[c] b,
+    divided by its content.
     Returns (mat, pivot_cols, pivot_rows): the reduced rows in pivot order,
     each 0 at the other pivot columns, pivot_cols ascending, pivot_rows[k] = k.
     """

@@ -233,7 +233,7 @@ def burnside_dim(rep: Representation) -> int:
     if _burnside_dim_mod_p(rep, *_modular_root(rep.ext, den)) == n * n:
         return n * n
     span = IncrementalSpan(rep.ext, n * n)
-    _grow_span(Mat.identity(rep.ext, n), rep.images, mul, lambda m: span.insert(m.flatten()))
+    _grow_span(Mat.identity(rep.ext, n), rep.images, mul, lambda m: span.insert([e for row in m.num for e in row]))
     return span.dim
 
 

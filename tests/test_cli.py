@@ -262,6 +262,10 @@ def test_ragged_matrix_exits_2(tmp_path, capsys):
         pytest.param({"relations": ["g q"]}, id="unknown-generator"),
         pytest.param({"generators": [], "relations": [], "tau": {}}, id="no-generators"),
         pytest.param({"generators": ["g", "g"]}, id="duplicate-generators"),
+        pytest.param({"generators": ["g", ""]}, id="empty-generator-name"),
+        pytest.param({"generators": ["g", "h k"]}, id="generator-name-with-a-space"),
+        pytest.param({"generators": ["g", "h\t"]}, id="generator-name-with-a-tab"),
+        pytest.param({"generators": ["g", "g'"]}, id="generator-name-ending-in-an-apostrophe"),
         pytest.param({"relations": "g g g"}, id="relations-not-a-list"),
         pytest.param({"relations": [3]}, id="relation-not-a-word"),
         pytest.param({"tau": "g"}, id="tau-a-string"),
@@ -280,6 +284,17 @@ def test_malformed_group_exits_2(tmp_path, capsys, update):
     path = write_problem(tmp_path, data)
     assert main(["validate", path]) == 2
     assert "group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["", "h k", " h", "h\n", "g'", "'"])
+def test_a_generator_name_no_word_can_reference_exits_2_at_its_index(tmp_path, capsys, name):
+    # parse_word splits words at whitespace and reads a trailing ' as an inverse
+    data = json.loads(open(C3).read())
+    data["group"]["generators"] = ["g", name]
+    data["representation"][name] = data["representation"]["g"]
+    path = write_problem(tmp_path, data)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.strip().endswith(" at group.generators[1]")
 
 
 def test_matrix_for_an_unknown_generator_exits_2(tmp_path, capsys):

@@ -131,13 +131,13 @@ def test_crossed_product_on_c3(c3):
 
 def test_wrong_intertwiner_fails_the_endomorphism_check(a5):
     with pytest.raises(EndomorphismCheckFailed):
-        build_crossed_product(a5, Mat.identity(a5.ext, 3))
+        CrossedProduct(build_induced(a5), Mat.identity(a5.ext, 3))
 
 
 def test_rescaled_intertwiner_is_still_an_endomorphism(a5):
     x = compute_X(a5)
     mu = a5.ext.element(["2", "-1"])  # 2 - sqrt5, of norm -1
-    cp = build_crossed_product(a5, mu * x)
+    cp = CrossedProduct(build_induced(a5), mu * x)
     assert cp.lambda_rep == Fraction(1)
 
 
@@ -263,11 +263,12 @@ def test_crossed_product_checks_match_the_dense_relations(build, rejected):
         if not all(xi * d == d * xi for d in blocks):
             raised += 1
             with pytest.raises(EndomorphismCheckFailed, match="xi does not commute with a generator block"):
-                build_crossed_product(rep, cand)
+                CrossedProduct(ind, cand)
             continue
-        cp = build_crossed_product(rep, cand)
+        cp, wrong = CrossedProduct(ind, cand), CrossedProduct(ind, cand)
+        wrong.lambda_rep += 1
         # a wrong lambda makes the last relation fail in both
-        for c in (cp, CrossedProduct(ind, cand, cp.lambda_rep + 1)):
+        for c in (cp, wrong):
             lam1, lam2 = random_element(ext, rng), random_element(ext, rng)
             assert c.relation_report(lam1, lam2) == dense_relations(c, lam1, lam2)
     # of X, sigma(X), I and tX, the intertwiners are accepted and the rest rejected
@@ -334,7 +335,9 @@ def test_a_lambda_that_is_not_the_twisted_norm_of_x_is_decided_by_symbols(a5):
     # symbols decide it: -3 is not a norm from Q(sqrt5), since (-3, 5)_3 = -1
     x = compute_X(a5)
     lam = matrix_norm(x)[0, 0].as_rational()
-    report = schur_index(CrossedProduct(build_induced(a5), x, lambda_rep=3 * lam))
+    cp = CrossedProduct(build_induced(a5), x)
+    cp.lambda_rep = 3 * lam
+    report = schur_index(cp)
     assert report.invariant.lambda_rep == -3
     assert report.index == 2 and not report.invariant.is_trivial
     assert report.symbol == (canonical_lambda(Fraction(-3), a5.ext), 5) and report.symbol[0] != 1

@@ -337,16 +337,17 @@ def test_require_invertible_falls_back_when_the_prime_divides_the_determinant(mo
 
 def span_kernel(span):
     """L-basis of {v : row . v = 0 for every row of the span}, one vector per
-    non-pivot column, in column order: the span's rows are reduced, 1 at
+    non-pivot column, in column order: the span's rows are span.pivot at
     their own pivot and 0 at every other pivot column."""
-    zero, one = span.ext.zero(), span.ext.one()
+    ext = span.ext
+    zero, one, pivot = ext.zero(), ext.one(), ext._make(span.pivot, 1)
     basis = []
     for f in range(span.width):
         if f not in span.pivots:
             v = [zero] * span.width
             v[f] = one
             for row, pcol in zip(span.rows, span.pivots):
-                v[pcol] = -row[0, f]
+                v[pcol] = -ext._make(row[f], 1) / pivot
             basis.append(v)
     return basis
 
@@ -357,7 +358,7 @@ def test_rank_and_kernel_over_l():
     a = Mat(ext, [[1, t, 0], [t, [5, 0], 0]])  # second row = t * first row
     span = IncrementalSpan(ext, a.ncols)
     for row in a.rows:
-        span.insert(row)
+        span.insert(Mat(ext, [row]).num[0])
     assert span.dim == 1
     kern = span_kernel(span)
     assert len(kern) == 2
@@ -398,10 +399,10 @@ def test_incremental_span():
     ext = q5()
     span = IncrementalSpan(ext, 4)
     t = ext.gen()
-    assert span.insert([ext.one(), ext.zero(), ext.zero(), ext.zero()])
-    assert span.insert([t, ext.one(), ext.zero(), ext.zero()])
+    assert span.insert(Mat(ext, [[ext.one(), ext.zero(), ext.zero(), ext.zero()]]).num[0])
+    assert span.insert(Mat(ext, [[t, ext.one(), ext.zero(), ext.zero()]]).num[0])
     # dependent over L
-    assert not span.insert([t, t, ext.zero(), ext.zero()][:2] + [ext.zero(), ext.zero()])
+    assert not span.insert(Mat(ext, [[t, t, ext.zero(), ext.zero()][:2] + [ext.zero(), ext.zero()]]).num[0])
     assert span.dim == 2
 
 
@@ -449,10 +450,44 @@ def test_mat_row_insert_matches_the_elementwise_reference(make_ext):
             else:
                 vec = [element() for _ in range(width)]
             vectors.append(vec)
-            assert span.insert(vec) == reference.insert(vec)
-            assert [list(row.rows[0]) for row in span.rows] == reference.rows
+            assert span.insert(Mat(ext, [vec]).num[0]) == reference.insert(vec)
+            pivot = ext._make(span.pivot, 1)
+            assert [[ext._make(e, 1) / pivot for e in row] for row in span.rows] == reference.rows
             assert span.pivots == reference.pivots
         assert span.dim == width
+
+
+@pytest.mark.parametrize("make_ext", [q5, qm7, cyclic_cubic], ids=["q5", "qm7", "cubic"])
+def test_every_span_entry_is_a_minor_of_the_inserted_rows(make_ext):
+    # pivot is the minor of the independent numerator rows on the pivot
+    # columns, and entry j of row k is that minor with pivots[k] replaced by
+    # j; all lie in Z[t]/(m), so every division in insert is exact
+    ext = make_ext()
+    rng = random.Random(f"span-minors-{ext.min_poly}")
+
+    def minor(rows, cols):
+        return leibniz_determinant(Mat(ext, [[row[c] for c in cols] for row in rows]))
+
+    for width in (3, 5):
+        span, kept = IncrementalSpan(ext, width), []
+        for step in range(width + 3):
+            if step % 3 == 2:  # a combination of earlier rows, which adds nothing
+                coeffs = [property_entry(ext, rng) for _ in kept]
+                vec = [sum((c * ext._make(row[j], 1) for c, row in zip(coeffs, kept)), ext.zero())
+                       for j in range(width)]
+            else:
+                vec = [property_entry(ext, rng) for _ in range(width)]
+            row = Mat(ext, [vec]).num[0]
+            if span.insert(row):
+                kept.append(row)
+            else:  # dependent: every minor that extends the pivot minor by row vanishes
+                assert all(not minor(kept + [row], span.pivots + [j]) for j in range(width) if j not in span.pivots)
+            assert ext._make(span.pivot, 1) == minor(kept, span.pivots)
+            for k, stored in enumerate(span.rows):
+                for j in range(width):
+                    cols = span.pivots[:k] + [j] + span.pivots[k + 1:]
+                    assert ext._make(stored[j], 1) == minor(kept, cols)
+        assert span.dim == len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +538,7 @@ def exact_sylvester_space(pairs):
                 for m in range(n):
                     row[i * n + m] += a.rows[m][j]
                     row[m * n + j] -= b.rows[i][m]
-                span.insert(row)
+                span.insert(Mat(ext, [row]).num[0])
     return [Mat(ext, [v[i * n:(i + 1) * n] for i in range(n)]) for v in span_kernel(span)]
 
 
@@ -545,7 +580,7 @@ def test_sylvester_space_is_an_l_basis_of_the_commutant():
         span = IncrementalSpan(ext, n * n)
         for m in basis:
             assert m * a == a * m
-            assert span.insert(m.flatten())
+            assert span.insert([e for row in m.num for e in row])
 
 
 @pytest.mark.parametrize("height", [3, 100, 1000])

@@ -79,3 +79,23 @@ def test_fixture_grid_outputs_match_the_recorded_bytes(tmp_path, monkeypatch):
         assert (code, stdout) == (expected[name]["code"], expected[name]["stdout"]), name
         if "file" in expected[name]:
             assert (tmp_path / "a5_certificate.json").read_text(encoding="utf-8") == expected[name]["file"], name
+
+
+def test_the_harness_self_test_passes_and_writes_nothing_in_the_checkout():
+    # bench/selftest.py wraps the traced names of the package in src/, so a
+    # rename there that breaks the traced benchmark fails here; bytecode
+    # writing is off so that any file that appears is the harness's own
+    def snapshot():
+        return {
+            (str(path), path.stat().st_mtime_ns)
+            for path in ROOT.rglob("*")
+            if path.is_file() and ".git" not in path.relative_to(ROOT).parts
+        }
+
+    before = snapshot()
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "selftest.py"], cwd=ROOT / "bench", env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert snapshot() == before

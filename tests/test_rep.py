@@ -148,7 +148,7 @@ def exact_burnside_dim(rep):
     n = rep.dim
     span = IncrementalSpan(rep.ext, n * n)
     ident = Mat.identity(rep.ext, n)
-    span.insert(ident.flatten())
+    span.insert(Mat(rep.ext, [ident.flatten()]).num[0])
     frontier = [ident]
     multipliers = list(rep.images) + [inverse(m) for m in rep.images]
     while frontier:
@@ -156,7 +156,7 @@ def exact_burnside_dim(rep):
         for m in frontier:
             for g in multipliers:
                 cand = m * g
-                if span.insert(cand.flatten()):
+                if span.insert(Mat(rep.ext, [cand.flatten()]).num[0]):
                     new_frontier.append(cand)
         frontier = new_frontier
     return span.dim
