@@ -45,7 +45,6 @@ from .equivariance import (
     EquivarianceCertificate,
     equivariant_form,
     lambda_invariant,
-    verify_certificate,
 )
 from .induced import build_crossed_product, endomorphism_dim, schur_index
 
@@ -311,10 +310,10 @@ def cmd_validate(problem: Problem, args) -> tuple[int, dict]:
 
 
 def _witness_from(problem: Problem, args) -> Optional[FieldElement]:
-    raw = args.witness if args.witness is not None else problem.options.get("witness")
-    if raw is None:
-        return None
-    return parse_witness(raw, problem.ext, "--witness")
+    if args.witness is not None:
+        return parse_witness(args.witness, problem.ext, "--witness")
+    raw = problem.options.get("witness")
+    return None if raw is None else parse_witness(raw, problem.ext, "options.witness")
 
 
 def cmd_lambda(problem: Problem, args) -> tuple[int, dict]:
@@ -350,8 +349,8 @@ def cmd_equivariant(problem: Problem, args) -> tuple[int, dict]:
                 reloaded = certificate_from_json(json.load(handle), problem)
         except OSError as exc:
             raise ParseError(str(exc), args.out)
-        if not verify_certificate(reloaded, rep).ok:
-            raise GaloisEquivError("written certificate failed re-verification")
+        if reloaded != cert:  # cert itself passed verify_certificate
+            raise GaloisEquivError("written certificate does not read back as the verified one")
     if not cert.is_trivial:
         report = {
             "is_trivial": False,

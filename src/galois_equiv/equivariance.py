@@ -3,8 +3,8 @@
 The pipeline: compute the intertwiner X between rho and its sigma/tau twist,
 read off the norm invariant lambda from sigma^(r-1)(X)...sigma(X)X = lambda I,
 decide lambda mod norms, and when trivial rescale X and solve the matrix
-Hilbert 90 equation sigma(Y)^-1 Y = X row by row by telescoping, giving the
-conjugated representation rho' = Y rho Y^-1 which commutes with the twist.
+Hilbert 90 equation sigma(Y)^-1 Y = X by telescoping, giving the conjugated
+representation rho' = Y rho Y^-1 which commutes with the twist.
 
 For quadratic L and odd n, N(det X) = det N(X) = lambda^n and N(lambda) =
 lambda^2, so w = det X lambda^-(n-1)/2 has N(w) = lambda: no factoring needed.
@@ -138,32 +138,33 @@ def decide_lambda(lam: Fraction, x: Mat, witness: Optional[FieldElement]) -> Lam
 def hilbert90(x: Mat, seed: int = 0) -> Mat:
     """Solve sigma(Y)^-1 Y = X for invertible Y, given matrix_norm(X) = I.
 
-    Telescoping, one row at a time: with B_0 = I and B_(i+1) = sigma(B_i) X,
-    every row c gives a row v = sum_i sigma^i(c) B_i with sigma(v) X = v.
-    Row k of Y is the first such v outside the span of the rows before it,
-    from the k-th seeded random row c, else from the basis rows t^j e_l,
-    whose images span L^n (Speiser's lemma), so Y is always invertible.
+    Telescoping: with B_0 = I and B_(i+1) = sigma(B_i) X, B_r is N(X), which
+    must be I, and v = sum_(i<r) sigma^i(c) B_i has sigma(v) X = v for any
+    rows c.  Row k of Y is row k of V, for C the seeded random n x n
+    matrix, unless it lies in the span of the rows before it; then it is the
+    first basis row t^j e_l, telescoped when reached, outside that span.
+    Those images span L^n (Speiser's lemma), so Y is always invertible.
     """
-    ext = x.ext
-    r = ext.degree
-    n = x.nrows
-    if not matrix_norm(x).is_identity():
-        raise ValueError("hilbert90 needs matrix_norm(X) = I")
-    bs = [Mat.identity(ext, n)]
-    for _ in range(r - 1):
+    ext, r, n = x.ext, x.ext.degree, x.nrows
+    bs = [Mat.identity(ext, n), x]
+    while len(bs) <= r:
         bs.append(bs[-1].galois() * x)
-    basis_rows = [[ext.gen() ** j * e for e in row] for row in bs[0].rows for j in range(r)]
+    if not bs.pop().is_identity():
+        raise ValueError("hilbert90 needs matrix_norm(X) = I")
+
+    def telescope(c: Mat) -> Mat:
+        return sum((c.galois(i) * bs[i] for i in range(1, r)), c)
+
     gen = _LinearGenerator(seed)
+    v = telescope(Mat(ext, [[ext.element([gen.small() for _ in range(r)]) for _ in range(n)] for _ in range(n)]))
+    t = ext.gen()
+    speiser = (telescope(Mat(ext, [[t**j if m == k else 0 for m in range(n)]])) for k in range(n) for j in range(r))
     span = IncrementalSpan(ext, n)
     rows = []
-    for _ in range(n):
-        seeded = [ext.element([gen.small() for _ in range(r)]) for _ in range(n)]
-        for c in [seeded] + basis_rows:
-            row = Mat(ext, [c])
-            v = sum((row.galois(i) * bs[i] for i in range(1, r)), row)
-            if span.insert(v.num[0]):
-                rows.append(v.rows[0])
-                break
+    for num, row in zip(v.num, v.rows):
+        if not span.insert(num):
+            row = next(u for u in speiser if span.insert(u.num[0])).rows[0]
+        rows.append(row)
     y = Mat(ext, rows)
     if y.galois() * x != y:  # sigma(Y)^-1 Y = X, as Y is invertible
         raise InternalInvariantViolation("telescoped Y failed its defining identity")
@@ -255,7 +256,8 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
 
     if cert.y is not None:
         require_invertible(cert.y)
-        entries.append(("Y solves sigma(Y)^-1 Y = mu X", cert.y.galois() * (cert.witness * cert.x) == cert.y))
+        solves = cert.witness is not None and cert.y.galois() * (cert.witness * cert.x) == cert.y
+        entries.append(("Y solves sigma(Y)^-1 Y = mu X", solves))
 
     if cert.rho_prime is not None:
         rp = Representation(rep.group, ext, list(cert.rho_prime))

@@ -340,8 +340,8 @@ class CyclicExtension:
         for c in coeffs:
             if isinstance(c, str):
                 c = rational_from_string(c)
-            elif not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
+            elif not isinstance(c, (int, Fraction)):  # Fraction(0.1) is a binary expansion
+                raise TypeError(f"a coefficient must be an int, a Fraction or a 'p/q' string, not {type(c).__name__}")
             vals.append(c)
         den = math.lcm(*(c.denominator for c in vals))
         num = [c.numerator * (den // c.denominator) for c in vals]
@@ -792,30 +792,31 @@ def _direct_witness_search(lam: Fraction, ext: CyclicExtension):
 
 
 def _negative_norm_unit(ext: CyclicExtension):
-    """A unit of norm -1 in Z[sqrt(d)] via the continued fraction of sqrt(d), if one exists."""
+    """A unit of norm -1 in Z[sqrt(d)], or None when there is none.  The first
+    period a1 ... a_L of the continued fraction of sqrt(d) ends at a_L = 2 a0,
+    and the convergent h/k before it has h^2 - d k^2 = (-1)^L: Pell's -1
+    equation is solvable iff L is odd.  L is O(sqrt(d) log d) steps."""
     d = ext.disc_core
     if d is None or d <= 0:
         raise ValueError("a unit of norm -1 is only sought in a real quadratic field")
     a0 = math.isqrt(d)
     m, q, a = 0, 1, a0
-    h_prev, h_cur = 1, a0
-    k_prev, k_cur = 0, 1
-    for _ in range(256):
-        if h_cur * h_cur - d * k_cur * k_cur == -1:
-            # express h + k sqrt(d) in the t-basis: sqrt(d) = (2t + b)/f
-            b = ext.min_poly[1]
-            disc = b * b - 4 * ext.min_poly[0]
-            f2 = disc / d
-            f = Fraction(math.isqrt(f2.numerator), math.isqrt(f2.denominator))
-            unit = ext.element([h_cur + Fraction(k_cur, 1) * b / f, Fraction(2 * k_cur, 1) / f])
-            if norm(unit) == -1:
-                return unit
+    h0, h = 1, a0
+    k0, k = 0, 1
+    while True:
         m = a * q - m
         q = (d - m * m) // q
         a = (a0 + m) // q
-        h_prev, h_cur = h_cur, a * h_cur + h_prev
-        k_prev, k_cur = k_cur, a * k_cur + k_prev
-    return None
+        if a == 2 * a0:
+            break
+        h0, h = h, a * h + h0
+        k0, k = k, a * k + k0
+    if h * h - d * k * k != -1:
+        return None
+    # h + k sqrt(d) in the t-basis: sqrt(d) = (2t + b)/f, for b^2 - 4c = f^2 d
+    c, b = ext.min_poly[:2]
+    f = math.isqrt(int((b * b - 4 * c) / d))
+    return ext.element([h + k * b / f, Fraction(2 * k, f)])
 
 
 def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:

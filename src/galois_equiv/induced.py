@@ -25,9 +25,8 @@ def _block_diag(ext, blocks: list[Mat]) -> Mat:
     r = len(blocks)
     rows = [[ext.zero()] * (r * n) for _ in range(r * n)]
     for i, blk in enumerate(blocks):
-        for a in range(n):
-            for b in range(n):
-                rows[i * n + a][i * n + b] = blk.rows[a][b]
+        for a, row in enumerate(blk.rows):
+            rows[i * n + a][i * n:(i + 1) * n] = row
     return Mat(ext, rows)
 
 

@@ -36,10 +36,10 @@ class Mat:
     in the basis 1, t, ..., t^(r-1)) of its entries over one denominator
     den > 0, with gcd(den, every numerator) = 1.  So equal matrices have
     equal (num, den): a prime dividing den and every numerator would divide
-    the entry whose denominator set den.  rows holds the entries as
-    FieldElements, built on first use."""
+    the entry whose denominator set den.  rows, [i, j] and flatten() build
+    the entries as FieldElements on each call."""
 
-    __slots__ = ("ext", "nrows", "ncols", "num", "den", "_rows")
+    __slots__ = ("ext", "nrows", "ncols", "num", "den")
 
     def __init__(self, ext: CyclicExtension, rows: Sequence[Sequence]):
         elements = tuple(
@@ -50,10 +50,10 @@ class Mat:
             raise ValueError("ragged rows")
         den = lcm(*(e.den for row in elements for e in row))
         num = tuple(tuple(tuple(c * (den // e.den) for c in e.num) for e in row) for row in elements)
-        self._set(ext, num, den, elements)
+        self._set(ext, num, den)
 
-    def _set(self, ext: CyclicExtension, num: tuple, den: int, rows=None):
-        self.ext, self.num, self.den, self._rows = ext, num, den, rows
+    def _set(self, ext: CyclicExtension, num: tuple, den: int):
+        self.ext, self.num, self.den = ext, num, den
         self.nrows = len(num)
         self.ncols = len(num[0]) if num else 0
 
@@ -71,10 +71,8 @@ class Mat:
 
     @property
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
-        if self._rows is None:
-            make, den = self.ext._make, self.den
-            self._rows = tuple(tuple(make(e, den) for e in row) for row in self.num)
-        return self._rows
+        make, den = self.ext._make, self.den
+        return tuple(tuple(make(e, den) for e in row) for row in self.num)
 
     @staticmethod
     def identity(ext: CyclicExtension, n: int) -> "Mat":
@@ -146,9 +144,7 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        if self._rows is None:  # one entry, without building the rest
-            return self.ext._make(self.num[i][j], self.den)
-        return self._rows[i][j]
+        return self.ext._make(self.num[i][j], self.den)
 
     def galois(self, i: int = 1) -> "Mat":
         """Apply sigma^i: each numerator times each column of sigma^i's table."""

@@ -1,5 +1,6 @@
 """Front-end behavior: file parsing, reports, exit codes, certificate round trips."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -7,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from galois_equiv import field
+from galois_equiv import cli, field
 from galois_equiv.cli import (
     certificate_from_json,
     fixture_path,
@@ -18,7 +19,7 @@ from galois_equiv.equivariance import compute_X, lambda_invariant, verify_certif
 from galois_equiv.errors import Singular
 from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
-from galois_equiv.linalg import Mat, inverse, matrix_norm
+from galois_equiv.linalg import Mat, determinant, inverse, matrix_norm
 from galois_equiv.rep import evaluate_word
 
 A5 = fixture_path("a5_3dim.json")
@@ -390,6 +391,95 @@ def test_a_witness_that_is_not_p_over_q_exits_2(capsys):
     assert "parse error" in err and "'1e0'" in err and "--witness[0]" in err
 
 
+def test_a_bad_witness_in_the_options_exits_2_at_options_witness(tmp_path, capsys):
+    data = json.loads(open(A5).read())
+    data["options"] = {"witness": ["x"]}
+    assert main(["lambda", write_problem(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.strip().endswith("'x' at options.witness[0]")
+
+
+def _set(path, value):
+    """An edit of a problem file that sets the entry at path, or deletes it
+    for value DELETE; the empty path replaces the whole file."""
+
+    def edit(data):
+        if not path:
+            return value
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        return data
+
+    return edit
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "command, edit, where",
+    [
+        pytest.param("validate", _set((), []), "$", id="top-level-a-list"),
+        pytest.param("validate", _set(("field",), [3, 0, 1]), "field", id="field-a-list"),
+        pytest.param("validate", _set(("group",), "g"), "group", id="group-a-string"),
+        pytest.param("validate", _set(("group", "tau_order"), "2"), "group.tau_order", id="tau-order-a-string"),
+        pytest.param("validate", _set(("group", "tau_order"), 2.0), "group.tau_order", id="tau-order-a-float"),
+        pytest.param("validate", _set(("group", "order"), 1.5), "group.order", id="order-a-float"),
+        pytest.param("validate", _set(("representation",), [[1]]), "representation", id="representation-a-list"),
+        pytest.param("validate", _set(("representation", "g"), DELETE), "representation", id="matrix-missing"),
+        pytest.param("validate", _set(("representation", "g"), 5), "representation.g", id="matrix-a-number"),
+        pytest.param("validate", _set(("representation", "g"), []), "representation.g", id="matrix-empty"),
+        pytest.param("validate", _set(("representation", "g"), [1]), "representation.g", id="matrix-a-row"),
+        pytest.param("validate", _set(("representation", "g"), [[1, 0]]), "representation.g", id="matrix-1x2"),
+        pytest.param(
+            "validate", _set(("representation", "g"), [[True]]), "representation.g[0][0]", id="entry-a-boolean"
+        ),
+        pytest.param(
+            "validate", _set(("representation", "g"), [[0.5]]), "representation.g[0][0]", id="entry-a-float"
+        ),
+        pytest.param(
+            "validate", _set(("representation", "g"), [[[1, 0, 0]]]), "representation.g[0][0]", id="entry-too-long"
+        ),
+        pytest.param(
+            "validate", _set(("representation", "g"), [[[1, 0.5]]]), "representation.g[0][0][1]", id="coeff-a-float"
+        ),
+        pytest.param("validate", _set(("options",), [0]), "options", id="options-a-list"),
+        pytest.param("equivariant", _set(("options", "seed"), "0"), "options.seed", id="seed-a-string"),
+        pytest.param("equivariant", _set(("options", "seed"), False), "options.seed", id="seed-a-boolean"),
+    ],
+)
+def test_bad_input_exits_2_at_its_location(tmp_path, capsys, command, edit, where):
+    data = edit(json.loads(open(C3).read()))
+    assert main([command, write_problem(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.endswith(f" at {where}\n")
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        pytest.param(None, "", id="missing"),
+        pytest.param("{", ": line 1 column 2", id="not-json"),
+        pytest.param('{"x": [[1]]}', "", id="no-y"),
+        pytest.param('{"y": null}', "", id="null-y"),
+    ],
+)
+def test_a_bad_replay_file_exits_2_at_its_path(tmp_path, capsys, content, where):
+    replay = tmp_path / "replay.json"
+    if content is not None:
+        replay.write_text(content)
+    assert main(["equivariant", A5, "--replay-Y", str(replay)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.endswith(f" at {replay}{where}\n")
+
+
 def test_witness_flag_is_parsed(capsys):
     assert main(["lambda", A5, "--witness", "2,-1"]) == 0
     assert report_of(capsys)["is_trivial"] is True
@@ -465,9 +555,9 @@ def test_each_command_computes_each_stage_once(monkeypatch, tmp_path, capsys):
     assert report_of(capsys)["verified"] is True
     assert counts == {"compute_X": 1, "verify_certificate": 1}
     counts.clear()
-    # --out adds exactly the re-verification of the certificate read back
+    # --out compares the certificate read back with the verified one
     assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
-    assert counts == {"compute_X": 1, "verify_certificate": 2}
+    assert counts == {"compute_X": 1, "verify_certificate": 1}
 
 
 def test_twists_are_built_from_the_short_tau_words(monkeypatch, capsys):
@@ -590,10 +680,28 @@ def test_only_the_conjugation_inverts_a_matrix(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_equivariant_takes_at_most_three_twisted_norms(monkeypatch, capsys):
-    # lambda from X, the norm-I check of mu X in hilbert90, and the
-    # certificate's re-check of lambda
+def test_equivariant_takes_at_most_two_twisted_norms(monkeypatch, capsys):
+    # lambda from X and the certificate's re-check of lambda; hilbert90 reads
+    # N(mu X) off its own chain
     counts = count_calls(monkeypatch, [matrix_norm])
     assert main(["equivariant", A5]) == 0
-    assert counts["matrix_norm"] <= 3
+    assert counts["matrix_norm"] <= 2
     capsys.readouterr()
+
+
+def test_equivariant_out_checks_the_file_with_no_second_verification(monkeypatch, tmp_path, capsys):
+    counts = count_calls(monkeypatch, [verify_certificate, matrix_norm, determinant])
+    assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
+    assert counts == {"verify_certificate": 1, "matrix_norm": 2, "determinant": 2}
+    capsys.readouterr()
+
+
+def test_equivariant_out_rejects_a_certificate_that_reads_back_changed(monkeypatch, tmp_path, capsys):
+    # a seed lost in the file leaves a certificate that still verifies, but
+    # it is not the one computed
+    read = cli.certificate_from_json
+    monkeypatch.setattr(cli, "certificate_from_json", lambda *a: dataclasses.replace(read(*a), seed=1))
+    assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: GaloisEquivError: written certificate")

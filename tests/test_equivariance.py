@@ -14,9 +14,9 @@ from galois_equiv.errors import (
     Singular,
     Unsupported,
 )
-from galois_equiv import equivariance
+from galois_equiv import equivariance, linalg
 from galois_equiv.field import CyclicExtension, norm
-from galois_equiv.linalg import Mat, inverse, matrix_norm
+from galois_equiv.linalg import Mat, determinant, inverse, matrix_norm
 from galois_equiv.rep import GroupData, Representation, evaluate_word
 from galois_equiv.equivariance import (
     compute_X,
@@ -128,6 +128,18 @@ def test_hilbert90_needs_no_random_row(monkeypatch):
                 assert inverse(y.galois()) * y == x
 
 
+def test_hilbert90_reads_the_norm_off_its_own_chain(monkeypatch, a5):
+    # mu X has twisted norm N(2 - t) (-1) = 1; hilbert90 checks that on B_r
+    def no_norm(x):
+        raise AssertionError("hilbert90 took a separate twisted norm")
+
+    mu_x = a5.ext.element([2, -1]) * compute_X(a5)
+    for module in (equivariance, linalg):
+        monkeypatch.setattr(module, "matrix_norm", no_norm)
+    y = hilbert90(mu_x)
+    assert y.galois() * mu_x == y
+
+
 def test_equivariant_form_end_to_end_on_a5(a5):
     cert = equivariant_form(a5, seed=0)
     assert cert.is_trivial
@@ -166,6 +178,29 @@ def test_equivariant_form_accepts_replayed_solution(a5):
 def test_equivariant_form_rejects_replay_that_solves_nothing(a5):
     with pytest.raises(BadWitness):
         equivariant_form(a5, replay_y=Mat.identity(a5.ext, 3))
+
+
+def test_a_witness_of_norm_lambda_is_inverted(a5):
+    # on a conjugate with lambda != +-1, w = det X / lambda has N(w) =
+    # lambda^3 / lambda^2 = lambda, so the rescaler is w^-1, not w
+    rng = random.Random(83)
+    while True:
+        t = random_invertible(a5.ext, 3, rng)
+        rep = Representation(a5.group, a5.ext, [t * m * inverse(t) for m in a5.images])
+        lam = lambda_invariant(rep).lambda_rep
+        if lam not in (1, -1):
+            break
+    w = determinant(compute_X(rep)) * (1 / lam)
+    assert norm(w) == lam
+    cert = equivariant_form(rep, witness=w)
+    assert cert.is_trivial and cert.witness == w.inverse()
+    assert verify_certificate(cert, rep).ok
+
+
+def test_verify_certificate_reports_a_y_without_witness(a5):
+    cert = replace(equivariant_form(a5, seed=0), witness=None)
+    entries = verify_certificate(cert, a5).entries
+    assert [e for e, holds in entries if not holds] == ["Y solves sigma(Y)^-1 Y = mu X"]
 
 
 def test_equivariant_form_rejects_bad_witness(a5):

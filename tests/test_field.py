@@ -388,6 +388,15 @@ def test_element_arithmetic_and_inverse():
                 assert (x / y) * y == x
 
 
+def test_element_takes_only_exact_coefficients():
+    # Fraction(0.1) would be the binary expansion 3602879701896397/2^55
+    ext = q5()
+    for bad in ([0.1, 1], [1, 2.0], [Fraction(1, 3), None]):
+        with pytest.raises(TypeError, match="Fraction or a 'p/q' string"):
+            ext.element(bad)
+    assert ext.element([Fraction(1, 10), 1]) == ext.element(["1/10", "1"])
+
+
 def test_inverse_in_a_reducible_cubic_rejects_zero_divisors():
     # m = (t-1)(t-2)(t-3) and sigma cycles the roots 1 -> 2 -> 3 -> 1: sigma is
     # a well-defined automorphism of order 3, but Q[t]/(m) has zero divisors
@@ -525,6 +534,21 @@ def test_norm_witness_budget_failure_is_distinct(monkeypatch):
     assert is_norm(11, ext)
     with pytest.raises(NoWitnessFound, match="budget 0"):
         norm_witness(11, ext)
+
+
+def test_the_norm_minus_one_unit_is_read_at_the_end_of_the_first_period(monkeypatch):
+    # sqrt(13381) has period 257; budget 0 leaves the direct search only
+    # rational witnesses, so -1 needs the unit
+    monkeypatch.setattr(field, "_WITNESS_BUDGET", 0)
+    ext = CyclicExtension([-13381, 0, 1], [0, -1])
+    assert is_norm(-1, ext)
+    assert norm(norm_witness(-1, ext)) == -1
+    # sqrt(13) has period 5: 18^2 - 13 5^2 = -1, also in the basis of t^2 - t - 3
+    q13 = CyclicExtension([-13, 0, 1], [0, -1])
+    assert field._negative_norm_unit(q13) == q13.element([18, 5])
+    assert norm(field._negative_norm_unit(CyclicExtension([-3, -1, 1], [1, -1]))) == -1
+    # sqrt(3) has period 2, and no unit of Q(sqrt 3) has norm -1
+    assert field._negative_norm_unit(CyclicExtension([-3, 0, 1], [0, -1])) is None
 
 
 def test_canonical_lambda_examples():
