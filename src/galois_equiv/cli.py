@@ -75,9 +75,8 @@ def _as_element(value, ext: CyclicExtension, where: str) -> FieldElement:
     if isinstance(value, list):
         if len(value) > ext.degree:
             raise ParseError(f"coefficient array longer than the field degree {ext.degree}", where)
-        coeffs = [_as_rational(v, f"{where}[{k}]") for k, v in enumerate(value)]
-        return ext.element(coeffs + [0] * (ext.degree - len(coeffs)))
-    return ext.element([_as_rational(value, where)] + [0] * (ext.degree - 1))
+        return ext.element([_as_rational(v, f"{where}[{k}]") for k, v in enumerate(value)])
+    return ext.element(_as_rational(value, where))
 
 
 def _as_matrix(value, ext: CyclicExtension, where: str) -> Mat:
@@ -133,16 +132,19 @@ class Problem:
             raise ParseError(str(exc), "representation")
 
 
-def load_problem(path: str) -> Problem:
+def _read_json(path: str, prefix: str = ""):
+    """The JSON value in the file at path; a syntax error is at prefix + "line L column C"."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return json.load(handle)
     except OSError as exc:
         raise ParseError(str(exc), path)
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno}")
+        raise ParseError(exc.msg, f"{prefix}line {exc.lineno} column {exc.colno}")
+
+
+def load_problem(path: str) -> Problem:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object", "$")
 
@@ -202,10 +204,8 @@ def load_problem(path: str) -> Problem:
 
 
 def parse_witness(text, ext: CyclicExtension, where: str) -> FieldElement:
-    if isinstance(text, str):
-        parts = [p.strip() for p in text.split(",")]
-        return _as_element(parts, ext, where)
-    return _as_element(text, ext, where)
+    # "2, -1" splits into coefficients; _as_rational strips the spaces
+    return _as_element(text.split(",") if isinstance(text, str) else text, ext, where)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +259,7 @@ def certificate_from_json(data: dict, problem: Problem) -> EquivarianceCertifica
 
 
 def load_replay(path: str, problem: Problem) -> Mat:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ParseError(str(exc), path)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"{path}: line {exc.lineno} column {exc.colno}")
+    data = _read_json(path, f"{path}: ")
     if isinstance(data, dict):
         data = data.get("y")
     if data is None:
@@ -285,10 +279,12 @@ def _dump(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _divides_declared_order(canonical: Fraction, order: int) -> bool:
-    value = int(canonical)
-    _, primes = factor(abs(value) if value else 1)
-    return all(order % p == 0 for p, _ in primes)
+def _note_declared_order(report: dict, problem: Problem, canonical: Optional[Fraction]) -> None:
+    """Note whether each prime of a nontrivial canonical lambda divides the declared group order."""
+    order = problem.group.declared_order
+    if order and canonical is not None:
+        _, primes = factor(abs(int(canonical)))
+        report["lambda_primes_divide_declared_order"] = all(order % p == 0 for p, _ in primes)
 
 
 def cmd_validate(problem: Problem, args) -> tuple[int, dict]:
@@ -324,9 +320,7 @@ def cmd_lambda(problem: Problem, args) -> tuple[int, dict]:
         "lambda_canonical": None if inv.lambda_canonical is None else rational_to_string(inv.lambda_canonical),
         "is_trivial": inv.is_trivial,
     }
-    order = problem.group.declared_order
-    if order and inv.lambda_canonical is not None and not inv.is_trivial:
-        report["lambda_primes_divide_declared_order"] = _divides_declared_order(inv.lambda_canonical, order)
+    _note_declared_order(report, problem, None if inv.is_trivial else inv.lambda_canonical)
     return (0 if inv.is_trivial else 3), report
 
 
@@ -342,15 +336,15 @@ def cmd_equivariant(problem: Problem, args) -> tuple[int, dict]:
     )
     payload = certificate_to_json(cert, problem)
     if args.out:
+        # the file holds only text that parses back to cert, which passed verify_certificate
+        text = _dump(payload)
+        if certificate_from_json(json.loads(text), problem) != cert:
+            raise GaloisEquivError("written certificate does not read back as the verified one")
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(_dump(payload))
-            with open(args.out, "r", encoding="utf-8") as handle:
-                reloaded = certificate_from_json(json.load(handle), problem)
+                handle.write(text)
         except OSError as exc:
             raise ParseError(str(exc), args.out)
-        if reloaded != cert:  # cert itself passed verify_certificate
-            raise GaloisEquivError("written certificate does not read back as the verified one")
     if not cert.is_trivial:
         report = {
             "is_trivial": False,
@@ -380,18 +374,8 @@ def cmd_induce(problem: Problem, args) -> tuple[int, dict]:
         "schur_index": result.index,
         "symbol": None if result.symbol is None else [rational_to_string(result.symbol[0]), str(result.symbol[1])],
     }
-    order = problem.group.declared_order
-    if order and result.symbol is not None:
-        report["lambda_primes_divide_declared_order"] = _divides_declared_order(result.symbol[0], order)
+    _note_declared_order(report, problem, None if result.symbol is None else result.symbol[0])
     return (0 if result.index == 1 else 3), report
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "lambda": cmd_lambda,
-    "equivariant": cmd_equivariant,
-    "induce": cmd_induce,
-}
 
 
 @functools.cache
@@ -410,13 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     }
     # each subcommand takes only the flags it reads
     commands = {
-        "validate": ("check relations, the automorphism, and absolute irreducibility", []),
-        "lambda": ("compute the norm-class invariant of the intertwiner", ["--witness"]),
-        "equivariant": ("construct the equivariant conjugate or report the obstruction", list(flags)),
-        "induce": ("analyze the induced representation and its Schur index", ["--witness"]),
+        "validate": (cmd_validate, "check relations, the automorphism, and absolute irreducibility", []),
+        "lambda": (cmd_lambda, "compute the norm-class invariant of the intertwiner", ["--witness"]),
+        "equivariant": (cmd_equivariant, "construct the equivariant conjugate or report the obstruction", list(flags)),
+        "induce": (cmd_induce, "analyze the induced representation and its Schur index", ["--witness"]),
     }
-    for name, (text, names) in commands.items():
+    for name, (run, text, names) in commands.items():
         p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
         p.add_argument("file", help="problem description file (JSON)")
         for flag in names:
             p.add_argument(flag, **flags[flag])
@@ -427,7 +412,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         problem = load_problem(args.file)
-        code, report = _COMMANDS[args.command](problem, args)
+        code, report = args.run(problem, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,8 @@ from .errors import (
     Unsupported,
 )
 from .field import FieldElement, canonical_lambda, norm, norm_witness
-from .linalg import IncrementalSpan, Mat, determinant, inverse, matrix_norm, require_invertible, solve_sylvester_space
+from .linalg import IncrementalSpan, Mat, determinant, inverse, matrix_norm, require_invertible
+from .linalg import solve_sylvester_space, twisted_norm_chain
 from .rep import CheckReport, Representation, evaluate_word, twist
 
 _LCG_MULT = 6364136223846793005
@@ -138,17 +139,16 @@ def decide_lambda(lam: Fraction, x: Mat, witness: Optional[FieldElement]) -> Lam
 def hilbert90(x: Mat, seed: int = 0) -> Mat:
     """Solve sigma(Y)^-1 Y = X for invertible Y, given matrix_norm(X) = I.
 
-    Telescoping: with B_0 = I and B_(i+1) = sigma(B_i) X, B_r is N(X), which
-    must be I, and v = sum_(i<r) sigma^i(c) B_i has sigma(v) X = v for any
-    rows c.  Row k of Y is row k of V, for C the seeded random n x n
-    matrix, unless it lies in the span of the rows before it; then it is the
-    first basis row t^j e_l, telescoped when reached, outside that span.
+    Telescoping: in twisted_norm_chain(X), B_0 = I and B_(i+1) = sigma(B_i) X,
+    B_r is N(X), which must be I, and v = sum_(i<r) sigma^i(c) B_i has
+    sigma(v) X = v for any rows c.  Row k of Y is row k of V, for C the
+    seeded random n x n matrix, unless it lies in the span of the rows
+    before it; then it is the first basis row t^j e_l, telescoped when
+    reached, outside that span.
     Those images span L^n (Speiser's lemma), so Y is always invertible.
     """
     ext, r, n = x.ext, x.ext.degree, x.nrows
-    bs = [Mat.identity(ext, n), x]
-    while len(bs) <= r:
-        bs.append(bs[-1].galois() * x)
+    bs = twisted_norm_chain(x)
     if not bs.pop().is_identity():
         raise ValueError("hilbert90 needs matrix_norm(X) = I")
 

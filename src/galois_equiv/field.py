@@ -166,13 +166,9 @@ def squarefree_part(n: int) -> int:
     return out
 
 
-def legendre(a, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p; a must be a unit mod p unless 0."""
-    a = Fraction(a)
-    num, den = a.numerator, a.denominator
-    if den % p == 0:
-        raise ValueError(f"{a} is not p-integral at {p}")
-    r = num * pow(den, -1, p) % p
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an integer a and an odd prime p."""
+    r = a % p
     if r == 0:
         return 0
     s = pow(r, (p - 1) // 2, p)
@@ -615,9 +611,7 @@ class FieldElement:
         """x^-1 = sigma(x) sigma^2(x) ... sigma^(r-1)(x) / N(x)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        conj = self.galois(1)
-        for i in range(2, self.ext.degree):
-            conj = conj * self.galois(i)
+        conj = _conjugate_product(self)
         n = self * conj
         # N(x) is a nonzero rational since min_poly is irreducible
         if not n or not n.is_rational():
@@ -679,11 +673,14 @@ def _reduce_sum(ext: CyclicExtension, pairs) -> tuple[int, ...]:
     return tuple(ext._reduce(acc))
 
 
+def _conjugate_product(x: FieldElement) -> FieldElement:
+    """sigma(x) sigma^2(x) ... sigma^(r-1)(x), so that x times it is N(x)."""
+    return math.prod((x.galois(i) for i in range(2, x.ext.degree)), start=x.galois(1))
+
+
 def norm(x: FieldElement) -> Fraction:
     """Product of all sigma-conjugates; must land in Q."""
-    acc = x
-    for i in range(1, x.ext.degree):
-        acc = acc * x.galois(i)
+    acc = x * _conjugate_product(x)
     if not acc.is_rational():
         raise InternalInvariantViolation("norm did not land in Q; extension data invalid")
     return acc.as_rational()
@@ -795,10 +792,13 @@ def _negative_norm_unit(ext: CyclicExtension):
     """A unit of norm -1 in Z[sqrt(d)], or None when there is none.  The first
     period a1 ... a_L of the continued fraction of sqrt(d) ends at a_L = 2 a0,
     and the convergent h/k before it has h^2 - d k^2 = (-1)^L: Pell's -1
-    equation is solvable iff L is odd.  L is O(sqrt(d) log d) steps."""
+    equation is solvable iff L is odd.  L is O(sqrt(d) log d) steps, so a
+    prime p = 3 mod 4 dividing d answers first: x^2 = -1 has no root mod p."""
     d = ext.disc_core
     if d is None or d <= 0:
         raise ValueError("a unit of norm -1 is only sought in a real quadratic field")
+    if any(p % 4 == 3 for p in _primes_of(d)):
+        return None
     a0 = math.isqrt(d)
     m, q, a = 0, 1, a0
     h0, h = 1, a0

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from .errors import Singular
-from .field import CyclicExtension, FieldElement, _modular_root, _reduce_sum, _split_primes
+from .field import CyclicExtension, FieldElement, _conjugate_product, _modular_root, _reduce_sum, _split_primes
 
 
 class Mat:
@@ -167,14 +167,20 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def matrix_norm(a: Mat) -> Mat:
-    """sigma^(r-1)(A) ... sigma(A) A, the twisted norm of a square matrix."""
+def twisted_norm_chain(a: Mat) -> list[Mat]:
+    """B_0 = I and B_(i+1) = sigma(B_i) A up to B_r, for a square matrix A:
+    B_i is sigma^(i-1)(A) ... sigma(A) A, so B_r is the twisted norm of A."""
     if a.nrows != a.ncols:
         raise ValueError("norm of a non-square matrix")
-    acc = a
-    for i in range(1, a.ext.degree):
-        acc = a.galois(i) * acc
-    return acc
+    bs = [Mat.identity(a.ext, a.nrows), a]
+    while len(bs) <= a.ext.degree:
+        bs.append(bs[-1].galois() * a)
+    return bs
+
+
+def matrix_norm(a: Mat) -> Mat:
+    """sigma^(r-1)(A) ... sigma(A) A, the twisted norm of a square matrix."""
+    return twisted_norm_chain(a)[-1]
 
 
 class IncrementalSpan:
@@ -200,7 +206,7 @@ class IncrementalSpan:
         if lead is None:
             return False
         # a minor e over p is e c / d, for c the numerator of sigma(p) ... sigma^(r-1)(p) and d = p c in Z
-        c = prod(ext._make(p, 1).galois(i) for i in range(1, ext.degree)).num
+        c = _conjugate_product(ext._make(p, 1)).num
         d, scale = _reduce_sum(ext, ((p, c),))[0], _reduce_sum(ext, ((v[lead], c),))
         for k, u in enumerate(self.rows):
             f = _reduce_sum(ext, ((tuple(-x for x in u[lead]), c),))

@@ -325,11 +325,12 @@ def test_hilbert90_solves_seeded_random_cocycles():
     fields = [
         CyclicExtension([-5, 0, 1], [0, -1]),
         CyclicExtension([7, 0, 1], [0, -1]),
+        CyclicExtension([-1, -2, 1, 1], [-2, 0, 1]),  # the cyclic cubic: t -> t^2 - 2
     ]
     rng = random.Random(2024)
     done = 0
     while done < 50:
-        ext = fields[done % 2]
+        ext = fields[done % len(fields)]
         n = 1 + done % 4
         z = random_invertible(ext, n, rng, spread=3)
         x = inverse(z.galois()) * z

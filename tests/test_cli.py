@@ -705,3 +705,4 @@ def test_equivariant_out_rejects_a_certificate_that_reads_back_changed(monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: GaloisEquivError: written certificate")
+    assert not (tmp_path / "cert.json").exists()  # a rejected certificate is never written

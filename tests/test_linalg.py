@@ -395,6 +395,14 @@ def test_matrix_norm_twist_identity():
     assert a * n == n.galois() * a
 
 
+def test_matrix_norm_on_the_cyclic_cubic_is_the_written_out_product():
+    rng = random.Random(53)
+    ext = cyclic_cubic()
+    for n in (1, 2, 3):
+        a = random_mat(ext, n, n, rng)
+        assert matrix_norm(a) == a.galois(2) * a.galois(1) * a
+
+
 def test_incremental_span():
     ext = q5()
     span = IncrementalSpan(ext, 4)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +46,14 @@ def test_every_traced_name_resolves():
             missing.append(f"{module_name}.{attr}")
     assert tracing.WRAPPED
     assert missing == []
+
+
+def test_the_readme_python_example_runs():
+    # the documented library example; an API change that breaks it fails here
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_double_cover_generator_rewrites_the_shipped_fixture(tmp_path):
