@@ -133,14 +133,15 @@ class Problem:
 
 
 def _read_json(path: str, prefix: str = ""):
-    """The JSON value in the file at path; a syntax error is at prefix + "line L column C"."""
+    """The JSON value in the file at path; a syntax error is at prefix + "line L column C",
+    and any other unreadable file (not UTF-8, an oversized integer, nesting too deep) at path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
-        raise ParseError(str(exc), path)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"{prefix}line {exc.lineno} column {exc.colno}")
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(str(exc), path)
 
 
 def load_problem(path: str) -> Problem:
@@ -225,7 +226,7 @@ def certificate_to_json(cert: EquivarianceCertificate, problem: Problem) -> dict
         "kind": "equivariance-certificate",
         "seed": cert.seed,
         "lambda_rep": rational_to_string(cert.lambda_rep),
-        "lambda_canonical": None if cert.lambda_canonical is None else rational_to_string(cert.lambda_canonical),
+        "lambda_canonical": rational_to_string(cert.lambda_canonical),
         "is_trivial": cert.is_trivial,
         "x": _mat_json(cert.x),
         "witness": None if cert.witness is None else _element_json(cert.witness),
@@ -245,9 +246,7 @@ def certificate_from_json(data: dict, problem: Problem) -> EquivarianceCertifica
     return EquivarianceCertificate(
         x=_as_matrix(data["x"], ext, f"{where}.x"),
         lambda_rep=_as_rational(data["lambda_rep"], f"{where}.lambda_rep"),
-        lambda_canonical=None
-        if data.get("lambda_canonical") is None
-        else _as_rational(data["lambda_canonical"], f"{where}.lambda_canonical"),
+        lambda_canonical=_as_rational(data["lambda_canonical"], f"{where}.lambda_canonical"),
         is_trivial=bool(data["is_trivial"]),
         witness=None if witness is None else _as_element(witness, ext, f"{where}.witness"),
         y=None if y is None else _as_matrix(y, ext, f"{where}.y"),
@@ -317,7 +316,7 @@ def cmd_lambda(problem: Problem, args) -> tuple[int, dict]:
     inv = lambda_invariant(rep, _witness_from(problem, args))
     report = {
         "lambda_rep": rational_to_string(inv.lambda_rep),
-        "lambda_canonical": None if inv.lambda_canonical is None else rational_to_string(inv.lambda_canonical),
+        "lambda_canonical": rational_to_string(inv.lambda_canonical),
         "is_trivial": inv.is_trivial,
     }
     _note_declared_order(report, problem, None if inv.is_trivial else inv.lambda_canonical)
@@ -351,10 +350,9 @@ def cmd_equivariant(problem: Problem, args) -> tuple[int, dict]:
             "obstruction": "lambda is not a norm from the extension",
             "lambda_rep": payload["lambda_rep"],
             "lambda_canonical": payload["lambda_canonical"],
+            "symbol": [payload["lambda_canonical"], str(problem.ext.disc_core)],
             "certificate": payload,
         }
-        if problem.ext.degree == 2 and cert.lambda_canonical is not None:
-            report["symbol"] = [rational_to_string(cert.lambda_canonical), str(problem.ext.disc_core)]
         return 3, report
     # equivariant_form returns only certificates that verify_certificate accepted
     return 0, {"is_trivial": True, "verified": True, "certificate": payload}

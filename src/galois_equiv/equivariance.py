@@ -79,7 +79,7 @@ def compute_X(rep: Representation) -> Mat:
 
 class LambdaInvariant(NamedTuple):
     lambda_rep: Fraction
-    lambda_canonical: Optional[Fraction]
+    lambda_canonical: Fraction
     is_trivial: bool
 
 
@@ -177,7 +177,7 @@ class EquivarianceCertificate:
 
     x: Mat
     lambda_rep: Fraction
-    lambda_canonical: Optional[Fraction]
+    lambda_canonical: Fraction
     is_trivial: bool
     witness: Optional[FieldElement]  # the rescaling scalar mu
     y: Optional[Mat]
@@ -232,8 +232,11 @@ def _conjugate(rep: Representation, y: Mat) -> tuple[Mat, ...]:
 
 
 def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> CheckReport:
-    """Re-check every claim in a certificate against rep, from scratch.  Y is
-    certified invertible first, so the identities with Y^-1 are products."""
+    """Re-check every claim in a certificate against rep, from scratch.  A
+    witness of norm lambda^-1 decides the class trivial, as in decide_lambda;
+    without one decide_lambda re-decides it, so at r > 2 a certificate with no
+    valid witness has no decision entries.  Y is certified invertible first,
+    so the identities with Y^-1 are products."""
     entries = []
     ext = rep.ext
     ident = Mat.identity(ext, rep.dim)
@@ -246,13 +249,14 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
     norm_x = matrix_norm(cert.x)
     entries.append(("twisted norm of X is lambda_rep I", norm_x == cert.lambda_rep * ident))
 
-    if ext.degree == 2:
-        canonical = decide_lambda(cert.lambda_rep, cert.x, None).lambda_canonical
+    witnessed = cert.witness is not None and norm(cert.witness) * cert.lambda_rep == 1
+    if witnessed or ext.degree == 2:
+        canonical = Fraction(1) if witnessed else decide_lambda(cert.lambda_rep, cert.x, None).lambda_canonical
         entries.append(("is_trivial matches the norm test", cert.is_trivial == (canonical == 1)))
         entries.append(("lambda_canonical matches", cert.lambda_canonical == canonical))
 
     if cert.witness is not None:
-        entries.append(("witness norm is lambda^-1", norm(cert.witness) * cert.lambda_rep == 1))
+        entries.append(("witness norm is lambda^-1", witnessed))
 
     if cert.y is not None:
         require_invertible(cert.y)

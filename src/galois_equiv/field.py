@@ -156,16 +156,6 @@ def _chunk_product(c: int) -> int:
     return _chunk_products[c]
 
 
-def squarefree_part(n: int) -> int:
-    """The squarefree integer in the same square class as n."""
-    sign, factors = factor(n)
-    out = sign
-    for p, e in factors:
-        if e % 2:
-            out *= p
-    return out
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an integer a and an odd prime p."""
     r = a % p
@@ -235,7 +225,10 @@ class CyclicExtension:
     well-defined automorphism of exact order r, and that m is irreducible: by
     its discriminant for r = 2, and for r > 2 by finding a prime below 1000
     at which m stays irreducible (a cyclic L has a positive density of such
-    primes).  A failed check raises ValueError.
+    primes).  A failed check raises ValueError.  For r = 2 one factorization
+    of the discriminant b^2 - 4c gives disc_core, the squarefree d with
+    L = Q(sqrt d), and disc_primes, the primes dividing d, which every norm
+    test reads.
 
     Since m is monic with integer coefficients, reducing an integer
     polynomial mod m keeps it integral.  sigma^i is held as a table of
@@ -261,11 +254,14 @@ class CyclicExtension:
             raise ValueError("sigma_image degree must be below deg m")
         self.sigma_image = s + (Fraction(0),) * (r - len(s))
         self.disc_core: int | None = None
+        self.disc_primes: frozenset[int] = frozenset()
         if r == 2:
             disc = mp[1].numerator ** 2 - 4 * mp[0].numerator
             if disc >= 0 and math.isqrt(disc) ** 2 == disc:
                 raise ValueError("t^2 + bt + c must be irreducible over Q")
-            self.disc_core = squarefree_part(disc)
+            sign, fs = factor(disc)
+            self.disc_primes = frozenset(p for p, e in fs if e % 2)
+            self.disc_core = sign * math.prod(self.disc_primes)
         elif not _irreducible_mod_some_prime([c.numerator for c in mp]):
             raise ValueError(
                 f"min_poly must be irreducible over Q: it is reducible mod every prime below {_RABIN_BOUND}"
@@ -686,11 +682,6 @@ def norm(x: FieldElement) -> Fraction:
     return acc.as_rational()
 
 
-def _require_quadratic(ext: CyclicExtension):
-    if ext.degree != 2:
-        raise Unsupported("norm membership is only decided for quadratic extensions")
-
-
 def _primes_of(q) -> set[int]:
     """The primes dividing the numerator or the denominator of q, factoring once."""
     q = Fraction(q)
@@ -706,12 +697,18 @@ def _nonnorm_places(q: Fraction, d: int, primes) -> frozenset:
     return frozenset(v for v in {INF, 2, *primes} if hilbert_symbol(q, d, v) == -1)
 
 
+def _class_places(lam, ext: CyclicExtension) -> frozenset:
+    """The places where lam is not a local norm from the quadratic L, which
+    name the class of lam mod N(L*): those with (lam, d) = -1."""
+    if ext.degree != 2:
+        raise Unsupported("norm membership is only decided for quadratic extensions")
+    lam = Fraction(lam)
+    return _nonnorm_places(lam, ext.disc_core, _primes_of(lam) | ext.disc_primes)
+
+
 def is_norm(lam, ext: CyclicExtension) -> bool:
     """Decide lam in N(L*) for quadratic L: no place has Hilbert symbol (lam, d) = -1."""
-    _require_quadratic(ext)
-    lam = Fraction(lam)
-    d = ext.disc_core
-    return not _nonnorm_places(lam, d, _primes_of(lam) | _primes_of(d))
+    return not _class_places(lam, ext)
 
 
 _WITNESS_BUDGET = 10**4
@@ -727,15 +724,13 @@ def norm_witness(lam, ext: CyclicExtension) -> FieldElement:
     when the budget is exhausted; that signals a search failure, not
     non-membership.
     """
-    _require_quadratic(ext)
     lam = Fraction(lam)
     if not is_norm(lam, ext):
         raise ValueError(f"{lam} is not a norm from this extension")
     mu = _direct_witness_search(lam, ext)
     if mu is not None:
         return mu
-    d = ext.disc_core
-    if d is not None and d > 0:
+    if ext.disc_core > 0:
         unit = _negative_norm_unit(ext)
         if unit is not None:
             mu = _direct_witness_search(-lam, ext)
@@ -797,7 +792,7 @@ def _negative_norm_unit(ext: CyclicExtension):
     d = ext.disc_core
     if d is None or d <= 0:
         raise ValueError("a unit of norm -1 is only sought in a real quadratic field")
-    if any(p % 4 == 3 for p in _primes_of(d)):
+    if any(p % 4 == 3 for p in ext.disc_primes):
         return None
     a0 = math.isqrt(d)
     m, q, a = 0, 1, a0
@@ -827,17 +822,14 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
     symbols against d match those of lam at every place (ties broken toward
     positive sign).
     """
-    _require_quadratic(ext)
-    lam = Fraction(lam)
-    d = ext.disc_core
-    d_primes = _primes_of(d)
-    target = _nonnorm_places(lam, d, _primes_of(lam) | d_primes)
+    target = _class_places(lam, ext)
     if not target:
         return Fraction(1)
     # At an odd p not dividing d, (k, d)_p = (d/p)^v_p(k), so every k in the
     # class is a multiple of step.  The squarefree kernel of lam is in the
     # class, and so is d when that kernel is -1, so the scan ends by
     # max(|kernel of lam|, |d|, 2).
+    d = ext.disc_core
     step = math.prod(p for p in target if p not in (INF, 2) and d % p)
     for k in itertools.count(step, step):
         if k < 2:
@@ -845,7 +837,7 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
         _, fs = factor(k)
         if any(e > 1 for _, e in fs):
             continue
-        primes = d_primes | {p for p, _ in fs}
+        primes = ext.disc_primes | {p for p, _ in fs}
         for cand in (Fraction(k), Fraction(-k)):
             if _nonnorm_places(cand, d, primes) == target:
                 return cand

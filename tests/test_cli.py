@@ -235,12 +235,26 @@ def test_validate_catches_broken_relation(tmp_path, capsys):
     assert {"word": "a b", "holds": False} in report["relations"]
 
 
+UNREADABLE = {
+    "not-utf8": b'\xff\xfe{"field": {}}',
+    "long-integer": b"[" + b"1" * 4301 + b"]",  # past the int() digit limit
+    "deep": b"[" * 100_000,  # nesting past the recursion limit
+}
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"field": [1, 2,')
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and "line 1" in err
+    # a file json cannot read for another reason is bad input at its path
+    for name, content in UNREADABLE.items():
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and captured.err.endswith(f" at {path}\n"), name
 
 
 def test_missing_block_is_positioned(tmp_path, capsys):
@@ -468,12 +482,13 @@ def test_bad_input_exits_2_at_its_location(tmp_path, capsys, command, edit, wher
         pytest.param("{", ": line 1 column 2", id="not-json"),
         pytest.param('{"x": [[1]]}', "", id="no-y"),
         pytest.param('{"y": null}', "", id="null-y"),
+        *(pytest.param(content, "", id=name) for name, content in UNREADABLE.items()),
     ],
 )
 def test_a_bad_replay_file_exits_2_at_its_path(tmp_path, capsys, content, where):
     replay = tmp_path / "replay.json"
     if content is not None:
-        replay.write_text(content)
+        replay.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main(["equivariant", A5, "--replay-Y", str(replay)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -690,9 +705,13 @@ def test_equivariant_takes_at_most_two_twisted_norms(monkeypatch, capsys):
 
 
 def test_equivariant_out_checks_the_file_with_no_second_verification(monkeypatch, tmp_path, capsys):
+    # det X decides lambda once; the certificate's witness decides it again
     counts = count_calls(monkeypatch, [verify_certificate, matrix_norm, determinant])
     assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
-    assert counts == {"verify_certificate": 1, "matrix_norm": 2, "determinant": 2}
+    assert counts == {"verify_certificate": 1, "matrix_norm": 2, "determinant": 1}
+    counts.clear()
+    assert main(["equivariant", A5]) == 0
+    assert counts == {"verify_certificate": 1, "matrix_norm": 2, "determinant": 1}
     capsys.readouterr()
 
 

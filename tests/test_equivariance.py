@@ -15,7 +15,7 @@ from galois_equiv.errors import (
     Unsupported,
 )
 from galois_equiv import equivariance, linalg
-from galois_equiv.field import CyclicExtension, norm
+from galois_equiv.field import CyclicExtension, canonical_lambda, norm
 from galois_equiv.linalg import Mat, determinant, inverse, matrix_norm
 from galois_equiv.rep import GroupData, Representation, evaluate_word
 from galois_equiv.equivariance import (
@@ -28,6 +28,7 @@ from galois_equiv.equivariance import (
 
 from conftest import ALPHA, NEG_ALPHA
 from test_acceptance import random_invertible
+from test_cli import count_calls
 
 
 def reference_intertwiner(ext):
@@ -256,6 +257,23 @@ def test_unsupported_without_witness_beyond_quadratic():
         lambda_invariant(rep)
     cert = equivariant_form(rep, witness=ext.one())
     assert cert.is_trivial and cert.y is not None
+    # the witness decides the class, so the certificate carries the decision
+    assert dict(verify_certificate(cert, rep).entries)["lambda_canonical matches"] is True
+
+
+def test_a_witnessed_certificate_is_decided_by_its_witness(monkeypatch, a5):
+    cert = equivariant_form(a5, seed=0)
+    counts = count_calls(monkeypatch, [determinant, canonical_lambda])
+    assert verify_certificate(cert, a5).ok
+    assert counts == {}
+
+
+def test_an_obstruction_certificate_is_decided_once(monkeypatch, a7d):
+    cert = equivariant_form(a7d)
+    assert not cert.is_trivial and cert.witness is None
+    counts = count_calls(monkeypatch, [determinant, canonical_lambda])
+    assert verify_certificate(cert, a7d).ok
+    assert counts == {"canonical_lambda": 1}
 
 
 def tampered_certificates(cert, rep):

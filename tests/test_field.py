@@ -28,7 +28,6 @@ from galois_equiv.field import (
     norm_witness,
     rational_from_string,
     rational_to_string,
-    squarefree_part,
 )
 
 
@@ -142,12 +141,16 @@ def oracle_canonical_lambda(lam: Fraction, ext: CyclicExtension) -> Fraction:
     def odd_primes(n):
         return {p for p, _ in factor(abs(n))[1] if p != 2}
 
+    def square_class(n):
+        sign, fs = factor(n)
+        return sign * math.prod(p for p, e in fs if e % 2)
+
     base = {INF, 2} | odd_primes(lam.numerator * lam.denominator) | odd_primes(d)
     if all(hilbert_symbol(lam, d, p) == 1 for p in base):
         return Fraction(1)
-    limit = max(abs(squarefree_part(lam.numerator * lam.denominator)), abs(d), 2)
+    limit = max(abs(square_class(lam.numerator * lam.denominator)), abs(d), 2)
     for k in range(2, limit + 1):
-        if squarefree_part(k) != k:
+        if square_class(k) != k:
             continue
         places = base | odd_primes(k)
         for cand in (k, -k):
@@ -272,10 +275,17 @@ def test_miller_rabin_matches_trial_division():
 
 
 def test_squarefree_part():
-    assert squarefree_part(40) == 10
-    assert squarefree_part(-8) == -2
-    assert squarefree_part(1) == 1
-    assert squarefree_part(49) == 1
+    # disc_core is the squarefree part of the discriminant b^2 - 4c, and
+    # disc_primes the primes dividing it
+    for (c, b), core, primes in (
+        ((-10, 0), 10, {2, 5}),  # 40
+        ((2, 0), -2, {2}),  # -8
+        ((1, 0), -1, set()),  # -4
+        ((49, 0), -1, set()),  # -196 = -(14^2)
+        ((-31, 1), 5, {5}),  # 125 = 5^3
+    ):
+        ext = CyclicExtension([c, b, 1], [-b, -1])
+        assert (ext.disc_core, ext.disc_primes) == (core, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +560,27 @@ def test_the_norm_minus_one_unit_is_read_at_the_end_of_the_first_period(monkeypa
     assert norm(field._negative_norm_unit(CyclicExtension([-3, -1, 1], [1, -1]))) == -1
     # sqrt(3) has period 2, and no unit of Q(sqrt 3) has norm -1
     assert field._negative_norm_unit(CyclicExtension([-3, 0, 1], [0, -1])) is None
+
+
+def test_the_primes_of_d_are_factored_once_with_the_field(monkeypatch):
+    # d = 999983 * 999979 takes trial division to 10^6, so the norm tests
+    # read its primes off the field instead of factoring d again
+    d = 999983 * 999979
+    factored = []
+    factor = field.factor
+
+    def counting_factor(n, *args, **kwargs):
+        factored.append(abs(n))
+        return factor(n, *args, **kwargs)
+
+    monkeypatch.setattr(field, "factor", counting_factor)
+    ext = CyclicExtension([-d, 0, 1], [0, -1])
+    assert factored == [4 * d]
+    assert ext.disc_primes == {999979, 999983}
+    is_norm(7, ext)
+    canonical_lambda(7, ext)
+    assert field._negative_norm_unit(ext) is None  # 999983 = 3 mod 4
+    assert d not in factored
 
 
 def test_a_prime_3_mod_4_in_d_rules_out_the_norm_minus_one_unit():

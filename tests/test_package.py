@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import shutil
@@ -54,6 +55,32 @@ def test_the_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_the_readme_shell_transcripts_print_what_they_show(capsys):
+    # each documented "$ galois-equiv <sub> <fixture>" prints the text below
+    # it, and "$ echo $?" after it shows its exit code
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "$ galois-equiv" in b]
+    commands = codes = 0
+    for run in re.split(r"^\$ ", block, flags=re.M)[1:]:
+        command, _, shown = run.partition("\n")
+        if command == "echo $?":
+            assert code == int(shown), sub
+            codes += 1
+            continue
+        sub, name = re.fullmatch(r"galois-equiv (\w+) \$\(.*fixture_path\('([\w.]+)'\).*\)", command).groups()
+        code = galois_equiv.cli.main([sub, galois_equiv.cli.fixture_path(name)])
+        assert capsys.readouterr().out == shown.rstrip("\n") + "\n", sub
+        commands += 1
+    assert commands and codes
+
+
+def test_the_readme_problem_file_is_the_shipped_c3_fixture():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    shipped = Path(galois_equiv.cli.fixture_path("c3_inversion.json")).read_text(encoding="utf-8")
+    assert json.loads(block) == json.loads(shipped)
 
 
 def test_double_cover_generator_rewrites_the_shipped_fixture(tmp_path):
