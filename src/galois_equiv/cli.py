@@ -23,16 +23,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as resource_files
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import GaloisEquivError, ParseError, Singular
-from .field import (
-    CyclicExtension,
-    FieldElement,
-    factor,
-    rational_from_string,
-    rational_to_string,
-)
+from .field import CyclicExtension, FieldElement, _rational_pair, factor, rational_to_string
 from .linalg import Mat
 from .rep import (
     GroupData,
@@ -58,25 +53,39 @@ def fixture_path(name: str) -> str:
 # problem file parsing
 
 
-def _as_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError("expected a rational, got a boolean", where)
-    if isinstance(value, int):
-        return Fraction(value)
+def _as_rational(value, where: str, *index: int) -> tuple[int, int]:
+    """An integer or a "p/q" string as (numerator, denominator > 0).  Bad input
+    raises ParseError at where[i][j]... for index (i, j, ...), formatted only then."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, str):
         try:
-            return rational_from_string(value)
+            return _rational_pair(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(str(exc), where)
-    raise ParseError(f"expected an integer or 'p/q' string, got {type(value).__name__}", where)
+            message = str(exc)
+    elif isinstance(value, bool):
+        message = "expected a rational, got a boolean"
+    else:
+        message = f"expected an integer or 'p/q' string, got {type(value).__name__}"
+    raise ParseError(message, where + "".join(f"[{k}]" for k in index))
+
+
+def _as_coeffs(value, ext: CyclicExtension, where: str, *index: int) -> list[tuple[int, int]]:
+    """A rational or an array of at most r of them, as r (numerator, denominator) pairs."""
+    if not isinstance(value, list):
+        coeffs = [_as_rational(value, where, *index)]
+    elif len(value) > ext.degree:
+        where += "".join(f"[{k}]" for k in index)
+        raise ParseError(f"coefficient array longer than the field degree {ext.degree}", where)
+    else:
+        coeffs = [_as_rational(v, where, *index, k) for k, v in enumerate(value)]
+    return coeffs + [(0, 1)] * (ext.degree - len(coeffs))
 
 
 def _as_element(value, ext: CyclicExtension, where: str) -> FieldElement:
-    if isinstance(value, list):
-        if len(value) > ext.degree:
-            raise ParseError(f"coefficient array longer than the field degree {ext.degree}", where)
-        return ext.element([_as_rational(v, f"{where}[{k}]") for k, v in enumerate(value)])
-    return ext.element(_as_rational(value, where))
+    coeffs = _as_coeffs(value, ext, where)
+    den = lcm(*(q for _, q in coeffs))
+    return ext._make([p * (den // q) for p, q in coeffs], den)
 
 
 def _as_matrix(value, ext: CyclicExtension, where: str) -> Mat:
@@ -87,8 +96,9 @@ def _as_matrix(value, ext: CyclicExtension, where: str) -> Mat:
     for i, row in enumerate(value):
         if len(row) != width:
             raise ParseError(f"row {i} has {len(row)} entries, expected {width}", where)
-        rows.append([_as_element(v, ext, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
-    return Mat(ext, rows)
+        rows.append([_as_coeffs(v, ext, where, i, j) for j, v in enumerate(row)])
+    den = lcm(*(q for row in rows for e in row for _, q in e))
+    return Mat._of(ext, [[tuple(p * (den // q) for p, q in e) for e in row] for row in rows], den)
 
 
 def _require(data: dict, key: str, where: str):
@@ -101,7 +111,7 @@ def _as_rationals(data: dict, key: str, where: str) -> list[Fraction]:
     value = _require(data, key, where)
     if not isinstance(value, list):
         raise ParseError("expected an array of rationals", f"{where}.{key}")
-    return [_as_rational(v, f"{where}.{key}[{k}]") for k, v in enumerate(value)]
+    return [Fraction(*_as_rational(v, f"{where}.{key}", k)) for k, v in enumerate(value)]
 
 
 def _reject_unknown_keys(block: dict, generators: list[str], where: str) -> None:
@@ -204,21 +214,17 @@ def load_problem(path: str) -> Problem:
     return Problem(ext, group, list(generators), matrices, options)
 
 
-def parse_witness(text, ext: CyclicExtension, where: str) -> FieldElement:
-    # "2, -1" splits into coefficients; _as_rational strips the spaces
-    return _as_element(text.split(",") if isinstance(text, str) else text, ext, where)
-
-
 # ---------------------------------------------------------------------------
 # certificate serialization
 
 
-def _element_json(x: FieldElement) -> list[str]:
-    return [rational_to_string(c) for c in x.coeffs]
+def _element_json(num: tuple[int, ...], den: int) -> list[str]:
+    """The coefficients num / den, each "n" or "p/q" in lowest terms, by one gcd."""
+    return [str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}" for c in num]
 
 
 def _mat_json(m: Mat) -> list[list[list[str]]]:
-    return [[_element_json(e) for e in row] for row in m.rows]
+    return [[_element_json(e, m.den) for e in row] for row in m.num]
 
 
 def certificate_to_json(cert: EquivarianceCertificate, problem: Problem) -> dict:
@@ -229,7 +235,7 @@ def certificate_to_json(cert: EquivarianceCertificate, problem: Problem) -> dict
         "lambda_canonical": rational_to_string(cert.lambda_canonical),
         "is_trivial": cert.is_trivial,
         "x": _mat_json(cert.x),
-        "witness": None if cert.witness is None else _element_json(cert.witness),
+        "witness": None if cert.witness is None else _element_json(cert.witness.num, cert.witness.den),
         "y": None if cert.y is None else _mat_json(cert.y),
         "rho_prime": None
         if cert.rho_prime is None
@@ -245,8 +251,8 @@ def certificate_from_json(data: dict, problem: Problem) -> EquivarianceCertifica
     rho_prime = data.get("rho_prime")
     return EquivarianceCertificate(
         x=_as_matrix(data["x"], ext, f"{where}.x"),
-        lambda_rep=_as_rational(data["lambda_rep"], f"{where}.lambda_rep"),
-        lambda_canonical=_as_rational(data["lambda_canonical"], f"{where}.lambda_canonical"),
+        lambda_rep=Fraction(*_as_rational(data["lambda_rep"], f"{where}.lambda_rep")),
+        lambda_canonical=Fraction(*_as_rational(data["lambda_canonical"], f"{where}.lambda_canonical")),
         is_trivial=bool(data["is_trivial"]),
         witness=None if witness is None else _as_element(witness, ext, f"{where}.witness"),
         y=None if y is None else _as_matrix(y, ext, f"{where}.y"),
@@ -305,10 +311,10 @@ def cmd_validate(problem: Problem, args) -> tuple[int, dict]:
 
 
 def _witness_from(problem: Problem, args) -> Optional[FieldElement]:
-    if args.witness is not None:
-        return parse_witness(args.witness, problem.ext, "--witness")
-    raw = problem.options.get("witness")
-    return None if raw is None else parse_witness(raw, problem.ext, "options.witness")
+    raw = args.witness if args.witness is not None else problem.options.get("witness")
+    where = "--witness" if args.witness is not None else "options.witness"
+    # "2, -1" splits into coefficients; _as_rational strips the spaces
+    return None if raw is None else _as_element(raw.split(",") if isinstance(raw, str) else raw, problem.ext, where)
 
 
 def cmd_lambda(problem: Problem, args) -> tuple[int, dict]:

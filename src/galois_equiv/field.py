@@ -11,6 +11,7 @@ bottom of the module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -32,16 +33,23 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational_pair(text: str) -> tuple[int, int]:
+    """Parse "p/q" or "n" into (p, q) or (n, 1), unreduced; "1.5", "1e-3", "1_000" and "1/0" raise."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if not match:
+        raise ValueError(f"expected an integer or 'p/q', got {text.strip()!r}")
+    num, den = int(match[1]), int(match[2] or 1)
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
 
 
 def rational_from_string(text: str) -> Fraction:
-    """Parse "p/q" or "n" into a Fraction.  Anything else, such as "1.5",
-    "1e-3" or "1_000", raises ValueError."""
-    text = text.strip()
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"expected an integer or 'p/q', got {text!r}")
-    return Fraction(text)
+    """Parse "p/q" or "n" into a Fraction; other text raises as in _rational_pair."""
+    return Fraction(*_rational_pair(text))
 
 
 def rational_to_string(q: Fraction) -> str:
@@ -226,9 +234,9 @@ class CyclicExtension:
     its discriminant for r = 2, and for r > 2 by finding a prime below 1000
     at which m stays irreducible (a cyclic L has a positive density of such
     primes).  A failed check raises ValueError.  For r = 2 one factorization
-    of the discriminant b^2 - 4c gives disc_core, the squarefree d with
-    L = Q(sqrt d), and disc_primes, the primes dividing d, which every norm
-    test reads.
+    of the discriminant b^2 - 4c, made at the first norm query, gives
+    disc_core, the squarefree d with L = Q(sqrt d), and disc_primes, the
+    primes dividing d, which every norm test reads.
 
     Since m is monic with integer coefficients, reducing an integer
     polynomial mod m keeps it integral.  sigma^i is held as a table of
@@ -253,21 +261,28 @@ class CyclicExtension:
         if len(s) > r:
             raise ValueError("sigma_image degree must be below deg m")
         self.sigma_image = s + (Fraction(0),) * (r - len(s))
-        self.disc_core: int | None = None
-        self.disc_primes: frozenset[int] = frozenset()
         if r == 2:
             disc = mp[1].numerator ** 2 - 4 * mp[0].numerator
             if disc >= 0 and math.isqrt(disc) ** 2 == disc:
                 raise ValueError("t^2 + bt + c must be irreducible over Q")
-            sign, fs = factor(disc)
-            self.disc_primes = frozenset(p for p, e in fs if e % 2)
-            self.disc_core = sign * math.prod(self.disc_primes)
         elif not _irreducible_mod_some_prime([c.numerator for c in mp]):
             raise ValueError(
                 f"min_poly must be irreducible over Q: it is reducible mod every prime below {_RABIN_BOUND}"
             )
         self._zero_num = (0,) * r
         self._build_sigma_tables()
+
+    @functools.cached_property
+    def _disc(self) -> tuple[int | None, frozenset[int]]:
+        """(disc_core, disc_primes), from factoring b^2 - 4c at the first read."""
+        if self.degree != 2:
+            return None, frozenset()
+        sign, fs = factor(self._m_coeffs[1] ** 2 - 4 * self._m_coeffs[0])
+        primes = frozenset(p for p, e in fs if e % 2)
+        return sign * math.prod(primes), primes
+
+    disc_core = functools.cached_property(lambda self: self._disc[0])
+    disc_primes = functools.cached_property(lambda self: self._disc[1])
 
     def _reduce(self, work: list[int]) -> list[int]:
         """An integer polynomial of degree at least r - 1, low degree first,

@@ -20,16 +20,6 @@ from .rep import Representation, Word, check_relations, evaluate_word, twist
 from .equivariance import LambdaInvariant, compute_X, decide_lambda, _scalar_of
 
 
-def _block_diag(ext, blocks: list[Mat]) -> Mat:
-    n = blocks[0].nrows
-    r = len(blocks)
-    rows = [[ext.zero()] * (r * n) for _ in range(r * n)]
-    for i, blk in enumerate(blocks):
-        for a, row in enumerate(blk.rows):
-            rows[i * n + a][i * n:(i + 1) * n] = row
-    return Mat(ext, rows)
-
-
 @dataclass
 class InducedRep:
     """Block model of the induced representation.  twists[i] is
@@ -45,9 +35,12 @@ class InducedRep:
         return self.rep.dim * self.rep.ext.degree
 
     def evaluate(self, word: Word) -> Mat:
-        return _block_diag(
-            self.rep.ext, [evaluate_word(tw, word).galois(i) for i, tw in enumerate(self.twists)]
-        )
+        ext, n = self.rep.ext, self.rep.dim
+        rows = [[ext.zero()] * self.dim for _ in range(self.dim)]
+        for i, tw in enumerate(self.twists):
+            for a, row in enumerate(evaluate_word(tw, word).galois(i).rows):
+                rows[i * n + a][i * n:(i + 1) * n] = row
+        return Mat(ext, rows)
 
 
 def build_induced(rep: Representation) -> InducedRep:

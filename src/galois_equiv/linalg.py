@@ -198,19 +198,25 @@ class IncrementalSpan:
     def insert(self, row: Sequence[tuple[int, ...]]) -> bool:
         """Add a row of numerators over one denominator, as in Mat.num, and
         return whether the dimension grew: v = pivot * row - sum row[c] u, and
-        for p' at v's first nonzero column c, each u := (p' u - u[c] v) / pivot."""
-        ext, p = self.ext, self.pivot
+        for p' at v's first nonzero column c, each u := (p' u - u[c] v) / pivot.
+        v is 0 at the old pivot columns, and u is p' at its own and 0 at the others and at c."""
+        ext, p, zero, done = self.ext, self.pivot, self.ext._zero_num, set(self.pivots)
         terms = [(p, row)] + [(tuple(-x for x in row[c]), u) for u, c in zip(self.rows, self.pivots) if any(row[c])]
-        v = [_reduce_sum(ext, ((f, u[j]) for f, u in terms)) for j in range(self.width)]
+        v = [zero if j in done else _reduce_sum(ext, ((f, u[j]) for f, u in terms)) for j in range(self.width)]
         lead = next((j for j, e in enumerate(v) if any(e)), None)
         if lead is None:
             return False
         # a minor e over p is e c / d, for c the numerator of sigma(p) ... sigma^(r-1)(p) and d = p c in Z
         c = _conjugate_product(ext._make(p, 1)).num
         d, scale = _reduce_sum(ext, ((p, c),))[0], _reduce_sum(ext, ((v[lead], c),))
-        for k, u in enumerate(self.rows):
+        rest = [j for j in range(self.width) if j not in done and j != lead]
+        for k, (u, own) in enumerate(zip(self.rows, self.pivots)):
             f = _reduce_sum(ext, ((tuple(-x for x in u[lead]), c),))
-            self.rows[k] = [tuple(x // d for x in _reduce_sum(ext, ((scale, a), (f, b)))) for a, b in zip(u, v)]
+            new = [zero] * self.width
+            new[own] = v[lead]
+            for j in rest:
+                new[j] = tuple(x // d for x in _reduce_sum(ext, ((scale, u[j]), (f, v[j]))))
+            self.rows[k] = new
         self.rows.append(v)
         self.pivots.append(lead)
         self.pivot = v[lead]

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from galois_equiv.cli import (
     main,
 )
 from galois_equiv.equivariance import compute_X, lambda_invariant, verify_certificate
-from galois_equiv.errors import Singular
+from galois_equiv.errors import ParseError, Singular
 from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
 from galois_equiv.linalg import Mat, determinant, inverse, matrix_norm
@@ -605,24 +606,26 @@ def test_induce_evaluates_each_twist_word_once(monkeypatch, capsys):
 
 def write_conjugate(tmp_path, path, seed):
     """The problem file at path with every image conjugated by a seeded random T."""
-    problem = load_problem(path)
-    ext = problem.ext
-    n = problem.matrices[0].nrows
-    rng = random.Random(seed)
-    while True:
-        t = Mat(ext, [[ext.element([rng.randint(-2, 2) for _ in range(ext.degree)]) for _ in range(n)] for _ in range(n)])
-        try:
-            t_inv = inverse(t)
-        except Singular:
-            continue
-        break
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     data["representation"] = {
-        name: [[[rational_to_string(c) for c in e.coeffs] for e in row] for row in (t * m * t_inv).rows]
-        for name, m in zip(problem.gen_names, problem.matrices)
+        name: [[[rational_to_string(c) for c in e.coeffs] for e in row] for row in m.rows]
+        for name, m in zip(load_problem(path).gen_names, conjugated_at(path, 2, seed))
     }
     return write_problem(tmp_path, data)
+
+
+def conjugated_at(path, height, seed):
+    """The images of the problem at path conjugated by a seeded Y with coefficients in [-height, height]."""
+    problem = load_problem(path)
+    ext, n, rng = problem.ext, problem.matrices[0].nrows, random.Random(seed)
+    while True:
+        y = Mat(ext, [[[rng.randint(-height, height) for _ in range(ext.degree)] for _ in range(n)] for _ in range(n)])
+        try:
+            y_inv = inverse(y)
+        except Singular:
+            continue
+        return [y * m * y_inv for m in problem.matrices]
 
 
 @pytest.mark.parametrize(
@@ -725,3 +728,203 @@ def test_equivariant_out_rejects_a_certificate_that_reads_back_changed(monkeypat
     assert captured.out == ""
     assert captured.err.startswith("error: GaloisEquivError: written certificate")
     assert not (tmp_path / "cert.json").exists()  # a rejected certificate is never written
+
+
+# ---------------------------------------------------------------------------
+# the integer reader and printer
+
+
+def fraction_json(x):
+    """Oracle for the printer: each coefficient of x as a Fraction, then "n" or "p/q"."""
+    return [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in x.coeffs]
+
+
+def random_coefficient(rng):
+    """0, or a rational whose numerator and denominator reach up to 10^30, either sign."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    big = 10 ** rng.choice((1, 5, 30))
+    return Fraction(rng.randint(-big, big), rng.randint(1, 10 ** rng.choice((0, 1, 5, 30))))
+
+
+def q5():
+    return field.CyclicExtension([-5, 0, 1], [0, -1])
+
+
+def qm7():
+    return field.CyclicExtension([7, 0, 1], [0, -1])
+
+
+def cyclic_cubic():
+    return field.CyclicExtension([-1, -2, 1, 1], [-2, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "make_ext, conjugated",
+    [pytest.param(q5, A5, id="q5"), pytest.param(qm7, A7D, id="qm7"), pytest.param(cyclic_cubic, None, id="cubic")],
+)
+def test_the_printer_matches_the_fraction_oracle_and_reads_back(make_ext, conjugated):
+    ext = make_ext()
+    rng = random.Random(f"printer-{ext.min_poly}")
+    mats = [
+        Mat(ext, [[ext.element([random_coefficient(rng) for _ in range(ext.degree)]) for _ in range(cols)]
+                  for _ in range(rows)])
+        for rows, cols in ((1, 1), (2, 3), (3, 3), (4, 4)) for _ in range(3)
+    ]
+    mats.append(Mat(ext, [[0, 0], [0, 0]]))
+    if conjugated is not None:
+        mats += [m for seed in range(2) for m in conjugated_at(conjugated, 100, seed)]
+    for m in mats:
+        printed = json.loads(json.dumps(cli._mat_json(m)))
+        assert printed == [[fraction_json(e) for e in row] for row in m.rows]
+        assert cli._as_matrix(printed, ext, "m") == m
+        for e in m.flatten():
+            printed = cli._element_json(e.num, e.den)
+            assert printed == fraction_json(e)
+            assert cli._as_element(printed, ext, "w") == e
+
+
+@pytest.mark.parametrize("make_ext", [q5, qm7, cyclic_cubic], ids=["q5", "qm7", "cubic"])
+def test_the_reader_builds_the_matrix_the_library_builds(make_ext):
+    # integers, unreduced and signed "p/q" strings, short arrays and zeros
+    ext = make_ext()
+    rng = random.Random(f"reader-{ext.min_poly}")
+
+    def written():
+        q = random_coefficient(rng)
+        if rng.random() < 0.3:
+            return q.numerator * q.denominator  # an integer
+        k, sign = rng.randint(1, 4), "+" if q > 0 and rng.random() < 0.3 else ""
+        return f"{sign}{q.numerator * k}/{q.denominator * k}"
+
+    for rows, cols in ((1, 1), (2, 2), (3, 4), (4, 4)):
+        for _ in range(4):
+            value = [[written() if rng.random() < 0.3 else [written() for _ in range(rng.randint(0, ext.degree))]
+                      for _ in range(cols)] for _ in range(rows)]
+            library = Mat(ext, [[ext.element([Fraction(c) for c in (e if isinstance(e, list) else [e])])
+                                 for e in row] for row in value])
+            assert cli._as_matrix(value, ext, "m") == library
+            assert cli._as_element(value[0][0], ext, "w") == library[0, 0]
+
+
+BAD_RATIONALS = [
+    (True, "expected a rational, got a boolean"),
+    (0.5, "expected an integer or 'p/q' string, got float"),
+    ("1.5", "expected an integer or 'p/q', got '1.5'"),
+    ("1/0", "Fraction(1, 0)"),
+    ("1_000", "expected an integer or 'p/q', got '1_000'"),
+]
+LONG = "coefficient array longer than the field degree 2"
+
+
+def bad_matrices(n):
+    """(id, n x n matrix with a fault, message, location after the matrix's)."""
+
+    def with_entry(e):
+        return [[e if (i, j) == (0, 0) else int(i == j) for j in range(n)] for i in range(n)]
+
+    cases = [(repr(v), with_entry(v), message, "[0][0]") for v, message in BAD_RATIONALS]
+    cases += [(f"coeff-{v!r}", with_entry([1, v]), message, "[0][0][1]") for v, message in BAD_RATIONALS]
+    cases.append(("too-long", with_entry([1, 0, 0]), LONG, "[0][0]"))
+    cases.append(("ragged", [[1] * n, [1] * (n + 1)], f"row 1 has {n + 1} entries, expected {n}", ""))
+    return cases
+
+
+def assert_parse_error(capsys, location):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {location}\n"
+
+
+@pytest.mark.parametrize("case", bad_matrices(3), ids=[c[0] for c in bad_matrices(3)])
+def test_a_bad_matrix_exits_2_with_its_message_and_location(case, tmp_path, capsys):
+    _, value, message, suffix = case
+    data = json.loads(open(A5).read())
+    data["representation"]["a"] = value
+    assert main(["validate", write_problem(tmp_path, data)]) == 2
+    assert_parse_error(capsys, f"{message} at representation.a{suffix}")
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"y": value}))
+    assert main(["equivariant", A5, "--replay-Y", str(replay)]) == 2
+    assert_parse_error(capsys, f"{message} at {replay}: y{suffix}")
+    assert main(["equivariant", A5]) == 0
+    cert = report_of(capsys)["certificate"]
+    for key in ("x", "y"):
+        with pytest.raises(ParseError) as exc:
+            certificate_from_json({**cert, key: value}, load_problem(A5))
+        assert str(exc.value) == f"{message} at certificate.{key}{suffix}"
+
+
+@pytest.mark.parametrize("value, message", BAD_RATIONALS, ids=[repr(v) for v, _ in BAD_RATIONALS])
+def test_a_bad_witness_exits_2_with_its_message_and_location(value, message, tmp_path, capsys):
+    if isinstance(value, str):
+        assert main(["lambda", A5, "--witness", f"{value},1"]) == 2
+        assert_parse_error(capsys, f"{message} at --witness[0]")
+    data = json.loads(open(A5).read())
+    # a string witness is split at commas, as --witness is
+    scalar = "options.witness[0]" if isinstance(value, str) else "options.witness"
+    for witness, where in ((value, scalar), ([1, value], "options.witness[1]")):
+        data["options"] = {"witness": witness}
+        assert main(["lambda", write_problem(tmp_path, data)]) == 2
+        assert_parse_error(capsys, f"{message} at {where}")
+    assert main(["equivariant", A5]) == 0
+    cert = report_of(capsys)["certificate"]
+    for key, bad, where in (("witness", [value], "witness[0]"), ("lambda_rep", value, "lambda_rep")):
+        with pytest.raises(ParseError) as exc:
+            certificate_from_json({**cert, key: bad}, load_problem(A5))
+        assert str(exc.value) == f"{message} at certificate.{where}"
+
+
+def test_a_witness_longer_than_the_degree_exits_2(tmp_path, capsys):
+    assert main(["lambda", A5, "--witness", "1,0,0"]) == 2
+    assert_parse_error(capsys, f"{LONG} at --witness")
+    data = json.loads(open(A5).read())
+    data["options"] = {"witness": [1, 0, 0]}
+    assert main(["lambda", write_problem(tmp_path, data)]) == 2
+    assert_parse_error(capsys, f"{LONG} at options.witness")
+    assert main(["equivariant", A5]) == 0
+    cert = report_of(capsys)["certificate"]
+    with pytest.raises(ParseError) as exc:
+        certificate_from_json({**cert, "witness": [1, 0, 0]}, load_problem(A5))
+    assert str(exc.value) == f"{LONG} at certificate.witness"
+
+
+@pytest.mark.parametrize("path", [C3, A5, A7D], ids=["c3", "a5", "2a7"])
+def test_load_problem_reads_entries_as_integers(path, monkeypatch):
+    # no coefficient goes through a Fraction string parse or CyclicExtension.element:
+    # the only element calls are those that build the field
+    counts = count_calls(monkeypatch, [field.rational_from_string])
+    element = field.CyclicExtension.element
+
+    def counted(self, coeffs):
+        counts["element"] += 1
+        return element(self, coeffs)
+
+    monkeypatch.setattr(field.CyclicExtension, "element", counted)
+    with open(path, encoding="utf-8") as handle:
+        fld = json.load(handle)["field"]
+    field.CyclicExtension(fld["min_poly"], fld["sigma_image"])
+    building = counts["element"]
+    counts.clear()
+    load_problem(path)
+    assert counts == {"element": building} and building == 6
+
+
+# a quadratic field whose d = 1000003 * 1000033 has two primes past the 10^6
+# trial bound: every command that needs no norm test still answers
+BIG_D = -1000003 * 1000033
+
+
+@pytest.mark.parametrize("c0", [-5, BIG_D], ids=["q5", "big-d"])
+def test_a_field_is_factored_only_by_a_norm_query(c0, tmp_path, capsys):
+    data = {
+        "field": {"min_poly": [c0, 0, 1], "sigma_image": [0, -1]},
+        "group": {"generators": ["g"], "relations": ["g g"], "tau": {"g": "g"}, "tau_order": 2},
+        "representation": {"g": [[-1]]},
+    }
+    path = write_problem(tmp_path, data)
+    for command in ("validate", "lambda", "induce"):
+        assert main([command, path]) == 0, command
+    capsys.readouterr()
+    if c0 == -5:
+        assert main(["equivariant", path]) == 0

@@ -498,6 +498,44 @@ def test_every_span_entry_is_a_minor_of_the_inserted_rows(make_ext):
         assert span.dim == len(kept)
 
 
+def fraction_free_rows(ext, rows):
+    """(stored rows, pivot columns, pivot) of IncrementalSpan after inserting
+    rows of FieldElements, recomputed from scratch by fraction-free
+    Gauss-Jordan that updates every column of every stored row."""
+    stored, pivots, pivot = [], [], ext.one()
+    for row in rows:
+        v = [pivot * x for x in row]
+        for u, c in zip(stored, pivots):
+            v = [a - row[c] * b for a, b in zip(v, u)]
+        lead = next((j for j, e in enumerate(v) if e), None)
+        if lead is not None:
+            stored = [[(v[lead] * a - u[lead] * b) / pivot for a, b in zip(u, v)] for u in stored] + [v]
+            pivots, pivot = pivots + [lead], v[lead]
+    return stored, pivots, pivot
+
+
+@pytest.mark.parametrize("make_ext", [q5, qm7, cyclic_cubic], ids=["q5", "qm7", "cubic"])
+def test_the_stored_rows_match_a_from_scratch_fraction_free_recomputation(make_ext):
+    # insert computes only the non-pivot columns; the recomputation computes all
+    ext = make_ext()
+    rng = random.Random(f"span-from-scratch-{ext.min_poly}")
+    for width in (2, 4, 6):
+        span, inserted = IncrementalSpan(ext, width), []
+        for step in range(width + 4):
+            if step % 4 == 3:  # a combination of earlier rows, or 0: rank-deficient
+                coeffs = [property_entry(ext, rng) for _ in inserted]
+                vec = [sum((c * row[j] for c, row in zip(coeffs, inserted)), ext.zero()) for j in range(width)]
+            else:  # zero entries move the pivot columns off the diagonal
+                vec = [property_entry(ext, rng) for _ in range(width)]
+            row = Mat(ext, [vec]).num[0]
+            inserted.append([ext._make(e, 1) for e in row])
+            span.insert(row)
+            stored, pivots, pivot = fraction_free_rows(ext, inserted)
+            assert span.pivots == pivots and ext._make(span.pivot, 1) == pivot
+            assert [[ext._make(e, 1) for e in u] for u in span.rows] == stored
+        assert span.dim < len(inserted)
+
+
 # ---------------------------------------------------------------------------
 # restriction of scalars
 
