@@ -43,7 +43,7 @@ def _rational_pair(text: str) -> tuple[int, int]:
         raise ValueError(f"expected an integer or 'p/q', got {text.strip()!r}")
     num, den = int(match[1]), int(match[2] or 1)
     if not den:
-        raise ZeroDivisionError(f"Fraction({num}, 0)")
+        raise ZeroDivisionError(f"zero denominator in {text.strip()!r}")
     return num, den
 
 
@@ -181,31 +181,31 @@ def _square_class_int(a) -> int:
 
 
 def hilbert_symbol(a, b, place) -> int:
-    """Hilbert symbol (a, b) at a finite prime or at the real place (math.inf).
+    """Hilbert symbol (a, b) at a finite prime or at the real place (math.inf),
+    for nonzero a and b given as ints, Fractions or "p/q" strings."""
+    a = _square_class_int(a)
+    b = _square_class_int(b)
+    if place != INF and not is_prime(int(place)):
+        raise ValueError(f"place must be a prime or math.inf, got {place}")
+    return _symbol(a, b, place if place == INF else int(place))
+
+
+def _symbol(a: int, b: int, p) -> int:
+    """(a, b)_p for nonzero integers a, b and p = INF or a prime, unchecked; a
+    rational enters as its square-class integer num * den.
 
     Odd p: with a = p^alpha u, b = p^beta v, the symbol is
     (-1)^(alpha beta (p-1)/2) (u/p)^beta (v/p)^alpha.
     p = 2: (-1)^(eps(u)eps(v) + alpha omega(v) + beta omega(u)) with
     eps(x) = (x-1)/2 and omega(x) = (x^2-1)/8 taken mod 2.
     """
-    a = _square_class_int(a)
-    b = _square_class_int(b)
-    if place == INF:
+    if p == INF:
         return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    if p == 2:
-        alpha, u = _split_prime(a, 2)
-        beta, v = _split_prime(b, 2)
-        eps_u = ((u - 1) // 2) & 1
-        eps_v = ((v - 1) // 2) & 1
-        omega_u = ((u * u - 1) // 8) & 1
-        omega_v = ((v * v - 1) // 8) & 1
-        exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
-        return -1 if exponent & 1 else 1
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"place must be a prime or math.inf, got {place}")
     alpha, u = _split_prime(a, p)
     beta, v = _split_prime(b, p)
+    if p == 2:
+        exponent = (u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
+        return -1 if exponent & 1 else 1
     out = 1
     if (alpha * beta * ((p - 1) // 2)) & 1:
         out = -out
@@ -697,28 +697,24 @@ def norm(x: FieldElement) -> Fraction:
     return acc.as_rational()
 
 
-def _primes_of(q) -> set[int]:
-    """The primes dividing the numerator or the denominator of q, factoring once."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("0 is not in Q*")
-    _, fs = factor(abs(q.numerator * q.denominator))
-    return {p for p, _ in fs}
-
-
-def _nonnorm_places(q: Fraction, d: int, primes) -> frozenset:
-    """The places v with (q, d)_v = -1.  Apart from inf and 2 the symbol is 1 at
-    every prime dividing neither q nor d, so primes must hold all those that do."""
-    return frozenset(v for v in {INF, 2, *primes} if hilbert_symbol(q, d, v) == -1)
+def _nonnorm_places(q: int, d: int, primes) -> frozenset:
+    """The places v with (q, d)_v = -1, for the nonzero integer q.  Apart from
+    inf and 2 the symbol is 1 at every prime dividing neither q nor d, so
+    primes must hold all those that do."""
+    return frozenset(v for v in {INF, 2, *primes} if _symbol(q, d, v) == -1)
 
 
 def _class_places(lam, ext: CyclicExtension) -> frozenset:
     """The places where lam is not a local norm from the quadratic L, which
-    name the class of lam mod N(L*): those with (lam, d) = -1."""
+    name the class of lam mod N(L*): those with (lam, d) = -1, read off the
+    square-class integer num * den of lam, factored once."""
     if ext.degree != 2:
         raise Unsupported("norm membership is only decided for quadratic extensions")
     lam = Fraction(lam)
-    return _nonnorm_places(lam, ext.disc_core, _primes_of(lam) | ext.disc_primes)
+    if not lam:
+        raise ValueError("0 is not in Q*")
+    q = lam.numerator * lam.denominator
+    return _nonnorm_places(q, ext.disc_core, {p for p, _ in factor(q)[1]} | ext.disc_primes)
 
 
 def is_norm(lam, ext: CyclicExtension) -> bool:
@@ -853,6 +849,6 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
         if any(e > 1 for _, e in fs):
             continue
         primes = ext.disc_primes | {p for p, _ in fs}
-        for cand in (Fraction(k), Fraction(-k)):
+        for cand in (k, -k):
             if _nonnorm_places(cand, d, primes) == target:
-                return cand
+                return Fraction(cand)

@@ -361,6 +361,26 @@ def test_symbol_bilinearity_in_first_argument():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("place", [0, 1, 4, 9, -3])
+def test_a_place_that_is_not_prime_is_refused(place):
+    with pytest.raises(ValueError, match=f"^place must be a prime or math.inf, got {place}$"):
+        hilbert_symbol(2, 3, place)
+
+
+@pytest.mark.parametrize("a, b", [(0, 3), (3, 0), (Fraction(0), "2/3"), ("0/5", -1)])
+def test_a_zero_argument_is_refused(a, b):
+    with pytest.raises(ValueError, match="^Hilbert symbols need nonzero arguments$"):
+        hilbert_symbol(a, b, 3)
+
+
+def test_the_symbol_of_a_rational_is_that_of_its_square_class_integer():
+    for a, b, p in ((Fraction(-2, 7), -7, 7), ("3/4", "-5/9", 2), (Fraction(5, 3), 3, 3), ("-1/2", 6, INF)):
+        a, b = Fraction(a), Fraction(b)
+        assert hilbert_symbol(a, b, p) == hilbert_symbol(
+            a.numerator * a.denominator, b.numerator * b.denominator, p
+        ) == hilbert_symbol(str(a), str(b), p), (a, b, p)
+
+
 # ---------------------------------------------------------------------------
 # extension arithmetic
 
@@ -641,6 +661,51 @@ def test_canonical_lambda_of_a_product_of_two_inert_primes_is_fast():
     started = time.monotonic()
     assert canonical_lambda(1019 * 1031, CyclicExtension([1, 0, 1], [0, -1])) == 1050589
     assert time.monotonic() - started < 0.5
+
+
+# the fields of the benchmark's norm queries, t^2 - d
+NORM_QUERY_FIELDS = (-1, -3, -7, 2, 5, 13)
+
+
+def class_grid(d):
+    """Rationals of both signs with 2, small odd primes, a larger prime, the
+    primes of d and squares in the numerator and in the denominator."""
+    nums = sorted({1, 2, 3, 4, 5, 7, 8, 9, 12, 18, 49, 53, 2 * 53, abs(d), 4 * abs(d), 2 * abs(d)})
+    dens = sorted({1, 2, 3, 4, 7, 25, abs(d), 9 * abs(d)})
+    return [Fraction(sign * num, den) for num in nums for den in dens for sign in (1, -1)]
+
+
+def test_the_class_places_are_where_the_public_symbol_is_minus_one():
+    # every prime of the grid and of d is at most 53, and the symbol is 1 at
+    # any other odd prime
+    places = [INF] + [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+    for d in NORM_QUERY_FIELDS:
+        ext = CyclicExtension([-d, 0, 1], [0, -1])
+        for lam in class_grid(d):
+            expected = {v for v in places if hilbert_symbol(lam, d, v) == -1}
+            assert field._class_places(lam, ext) == expected, (lam, d)
+            assert is_norm(lam, ext) == (not expected)
+            assert canonical_lambda(lam, ext) == oracle_canonical_lambda(lam, ext), (lam, d)
+
+
+def test_a_norm_test_makes_no_primality_test_and_no_public_symbol_call(monkeypatch):
+    # num * den is at most 10^12 after chunk 0 of the trial division, so
+    # factor proves no cofactor prime; each place's symbol is taken on
+    # integers with no check that the place is prime
+    calls = []
+    for name in ("is_prime", "hilbert_symbol"):
+        def counted(*args, _name=name, _original=getattr(field, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(field, name, counted)
+    lams = [7, -1, Fraction(-2, 3), Fraction(999983, 5), Fraction(-9, 999979 * 999961),
+            2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, Fraction(49, 8)]
+    for d in NORM_QUERY_FIELDS:
+        ext = CyclicExtension([-d, 0, 1], [0, -1])
+        for lam in lams:
+            assert (canonical_lambda(lam, ext) == 1) == is_norm(lam, ext)
+    assert calls == []
 
 
 def test_rational_string_round_trip():

@@ -10,7 +10,9 @@ and each workload of BENCHMARK.json (or those given).  The order alternates
 from pair to pair (base first, then the working tree first), so a drift in the
 machine's speed falls on both sides alike.  Each run's end-to-end metrics are
 printed when it ends; then, per workload and metric, the median of each side,
-the change of the medians, and in how many pairs the working tree did better.
+the change of the medians, and in how many pairs the working tree did better,
+and per workload how many runs of each side reported ``correct: false``.  The
+exit status is 1 if any run did.
 
 Nothing under ``bench/`` changes: the runs write only to the temporary
 directory and to the working tree's git-ignored ``.bench_out/`` and
@@ -64,11 +66,14 @@ def main(argv=None) -> int:
         base = Path(tmp)
         export(args.base, base)
         trees = {"base": base, "change": ROOT}
+        failed = False
         for workload in workloads:
             values = {side: {name: [] for name in metrics} for side in trees}
+            incorrect = dict.fromkeys(trees, 0)
             for pair in range(args.pairs):
                 for side in (("base", "change") if pair % 2 == 0 else ("change", "base")):
                     result = run(trees[side], workload, args.seed, args.seconds)
+                    incorrect[side] += not result["correct"]
                     got = {name: result["metrics"][name]["value"] for name in metrics}
                     for name, value in got.items():
                         values[side][name].append(value)
@@ -81,7 +86,10 @@ def main(argv=None) -> int:
                 delta = f"{(mb - ma) / ma:+.1%}" if ma else "n/a"
                 wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(a, b))
                 print(f"#   {name:14s} {ma:12.6g} / {mb:<12.6g} {delta:>8s}  better in {wins} of {len(a)}")
-    return 0
+            print(f"#   runs with correct=false: base {incorrect['base']} of {args.pairs}, "
+                  f"change {incorrect['change']} of {args.pairs}")
+            failed = failed or any(incorrect.values())
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
