@@ -6,8 +6,8 @@ decide lambda mod norms, and when trivial rescale X and solve the matrix
 Hilbert 90 equation sigma(Y)^-1 Y = X by telescoping, giving the conjugated
 representation rho' = Y rho Y^-1 which commutes with the twist.
 
-For quadratic L and odd n, N(det X) = det N(X) = lambda^n and N(lambda) =
-lambda^2, so w = det X lambda^-(n-1)/2 has N(w) = lambda: no factoring needed.
+For quadratic L and odd n, N(X) = lambda I gives N(det X) = lambda^n, so
+w = det X lambda^-(n-1)/2 has N(w) = lambda: N(X) alone decides lambda.
 equivariant_form still rescales by norm_witness(lambda), keeping Y and rho'.
 """
 
@@ -26,7 +26,7 @@ from .errors import (
     Unsupported,
 )
 from .field import FieldElement, canonical_lambda, norm, norm_witness
-from .linalg import IncrementalSpan, Mat, determinant, inverse, matrix_norm, require_invertible
+from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, require_invertible
 from .linalg import solve_sylvester_space, twisted_norm_chain
 from .rep import CheckReport, Representation, evaluate_word, twist
 
@@ -112,27 +112,27 @@ def _witness_to_rescaler(witness: FieldElement, lam: Fraction) -> FieldElement:
 
 def lambda_invariant(rep: Representation, witness: Optional[FieldElement] = None) -> LambdaInvariant:
     """(lambda_rep, lambda_canonical, is_trivial) for the intertwiner of rep."""
-    x = compute_X(rep)
-    return decide_lambda(_scalar_of(matrix_norm(x)), x, witness)
+    norm_x = matrix_norm(compute_X(rep))
+    return decide_lambda(_scalar_of(norm_x), norm_x, witness)
 
 
-def decide_lambda(lam: Fraction, x: Mat, witness: Optional[FieldElement]) -> LambdaInvariant:
-    """The class of lambda mod norms, for lambda the twisted norm of X.
+def decide_lambda(lam: Fraction, norm_x: Mat, witness: Optional[FieldElement]) -> LambdaInvariant:
+    """The class of lambda mod norms, given the twisted norm N(X) of X.
 
     A supplied witness is checked first at every degree: one of norm lambda
     or 1/lambda decides the class trivial, any other is a BadWitness.  Without
-    one, r > 2 is Unsupported.  For quadratic L and odd n, a checked
-    N(det X) = lambda^n, that is N(w) = lambda for w = det X lambda^-(n-1)/2,
-    decides it trivial (see the module docstring); else Hilbert symbols do.
+    one, r > 2 is Unsupported.  For quadratic L and odd n, N(X) = lambda I
+    decides it trivial (see the module docstring); Hilbert symbols decide
+    even n and any lambda that X does not give.
     """
     if witness is not None:
         _witness_to_rescaler(witness, lam)
         return LambdaInvariant(lam, Fraction(1), True)
-    if x.ext.degree != 2:
+    if norm_x.ext.degree != 2:
         raise Unsupported("deciding lambda mod norms needs a witness when r > 2")
-    if x.nrows % 2 and lam and norm(determinant(x)) == lam**x.nrows:
+    if norm_x.nrows % 2 and lam and norm_x.is_scalar() and norm_x[0, 0] == lam:
         return LambdaInvariant(lam, Fraction(1), True)
-    canonical = canonical_lambda(lam, x.ext)
+    canonical = canonical_lambda(lam, norm_x.ext)
     return LambdaInvariant(lam, canonical, canonical == 1)
 
 
@@ -198,7 +198,8 @@ def equivariant_form(
     is Y = c sigma(Y) X, for a scalar c compatible with lambda.
     """
     x = compute_X(rep)
-    lam = _scalar_of(matrix_norm(x))
+    norm_x = matrix_norm(x)
+    lam = _scalar_of(norm_x)
 
     # mu, the scalar rescaling X to twisted norm 1, checked where it is
     # obtained; a supplied witness is checked even when a replayed Y gives mu
@@ -212,7 +213,7 @@ def equivariant_form(
         if norm(mu) * lam != 1:
             raise BadWitness("replayed Y implies an incompatible scalar")
     elif mu is None:
-        inv = decide_lambda(lam, x, None)
+        inv = decide_lambda(lam, norm_x, None)
         if not inv.is_trivial:
             cert = EquivarianceCertificate(x, lam, inv.lambda_canonical, False, None, None, None, seed)
             _require_valid(cert, rep)
@@ -251,7 +252,7 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
 
     witnessed = cert.witness is not None and norm(cert.witness) * cert.lambda_rep == 1
     if witnessed or ext.degree == 2:
-        canonical = Fraction(1) if witnessed else decide_lambda(cert.lambda_rep, cert.x, None).lambda_canonical
+        canonical = Fraction(1) if witnessed else decide_lambda(cert.lambda_rep, norm_x, None).lambda_canonical
         entries.append(("is_trivial matches the norm test", cert.is_trivial == (canonical == 1)))
         entries.append(("lambda_canonical matches", cert.lambda_canonical == canonical))
 

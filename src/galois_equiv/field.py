@@ -784,13 +784,11 @@ def _direct_witness_search(lam: Fraction, ext: CyclicExtension):
             s = math.isqrt(s2)
             if s * s != s2:
                 continue
-            for sgn in (1,) if s == 0 else (1, -1):
-                num = b * q + sgn * s
-                if num % 2:
-                    continue
-                mu = ext.element([Fraction(num, 2) / w, Fraction(q, w)])
-                if norm(mu) == lam:
-                    return mu
+            # s = bq mod 2, as disc = b^2 mod 4, and (bq + s)/2 + qt has norm (s^2 - disc q^2)/4 = tgt
+            mu = ext.element([Fraction(b * q + s, 2) / w, Fraction(q, w)])
+            if norm(mu) != lam:
+                raise InternalInvariantViolation("searched witness does not have norm lambda")
+            return mu
     return None
 
 

@@ -144,9 +144,9 @@ class SchurReport:
 def schur_index(cp: CrossedProduct, witness: Optional[FieldElement] = None) -> SchurReport:
     """Schur index of the induced representation over Q, decided through the
     norm class of the crossed product's lambda.  Quadratic extensions are
-    decided outright, for odd n from det cp.x (see decide_lambda); r > 2
-    needs a witness and can only certify index 1."""
-    inv = decide_lambda(cp.lambda_rep, cp.x, witness)
+    decided outright, for odd n from the twisted norm of cp.x (see
+    decide_lambda); r > 2 needs a witness and can only certify index 1."""
+    inv = decide_lambda(cp.lambda_rep, cp._norm_x, witness)
     if inv.is_trivial:
         return SchurReport(1, inv, None)
     return SchurReport(2, inv, (inv.lambda_canonical, cp.ext.disc_core))

@@ -4,7 +4,7 @@ A matrix is integer numerator polynomials over one denominator for all its
 entries (Cohen's element form, 4.2, lifted to matrices).  A product sums the
 unreduced Z[t] products over den_A den_B, reduces each entry mod m and takes
 one gcd for the whole matrix; for r = 2 the entry loop is fused.  The one
-elimination over L, read by inverse and determinant, is IncrementalSpan:
+elimination over L (inverse, hilbert90, burnside_dim) is IncrementalSpan:
 fraction-free Gauss-Jordan (Bareiss) on integer numerators.  The intertwiner
 space X A = B X in its n^2 unknowns is instead solved over F_p at the
 field's split primes, lifted by CRT and rational reconstruction, and
@@ -22,7 +22,7 @@ oracle for the induced commutant.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -243,19 +243,6 @@ def inverse(a: Mat) -> Mat:
         raise Singular("matrix is singular")
     by_pivot = dict(zip(span.pivots, span.rows))
     return Mat._of(ext, [by_pivot[i][n:] for i in range(n)], 1) * ext._make(span.pivot, a.den).inverse()
-
-
-def determinant(a: Mat) -> FieldElement:
-    """det A from the span of the rows of num A: 0 if a row is dependent,
-    else the pivot times the sign of the pivot columns' order is det(num A),
-    and det A = det(num A) / den^n."""
-    if a.nrows != a.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    span = IncrementalSpan(a.ext, a.nrows)
-    if not all(map(span.insert, a.num)):
-        return a.ext.zero()
-    sign = (-1) ** sum(i > j for i, j in combinations(span.pivots, 2))
-    return a.ext._make([sign * x for x in span.pivot], a.den**a.nrows)
 
 
 def require_invertible(a: Mat) -> None:

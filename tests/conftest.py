@@ -1,5 +1,8 @@
 """Shared constructions: the bundled example representations in object form,
-and the crossed product's endomorphisms as dense rn x rn matrices."""
+the crossed product's endomorphisms as dense rn x rn matrices, and the
+Leibniz determinant."""
+
+import itertools
 
 import pytest
 
@@ -66,6 +69,19 @@ def dense_xi(cp):
             for b in range(n):
                 rows[i * n + a][j * n + b] = blk[a, b]
     return Mat(cp.ext, rows)
+
+
+def leibniz_determinant(a):
+    """sum over permutations p of sign(p) prod_i a[i, p(i)], over FieldElements."""
+    ext, n = a.ext, a.nrows
+    total = ext.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ext.element(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * a[i, j]
+        total = total + term
+    return total
 
 
 @pytest.fixture

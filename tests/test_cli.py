@@ -20,7 +20,7 @@ from galois_equiv.equivariance import compute_X, lambda_invariant, verify_certif
 from galois_equiv.errors import ParseError, Singular
 from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
-from galois_equiv.linalg import Mat, determinant, inverse, matrix_norm
+from galois_equiv.linalg import Mat, inverse, matrix_norm
 from galois_equiv.rep import evaluate_word
 
 A5 = fixture_path("a5_3dim.json")
@@ -708,13 +708,13 @@ def test_equivariant_takes_at_most_two_twisted_norms(monkeypatch, capsys):
 
 
 def test_equivariant_out_checks_the_file_with_no_second_verification(monkeypatch, tmp_path, capsys):
-    # det X decides lambda once; the certificate's witness decides it again
-    counts = count_calls(monkeypatch, [verify_certificate, matrix_norm, determinant])
+    # N(X) decides lambda once; the certificate's witness decides it again
+    counts = count_calls(monkeypatch, [verify_certificate, matrix_norm])
     assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 0
-    assert counts == {"verify_certificate": 1, "matrix_norm": 2, "determinant": 1}
+    assert counts == {"verify_certificate": 1, "matrix_norm": 2}
     counts.clear()
     assert main(["equivariant", A5]) == 0
-    assert counts == {"verify_certificate": 1, "matrix_norm": 2, "determinant": 1}
+    assert counts == {"verify_certificate": 1, "matrix_norm": 2}
     capsys.readouterr()
 
 

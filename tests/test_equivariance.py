@@ -14,9 +14,9 @@ from galois_equiv.errors import (
     Singular,
     Unsupported,
 )
-from galois_equiv import equivariance, linalg
+from galois_equiv import equivariance, induced, linalg
 from galois_equiv.field import CyclicExtension, canonical_lambda, norm
-from galois_equiv.linalg import Mat, determinant, inverse, matrix_norm
+from galois_equiv.linalg import IncrementalSpan, Mat, inverse, matrix_norm
 from galois_equiv.rep import GroupData, Representation, evaluate_word
 from galois_equiv.equivariance import (
     compute_X,
@@ -25,8 +25,9 @@ from galois_equiv.equivariance import (
     lambda_invariant,
     verify_certificate,
 )
+from galois_equiv.induced import build_crossed_product, schur_index
 
-from conftest import ALPHA, NEG_ALPHA
+from conftest import ALPHA, NEG_ALPHA, build_a5, build_c3, leibniz_determinant
 from test_acceptance import random_invertible
 from test_cli import count_calls
 
@@ -191,11 +192,50 @@ def test_a_witness_of_norm_lambda_is_inverted(a5):
         lam = lambda_invariant(rep).lambda_rep
         if lam not in (1, -1):
             break
-    w = determinant(compute_X(rep)) * (1 / lam)
+    w = leibniz_determinant(compute_X(rep)) * (1 / lam)
     assert norm(w) == lam
     cert = equivariant_form(rep, witness=w)
     assert cert.is_trivial and cert.witness == w.inverse()
     assert verify_certificate(cert, rep).ok
+
+
+class _Decided(Exception):
+    """Raised in place of the witness search, which follows a trivial decision."""
+
+
+@pytest.mark.parametrize(
+    "build, height",
+    [(build_c3, None), (build_a5, None), (build_a5, 10), (build_a5, 100), (build_a5, 1000)],
+    ids=["c3", "a5", "a5-H10", "a5-H100", "a5-H1000"],
+)
+def test_the_odd_n_decision_eliminates_nothing_over_l(monkeypatch, build, height):
+    # N(X) = lambda I decides odd n, so the decision inserts no row into a
+    # span over L; only what follows a trivial one (mu, Hilbert 90, Y^-1) does
+    rep = build()
+    if height is not None:
+        t = random_invertible(rep.ext, rep.dim, random.Random(f"no-insert/{height}"), spread=height)
+        rep = Representation(rep.group, rep.ext, [t * m * inverse(t) for m in rep.images])
+    inserts, per_decision = [], []
+    insert, decide = IncrementalSpan.insert, equivariance.decide_lambda
+
+    def counted_decide(*args):
+        before = len(inserts)
+        inv = decide(*args)
+        per_decision.append(len(inserts) - before)
+        return inv
+
+    def decided(*args):
+        raise _Decided
+
+    monkeypatch.setattr(IncrementalSpan, "insert", lambda span, row: inserts.append(row) or insert(span, row))
+    for module in (equivariance, induced):
+        monkeypatch.setattr(module, "decide_lambda", counted_decide)
+    monkeypatch.setattr(equivariance, "norm_witness", decided)
+    assert lambda_invariant(rep).is_trivial
+    assert schur_index(build_crossed_product(rep)).index == 1
+    with pytest.raises(_Decided):
+        equivariant_form(rep)
+    assert per_decision == [0, 0, 0]
 
 
 def test_verify_certificate_reports_a_y_without_witness(a5):
@@ -263,7 +303,7 @@ def test_unsupported_without_witness_beyond_quadratic():
 
 def test_a_witnessed_certificate_is_decided_by_its_witness(monkeypatch, a5):
     cert = equivariant_form(a5, seed=0)
-    counts = count_calls(monkeypatch, [determinant, canonical_lambda])
+    counts = count_calls(monkeypatch, [canonical_lambda])
     assert verify_certificate(cert, a5).ok
     assert counts == {}
 
@@ -271,7 +311,7 @@ def test_a_witnessed_certificate_is_decided_by_its_witness(monkeypatch, a5):
 def test_an_obstruction_certificate_is_decided_once(monkeypatch, a7d):
     cert = equivariant_form(a7d)
     assert not cert.is_trivial and cert.witness is None
-    counts = count_calls(monkeypatch, [determinant, canonical_lambda])
+    counts = count_calls(monkeypatch, [canonical_lambda])
     assert verify_certificate(cert, a7d).ok
     assert counts == {"canonical_lambda": 1}
 

@@ -296,6 +296,7 @@ def test_legendre_basics():
     assert legendre(2, 7) == 1
     assert legendre(-2, 7) == -1
     assert legendre(-1, 5) == 1
+    assert legendre(7 * 3, 7) == 0
 
 
 def test_symbol_at_infinity():
@@ -398,6 +399,8 @@ def test_extension_validation():
         CyclicExtension([-5, 1], [0])  # degree 1
     with pytest.raises(ValueError, match="integer coefficients"):
         CyclicExtension([Fraction(-5, 4), 0, 1], [0, -1])  # t^2 - 5/4 is not integral
+    with pytest.raises(ValueError, match="^sigma_image degree must be below deg m$"):
+        CyclicExtension([-5, 0, 1], [0, -1, 0])
     # sigma_image may have denominators
     assert CyclicExtension([8, -12, 0, 1], [-4, 0, Fraction(1, 2)]).degree == 3
 
@@ -415,6 +418,22 @@ def test_element_arithmetic_and_inverse():
                 assert x * x.inverse() == ext.one()
             if y:
                 assert (x / y) * y == x
+
+
+def test_powers_reflected_operators_and_refusals_of_elements():
+    ext = q5()
+    x = ext.element([1, 1])  # 1 + sqrt5, of norm -4
+    assert x**-2 == ext.element([Fraction(3, 8), Fraction(-1, 8)])
+    assert 1 - x == -ext.gen()
+    assert 1 / x == ext.element([Fraction(-1, 4), Fraction(1, 4)])
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero field element$"):
+        ext.zero().inverse()
+    with pytest.raises(ValueError, match=r"^1 \+ t is not rational$"):
+        x.as_rational()
+    with pytest.raises(ValueError, match="^element belongs to a different extension$"):
+        qm7().element(x)
+    with pytest.raises(ValueError, match=r"^0 is not in Q\*$"):
+        is_norm(0, ext)
 
 
 def test_element_takes_only_exact_coefficients():
@@ -580,6 +599,19 @@ def test_the_norm_minus_one_unit_is_read_at_the_end_of_the_first_period(monkeypa
     assert norm(field._negative_norm_unit(CyclicExtension([-3, -1, 1], [1, -1]))) == -1
     # sqrt(3) has period 2, and no unit of Q(sqrt 3) has norm -1
     assert field._negative_norm_unit(CyclicExtension([-3, 0, 1], [0, -1])) is None
+
+
+def test_a_field_without_a_norm_minus_one_unit_can_still_have_norm_minus_one():
+    # sqrt(34) has period 4, and 34 = 2 * 17 has no prime 3 mod 4, so the walk
+    # runs and ends with no unit of norm -1; yet -1 = N((5 + sqrt 34)/3)
+    ext = CyclicExtension([-34, 0, 1], [0, -1])
+    assert field._negative_norm_unit(ext) is None
+    assert norm_witness(-1, ext) == ext.element([Fraction(5, 3), Fraction(1, 3)])
+
+
+def test_a_unit_of_norm_minus_one_is_sought_only_in_a_real_field():
+    with pytest.raises(ValueError, match="^a unit of norm -1 is only sought in a real quadratic field$"):
+        field._negative_norm_unit(qm7())
 
 
 def test_the_primes_of_d_are_factored_once_with_the_field(monkeypatch):

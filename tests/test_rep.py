@@ -231,6 +231,18 @@ def test_tau_squared_returns_to_generator_words(a5):
         assert evaluate_word(a5, w) == a5.images[k]
 
 
+def test_group_data_needs_tau_on_every_generator_and_known_indices():
+    with pytest.raises(ValueError, match="^tau must be given on every generator$"):
+        GroupData(["a", "b"], [], [((0, 1),)])
+    with pytest.raises(UnknownGenerator, match="^generator index 2 out of range$"):
+        GroupData(["a", "b"], [((2, 1),)], [((0, 1),), ((1, 1),)])
+
+
+def test_representation_needs_one_image_per_generator(a5):
+    with pytest.raises(ValueError, match="^one image per generator required$"):
+        Representation(a5.group, a5.ext, [a5.images[0]])
+
+
 def test_representation_requires_square_images(a5):
     with pytest.raises(ValueError):
         Representation(a5.group, a5.ext, [a5.images[0], Mat(a5.ext, [[1, 0, 0], [0, 1, 0]])])

@@ -8,11 +8,13 @@ with ``git archive`` into a temporary directory, and ``bench/run.py --trace 0``
 runs there and in the working tree in turn, with the same seed, for each pair
 and each workload of BENCHMARK.json (or those given).  The order alternates
 from pair to pair (base first, then the working tree first), so a drift in the
-machine's speed falls on both sides alike.  Each run's end-to-end metrics are
-printed when it ends; then, per workload and metric, the median of each side,
-the change of the medians, and in how many pairs the working tree did better,
-and per workload how many runs of each side reported ``correct: false``.  The
-exit status is 1 if any run did.
+machine's speed falls on both sides alike.  Each run's number of ops attempted
+and end-to-end metrics are printed when it ends; then, per workload and metric,
+the median of each side, the change of the medians, and in how many pairs the
+working tree did better, and per workload the median ops attempted on each
+side (``peak_rss_mb`` grows with it, as the harness keeps every sample) and how
+many runs of each side reported ``correct: false``.  The exit status is 1 if
+any run did.
 
 Nothing under ``bench/`` changes: the runs write only to the temporary
 directory and to the working tree's git-ignored ``.bench_out/`` and
@@ -70,15 +72,18 @@ def main(argv=None) -> int:
         for workload in workloads:
             values = {side: {name: [] for name in metrics} for side in trees}
             incorrect = dict.fromkeys(trees, 0)
+            attempted = {side: [] for side in trees}
             for pair in range(args.pairs):
                 for side in (("base", "change") if pair % 2 == 0 else ("change", "base")):
                     result = run(trees[side], workload, args.seed, args.seconds)
                     incorrect[side] += not result["correct"]
+                    attempted[side].append(result["attempted"])
                     got = {name: result["metrics"][name]["value"] for name in metrics}
                     for name, value in got.items():
                         values[side][name].append(value)
                     shown = " ".join(f"{name}={value:.6g}" for name, value in got.items())
-                    print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} {shown}", flush=True)
+                    print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} "
+                          f"attempted={result['attempted']} {shown}", flush=True)
             print(f"# {workload}: median base / change, change of the medians, pairs where the change is better")
             for name, better in metrics.items():
                 a, b = values["base"][name], values["change"][name]
@@ -86,6 +91,8 @@ def main(argv=None) -> int:
                 delta = f"{(mb - ma) / ma:+.1%}" if ma else "n/a"
                 wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(a, b))
                 print(f"#   {name:14s} {ma:12.6g} / {mb:<12.6g} {delta:>8s}  better in {wins} of {len(a)}")
+            print(f"#   {'attempted':14s} {statistics.median(attempted['base']):12.6g} / "
+                  f"{statistics.median(attempted['change']):<12.6g} (median ops run)")
             print(f"#   runs with correct=false: base {incorrect['base']} of {args.pairs}, "
                   f"change {incorrect['change']} of {args.pairs}")
             failed = failed or any(incorrect.values())
