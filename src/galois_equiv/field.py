@@ -52,6 +52,15 @@ def rational_from_string(text: str) -> Fraction:
     return Fraction(*_rational_pair(text))
 
 
+def _exact(x, name: str) -> int | Fraction:
+    """x as an int or a Fraction, parsing "p/q"; a float (Fraction(0.1) is a binary expansion) or bool raises."""
+    if isinstance(x, str):
+        return rational_from_string(x)
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{name} must be an int, a Fraction or a 'p/q' string, not {type(x).__name__}")
+    return x
+
+
 def rational_to_string(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -173,8 +182,8 @@ def legendre(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
-def _square_class_int(a) -> int:
-    a = Fraction(a)
+def _square_class_int(a, name: str) -> int:
+    a = _exact(a, name)
     if a == 0:
         raise ValueError("Hilbert symbols need nonzero arguments")
     return a.numerator * a.denominator
@@ -183,9 +192,10 @@ def _square_class_int(a) -> int:
 def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a finite prime or at the real place (math.inf),
     for nonzero a and b given as ints, Fractions or "p/q" strings."""
-    a = _square_class_int(a)
-    b = _square_class_int(b)
-    if place != INF and not is_prime(int(place)):
+    a = _square_class_int(a, "a")
+    b = _square_class_int(b, "b")
+    # 5.0 names the prime 5, while nan % 1 and -inf % 1 are nan
+    if place != INF and not (isinstance(place, (int, float, Fraction)) and place % 1 == 0 and is_prime(int(place))):
         raise ValueError(f"place must be a prime or math.inf, got {place}")
     return _symbol(a, b, place if place == INF else int(place))
 
@@ -343,13 +353,7 @@ class CyclicExtension:
             return FieldElement(self, (coeffs,) + self._zero_num[1:], 1)
         if isinstance(coeffs, Fraction):
             coeffs = [coeffs]
-        vals = []
-        for c in coeffs:
-            if isinstance(c, str):
-                c = rational_from_string(c)
-            elif not isinstance(c, (int, Fraction)):  # Fraction(0.1) is a binary expansion
-                raise TypeError(f"a coefficient must be an int, a Fraction or a 'p/q' string, not {type(c).__name__}")
-            vals.append(c)
+        vals = [_exact(c, "a coefficient") for c in coeffs]
         den = math.lcm(*(c.denominator for c in vals))
         num = [c.numerator * (den // c.denominator) for c in vals]
         if len(num) > self.degree:
@@ -697,29 +701,41 @@ def norm(x: FieldElement) -> Fraction:
     return acc.as_rational()
 
 
-def _nonnorm_places(q: int, d: int, primes) -> frozenset:
-    """The places v with (q, d)_v = -1, for the nonzero integer q.  Apart from
-    inf and 2 the symbol is 1 at every prime dividing neither q nor d, so
-    primes must hold all those that do."""
-    return frozenset(v for v in {INF, 2, *primes} if _symbol(q, d, v) == -1)
+def _square_class(lam, ext: CyclicExtension) -> int:
+    """num * den of the nonzero rational lam, with lam's symbols against d."""
+    if ext.degree != 2:
+        raise Unsupported("norm membership is only decided for quadratic extensions")
+    lam = _exact(lam, "lambda")
+    if not lam:
+        raise ValueError("0 is not in Q*")
+    return lam.numerator * lam.denominator
+
+
+def _unfactored_places(q: int, ext: CyclicExtension) -> frozenset:
+    """The places v = inf, 2 or a prime of d with (q, d)_v = -1: no factoring of q."""
+    return frozenset(v for v in {INF, 2, *ext.disc_primes} if _symbol(q, ext.disc_core, v) == -1)
+
+
+def _inert_places(fs, d: int) -> frozenset:
+    """The other places of q, read off its factorization fs: at an odd p not
+    dividing d, (q, d)_p = (d/p)^v_p(q), so they are the inert p of odd v_p(q)."""
+    return frozenset(p for p, e in fs if e % 2 and p != 2 and legendre(d, p) == -1)
 
 
 def _class_places(lam, ext: CyclicExtension) -> frozenset:
     """The places where lam is not a local norm from the quadratic L, which
     name the class of lam mod N(L*): those with (lam, d) = -1, read off the
-    square-class integer num * den of lam, factored once."""
-    if ext.degree != 2:
-        raise Unsupported("norm membership is only decided for quadratic extensions")
-    lam = Fraction(lam)
-    if not lam:
-        raise ValueError("0 is not in Q*")
-    q = lam.numerator * lam.denominator
-    return _nonnorm_places(q, ext.disc_core, {p for p, _ in factor(q)[1]} | ext.disc_primes)
+    square-class integer q = num * den of lam: at inf, 2 and the primes of d
+    with no factoring, and at the inert primes read off factor(q)."""
+    q = _square_class(lam, ext)
+    return _unfactored_places(q, ext) | _inert_places(factor(q)[1], ext.disc_core)
 
 
 def is_norm(lam, ext: CyclicExtension) -> bool:
-    """Decide lam in N(L*) for quadratic L: no place has Hilbert symbol (lam, d) = -1."""
-    return not _class_places(lam, ext)
+    """Decide lam in N(L*) for quadratic L: no place has Hilbert symbol (lam, d) = -1.
+    A -1 at inf, 2 or a prime of d decides it with no factor call."""
+    q = _square_class(lam, ext)
+    return not _unfactored_places(q, ext) and not _inert_places(factor(q)[1], ext.disc_core)
 
 
 _WITNESS_BUDGET = 10**4
@@ -735,7 +751,7 @@ def norm_witness(lam, ext: CyclicExtension) -> FieldElement:
     when the budget is exhausted; that signals a search failure, not
     non-membership.
     """
-    lam = Fraction(lam)
+    lam = Fraction(_exact(lam, "lambda"))
     if not is_norm(lam, ext):
         raise ValueError(f"{lam} is not a norm from this extension")
     mu = _direct_witness_search(lam, ext)
@@ -829,7 +845,7 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
     Trivial classes report 1.  A nontrivial class reports the
     smallest-absolute-value squarefree integer k with |k| >= 2 whose Hilbert
     symbols against d match those of lam at every place (ties broken toward
-    positive sign).
+    positive sign).  Unlike is_norm it always factors lam's square class.
     """
     target = _class_places(lam, ext)
     if not target:
@@ -838,15 +854,14 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
     # class is a multiple of step.  The squarefree kernel of lam is in the
     # class, and so is d when that kernel is -1, so the scan ends by
     # max(|kernel of lam|, |d|, 2).
-    d = ext.disc_core
-    step = math.prod(p for p in target if p not in (INF, 2) and d % p)
+    inert = target - {INF, 2} - ext.disc_primes
+    step = math.prod(inert)
     for k in itertools.count(step, step):
         if k < 2:
             continue
         _, fs = factor(k)
-        if any(e > 1 for _, e in fs):
+        if any(e > 1 for _, e in fs) or _inert_places(fs, ext.disc_core) != inert:
             continue
-        primes = ext.disc_primes | {p for p, _ in fs}
         for cand in (k, -k):
-            if _nonnorm_places(cand, d, primes) == target:
+            if _unfactored_places(cand, ext) == target - inert:
                 return Fraction(cand)

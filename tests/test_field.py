@@ -362,10 +362,14 @@ def test_symbol_bilinearity_in_first_argument():
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("place", [0, 1, 4, 9, -3])
+@pytest.mark.parametrize("place", [0, 1, 4, 9, -3, 2.5, 3.7, -math.inf, math.nan])
 def test_a_place_that_is_not_prime_is_refused(place):
     with pytest.raises(ValueError, match=f"^place must be a prime or math.inf, got {place}$"):
         hilbert_symbol(2, 3, place)
+
+
+def test_an_integral_place_names_its_prime():
+    assert hilbert_symbol(3, 5, 5.0) == hilbert_symbol(3, 5, Fraction(5)) == hilbert_symbol(3, 5, 5) == -1
 
 
 @pytest.mark.parametrize("a, b", [(0, 3), (3, 0), (Fraction(0), "2/3"), ("0/5", -1)])
@@ -439,7 +443,7 @@ def test_powers_reflected_operators_and_refusals_of_elements():
 def test_element_takes_only_exact_coefficients():
     # Fraction(0.1) would be the binary expansion 3602879701896397/2^55
     ext = q5()
-    for bad in ([0.1, 1], [1, 2.0], [Fraction(1, 3), None]):
+    for bad in ([0.1, 1], [1, 2.0], [Fraction(1, 3), None], [True, 1]):
         with pytest.raises(TypeError, match="Fraction or a 'p/q' string"):
             ext.element(bad)
     assert ext.element([Fraction(1, 10), 1]) == ext.element(["1/10", "1"])
@@ -700,16 +704,24 @@ NORM_QUERY_FIELDS = (-1, -3, -7, 2, 5, 13)
 
 
 def class_grid(d):
-    """Rationals of both signs with 2, small odd primes, a larger prime, the
-    primes of d and squares in the numerator and in the denominator."""
-    nums = sorted({1, 2, 3, 4, 5, 7, 8, 9, 12, 18, 49, 53, 2 * 53, abs(d), 4 * abs(d), 2 * abs(d)})
-    dens = sorted({1, 2, 3, 4, 7, 25, abs(d), 9 * abs(d)})
-    return [Fraction(sign * num, den) for num in nums for den in dens for sign in (1, -1)]
+    """Rationals of both signs over Q(sqrt d): 2, the primes of d, and the
+    smallest odd inert and split primes, each at valuation 0, 1 or 2 in the
+    numerator or the denominator, in every combination; and quotients with
+    small odd primes, a larger prime 53 and squares."""
+    inert = next(p for p in range(3, 54, 2) if legendre(d, p) == -1)
+    split = next(p for p in range(3, 54, 2) if legendre(d, p) == 1)
+    parts = (2, abs(d), inert, split)
+    nums = {1, 2, 3, 4, 5, 7, 8, 9, 12, 18, 49, 53, 2 * 53, abs(d), 4 * abs(d), 2 * abs(d)}
+    lams = {Fraction(num, den) for num in nums for den in (1, 2, 3, 4, 7, 25, abs(d), 9 * abs(d))}
+    for exponents in itertools.product(range(-2, 3), repeat=len(parts)):
+        lams.add(math.prod((Fraction(p) ** e for p, e in zip(parts, exponents)), start=Fraction(1)))
+    return sorted(sign * lam for lam in lams for sign in (1, -1))
 
 
 def test_the_class_places_are_where_the_public_symbol_is_minus_one():
     # every prime of the grid and of d is at most 53, and the symbol is 1 at
-    # any other odd prime
+    # any other odd prime; is_norm reads inf, 2 and the primes of d before it
+    # factors, and canonical_lambda skips a k whose inert primes differ
     places = [INF] + [p for p in range(2, 54) if all(p % q for q in range(2, p))]
     for d in NORM_QUERY_FIELDS:
         ext = CyclicExtension([-d, 0, 1], [0, -1])
@@ -738,6 +750,40 @@ def test_a_norm_test_makes_no_primality_test_and_no_public_symbol_call(monkeypat
         for lam in lams:
             assert (canonical_lambda(lam, ext) == 1) == is_norm(lam, ext)
     assert calls == []
+
+
+@pytest.mark.parametrize("function, args, name, kind", [
+    (canonical_lambda, (0.1, q5()), "lambda", "float"),  # once the class of 3602879701896397/2^55
+    (is_norm, (True, q5()), "lambda", "bool"),
+    (norm_witness, (4.0, q5()), "lambda", "float"),
+    (hilbert_symbol, (0.1, 5, 3), "a", "float"),
+    (hilbert_symbol, (5, False, 3), "b", "bool"),
+])
+def test_the_norm_api_takes_only_exact_rationals(function, args, name, kind):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, a Fraction or a 'p/q' string, not {kind}$"):
+        function(*args)
+
+
+def test_a_non_norm_decided_with_no_factoring_is_not_factored(monkeypatch):
+    # the square class -1000003 * 1000033 is out of factor's reach, yet its sign
+    # alone makes it a non-norm from Q(i): (lam, -1) = -1 at inf
+    lam = -1000003 * 1000033
+    ext = CyclicExtension([1, 0, 1], [0, -1])
+    factored = []
+    factor = field.factor
+
+    def counting_factor(n, *args, **kwargs):
+        factored.append(abs(n))
+        return factor(n, *args, **kwargs)
+
+    monkeypatch.setattr(field, "factor", counting_factor)
+    assert is_norm(lam, ext) is False
+    with pytest.raises(ValueError, match=f"^{lam} is not a norm from this extension$"):
+        norm_witness(lam, ext)
+    assert -lam not in factored
+    # the class needs every place, so canonical_lambda still factors it
+    with pytest.raises(FactorizationIncomplete, match=f"^composite cofactor {-lam} "):
+        canonical_lambda(lam, ext)
 
 
 def test_rational_string_round_trip():

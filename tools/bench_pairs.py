@@ -10,8 +10,9 @@ and each workload of BENCHMARK.json (or those given).  The order alternates
 from pair to pair (base first, then the working tree first), so a drift in the
 machine's speed falls on both sides alike.  Each run's number of ops attempted
 and end-to-end metrics are printed when it ends; then, per workload and metric,
-the median of each side, the change of the medians, and in how many pairs the
-working tree did better, and per workload the median ops attempted on each
+the median of each side, the change of the medians, in how many pairs the
+working tree did better, and each side's min and max, against which a claimed
+gain can be read, and per workload the median ops attempted on each
 side (``peak_rss_mb`` grows with it, as the harness keeps every sample) and how
 many runs of each side reported ``correct: false``.  The exit status is 1 if
 any run did.
@@ -84,13 +85,15 @@ def main(argv=None) -> int:
                     shown = " ".join(f"{name}={value:.6g}" for name, value in got.items())
                     print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} "
                           f"attempted={result['attempted']} {shown}", flush=True)
-            print(f"# {workload}: median base / change, change of the medians, pairs where the change is better")
+            print(f"# {workload}: median base / change, change of the medians, pairs where the change is better, "
+                  "[min, max] of base and of change")
             for name, better in metrics.items():
                 a, b = values["base"][name], values["change"][name]
                 ma, mb = statistics.median(a), statistics.median(b)
                 delta = f"{(mb - ma) / ma:+.1%}" if ma else "n/a"
                 wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(a, b))
-                print(f"#   {name:14s} {ma:12.6g} / {mb:<12.6g} {delta:>8s}  better in {wins} of {len(a)}")
+                print(f"#   {name:14s} {ma:12.6g} / {mb:<12.6g} {delta:>8s}  better in {wins} of {len(a)}  "
+                      f"[{min(a):.6g}, {max(a):.6g}] [{min(b):.6g}, {max(b):.6g}]")
             print(f"#   {'attempted':14s} {statistics.median(attempted['base']):12.6g} / "
                   f"{statistics.median(attempted['change']):<12.6g} (median ops run)")
             print(f"#   runs with correct=false: base {incorrect['base']} of {args.pairs}, "
