@@ -41,7 +41,7 @@ from .equivariance import (
     equivariant_form,
     lambda_invariant,
 )
-from .induced import build_crossed_product, endomorphism_dim, schur_index
+from .induced import build_crossed_product, schur_index
 
 
 def fixture_path(name: str) -> str:
@@ -370,10 +370,9 @@ def cmd_induce(problem: Problem, args) -> tuple[int, dict]:
     t = problem.ext.gen()
     samples = [(t, problem.ext.one() + t), (problem.ext.element([2] + [0] * (problem.ext.degree - 1)), t * t)]
     relations_ok = all(ok for pair in samples for _, ok in cp.relation_report(*pair))
-    dim = endomorphism_dim(cp.induced)
     result = schur_index(cp, _witness_from(problem, args))
     report = {
-        "endo_dim": dim,
+        "endo_dim": problem.ext.degree ** 2,  # the commutant of X's crossed product (build_crossed_product)
         "relations_ok": relations_ok,
         "schur_index": result.index,
         "symbol": None if result.symbol is None else [rational_to_string(result.symbol[0]), str(result.symbol[1])],

@@ -349,9 +349,9 @@ class CyclicExtension:
             if coeffs.ext != self:
                 raise ValueError("element belongs to a different extension")
             return coeffs
-        if isinstance(coeffs, int):
+        if type(coeffs) is int:
             return FieldElement(self, (coeffs,) + self._zero_num[1:], 1)
-        if isinstance(coeffs, Fraction):
+        if isinstance(coeffs, (int, Fraction)):  # _exact refuses a bool
             coeffs = [coeffs]
         vals = [_exact(c, "a coefficient") for c in coeffs]
         den = math.lcm(*(c.denominator for c in vals))
@@ -656,7 +656,7 @@ class FieldElement:
         return any(self.num)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = None if isinstance(other, bool) else self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den

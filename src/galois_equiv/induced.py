@@ -1,5 +1,5 @@
 """The induced representation of the extended group H x| <tau>, its crossed
-product endomorphisms, and the Schur index report.
+product endomorphisms, and the Schur index report, all from one solved X.
 
 Restricted to H, ind(rho) is the direct sum of the r twists
 sigma^i o rho o tau^-i, and tau acts on it sigma-semilinearly by the block
@@ -44,16 +44,17 @@ class InducedRep:
 
 
 def build_induced(rep: Representation) -> InducedRep:
-    """Build the twists and verify the semidirect relations hold.
+    """Build the twists and check rho's relations and rho o tau^r = rho.
 
-    The relations hold in the blocks iff they hold in every twist.
-    Conjugating the image of g by the block shift puts sigma(block i-1) =
-    sigma^i rho(tau^(1-i)(g)) at block i, which is the image of tau(g) there
-    at every block but 1; at block 1 that needs rho o tau^r = rho.
+    The relations hold in the blocks iff they hold in every twist; in twists
+    1 ... r-1 they follow from X (see CrossedProduct).  Conjugating the image
+    of g by the block shift puts sigma(block i-1) = sigma^i rho(tau^(1-i)(g))
+    at block i, which is the image of tau(g) there at every block but 1; at
+    block 1 that needs rho o tau^r = rho.
     """
     r = rep.ext.degree
     twists = (rep,) + tuple(twist(rep, r - i) for i in range(1, r))
-    if not all(check_relations(tw).ok for tw in twists):
+    if not check_relations(rep).ok:
         raise InternalInvariantViolation("a relation fails in the induced blocks")
     if twist(rep, r).images != rep.images:
         raise InternalInvariantViolation("tau conjugation disagrees with tau images")
@@ -68,9 +69,10 @@ class CrossedProduct:
     xi D - D xi, for D a generator block, is sigma^(i-1) of
     X twists[i-1](g) - sigma(twists[i](g)) X, so xi is an endomorphism iff
     X intertwines each pair of consecutive twists; that is the one check
-    made.  m(t) and the tau block pass by sigma^r = 1 alone.
-    lambda_rep, the twisted norm scalar of X, is what xi^r must recover.
-    The twisted norm is computed once, here.
+    made.  m(t) and the tau block pass by sigma^r = 1 alone.  lambda_rep,
+    the twisted norm scalar of X (computed once, here), is what xi^r must
+    recover; _scalar_of raises unless X is invertible, so a relator holds in
+    each twist iff in rho: sigma(twists[i](w)) = X twists[i-1](w) X^-1.
     """
 
     def __init__(self, induced: InducedRep, x: Mat):
@@ -111,13 +113,17 @@ class CrossedProduct:
 
 
 def build_crossed_product(rep: Representation) -> CrossedProduct:
+    """Its commutant has Q-dimension r^2.  compute_X and CrossedProduct raised
+    unless X is invertible and spans Hom(rho, sigma o rho o tau^-1), so
+    End_H(rho) = L I; and B_j rho(g) = sigma^j(twists[j](g)) B_j for B_j in
+    twisted_norm_chain(X), so each Hom_j of endomorphism_dim is L B_j^-1."""
     return CrossedProduct(build_induced(rep), compute_X(rep))
 
 
 def endomorphism_dim(ind: InducedRep) -> int:
     """Q-dimension of the algebra commuting with the induced representation,
-    including the sigma-twisted condition at the tau block.  Equals r^2 for
-    an absolutely irreducible rep satisfying the twist hypothesis.
+    including the sigma-twisted condition at the tau block, for any rho; the
+    induce command reads it off X as r^2 instead (build_crossed_product).
 
     E commutes with the tau block p (E p = p sigma(E)) iff
     E_(i,j) = sigma^i(E_(0,j-i)), so block row 0 determines E.  Block

@@ -3,20 +3,20 @@
 A matrix is integer numerator polynomials over one denominator for all its
 entries (Cohen's element form, 4.2, lifted to matrices).  A product sums the
 unreduced Z[t] products over den_A den_B, reduces each entry mod m and takes
-one gcd for the whole matrix; for r = 2 the entry loop is fused.  The one
-elimination over L (inverse, hilbert90, burnside_dim) is IncrementalSpan:
-fraction-free Gauss-Jordan (Bareiss) on integer numerators.  The intertwiner
-space X A = B X in its n^2 unknowns is instead solved over F_p at the
-field's split primes, lifted by CRT and rational reconstruction, and
-certified exactly.  The echelon form mod p is sparse, each row the list of
-its nonzero (column, value) pairs, since a condition row has at most 2n - 1
-nonzeros; the same routine grows rep.burnside_dim's modular span and
-certifies require_invertible.  Reconstruction writes each matrix's integer
-numerators over one denominator, running Euclid only for the coefficients
-that the denominator found so far does not explain.  The rational section,
-a dense reduced echelon form over Q and a restriction-of-scalars kernel on
-it, has no caller in the package: the tests keep the kernel as a dense
-oracle for the induced commutant.
+one gcd for the whole matrix; for r = 2 the entry loop is fused, and so is
+the product by a scalar.  The one elimination over L (inverse, hilbert90,
+burnside_dim) is IncrementalSpan: fraction-free Gauss-Jordan (Bareiss) on
+integer numerators.  The intertwiner space X A = B X in its n^2 unknowns is
+instead solved over F_p at the field's split primes, lifted by CRT and
+rational reconstruction, and certified exactly.  The echelon form mod p is
+sparse, each row the list of its nonzero (column, value) pairs, since a
+condition row has at most 2n - 1 nonzeros; the same routine grows
+rep.burnside_dim's modular span and certifies require_invertible.
+Reconstruction writes each matrix's integer numerators over one denominator,
+running Euclid only for the coefficients that the denominator found so far
+does not explain.  The rational section, a dense reduced echelon form over Q
+and a restriction-of-scalars kernel on it, has no caller in the package: the
+tests keep the kernel as a dense oracle for the induced commutant.
 """
 
 from __future__ import annotations
@@ -106,7 +106,12 @@ class Mat:
         ext = self.ext
         if not isinstance(other, Mat):
             scalar = ext.element(other)
-            num = [[_reduce_sum(ext, ((e, scalar.num),)) if any(e) else e for e in row] for row in self.num]
+            if ext.degree == 2:  # (a0 + a1 t)(b0 + b1 t) with t b = u + v t, as t^2 = -m1 t - m0
+                b0, b1 = scalar.num
+                u, v = -ext._m_coeffs[0] * b1, b0 - ext._m_coeffs[1] * b1
+                num = [[(a0 * b0 + a1 * u, a0 * b1 + a1 * v) for a0, a1 in row] for row in self.num]
+            else:
+                num = [[_reduce_sum(ext, ((e, scalar.num),)) if any(e) else e for e in row] for row in self.num]
             return Mat._of(ext, num, self.den * scalar.den)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")

@@ -20,7 +20,7 @@ from galois_equiv.equivariance import compute_X, lambda_invariant, verify_certif
 from galois_equiv.errors import ParseError, Singular
 from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
-from galois_equiv.linalg import Mat, inverse, matrix_norm
+from galois_equiv.linalg import Mat, inverse, matrix_norm, solve_sylvester_space
 from galois_equiv.rep import evaluate_word
 
 A5 = fixture_path("a5_3dim.json")
@@ -587,7 +587,8 @@ def test_twists_are_built_from_the_short_tau_words(monkeypatch, capsys):
         return product(a, b)
 
     monkeypatch.setattr(Mat, "__mul__", counted)
-    for command, path, want in (("validate", A5, 28), ("induce", A5, 54), ("validate", A7D, 36), ("induce", A7D, 62)):
+    # induce checks the relations in rho alone (the twists' follow from X)
+    for command, path, want in (("validate", A5, 28), ("induce", A5, 39), ("validate", A7D, 36), ("induce", A7D, 38)):
         products.clear()
         main([command, path])
         assert products["mul"] == want, (command, path)
@@ -596,12 +597,40 @@ def test_twists_are_built_from_the_short_tau_words(monkeypatch, capsys):
 
 def test_induce_evaluates_each_twist_word_once(monkeypatch, capsys):
     # build_induced evaluates tau(g) and tau^2(g) for both generators and the
-    # 4 relations in rho and in rho o tau: 12 words.  compute_X reads
+    # 4 relations in rho: 8 words.  The relations of rho o tau follow once X
+    # is accepted, so they are not evaluated.  compute_X reads
     # sigma(rho(tau^-1(g))) from the same twist rho o tau; it evaluated the two
-    # words tau(g) again when it built them itself, 14 words in all.
+    # words tau(g) again when it built them itself, 10 words in all.
     counts = count_calls(monkeypatch, [evaluate_word])
     assert main(["induce", A7D]) == 3
-    assert counts == {"evaluate_word": 12}
+    assert counts == {"evaluate_word": 8}
+
+
+@pytest.mark.parametrize(
+    "path, seed",
+    [(C3, None), (A5, None), (A7D, None), (A5, 3), (A7D, 3)],
+    ids=["c3", "a5", "2a7", "a5-conjugate-3", "2a7-conjugate-3"],
+)
+def test_induce_solves_one_intertwiner_system(monkeypatch, tmp_path, capsys, path, seed):
+    # compute_X's solve is the only one: endo_dim is r^2 once X is accepted
+    if seed is not None:
+        path = write_conjugate(tmp_path, path, seed)
+    counts = count_calls(monkeypatch, [solve_sylvester_space])
+    main(["induce", path])
+    assert counts == {"solve_sylvester_space": 1}
+    assert report_of(capsys)["endo_dim"] == 4
+
+
+def test_a_tau_that_is_no_automorphism_is_bad_input_in_every_command(tmp_path, capsys):
+    # tau sends the involution a to the order 3 element b: no X exists
+    data = json.loads(open(A5).read())
+    data["group"]["tau"] = {"a": "b", "b": "a"}
+    path = write_problem(tmp_path, data)
+    for command in ("lambda", "equivariant", "induce"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: NotEquivalent: rho is not equivalent to its sigma/tau twist\n", command
 
 
 def write_conjugate(tmp_path, path, seed):

@@ -29,6 +29,7 @@ from galois_equiv.field import (
     rational_from_string,
     rational_to_string,
 )
+from galois_equiv.linalg import Mat
 
 
 def q5():
@@ -762,6 +763,16 @@ def test_a_norm_test_makes_no_primality_test_and_no_public_symbol_call(monkeypat
 def test_the_norm_api_takes_only_exact_rationals(function, args, name, kind):
     with pytest.raises(TypeError, match=f"^{name} must be an int, a Fraction or a 'p/q' string, not {kind}$"):
         function(*args)
+
+
+def test_a_bool_is_not_a_field_element():
+    ext = q5()
+    x = ext.element([1, 1])
+    for make in (lambda: ext.element(True), lambda: x * True, lambda: False + x, lambda: Mat.identity(ext, 2) * False):
+        with pytest.raises(TypeError, match="^a coefficient must be an int, a Fraction or a 'p/q' string, not bool$"):
+            make()
+    assert (ext.one() == True) is False  # noqa: E712
+    assert ext.one() != True  # noqa: E712
 
 
 def test_a_non_norm_decided_with_no_factoring_is_not_factored(monkeypatch):

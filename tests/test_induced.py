@@ -9,6 +9,8 @@ import pytest
 from galois_equiv.errors import (
     EndomorphismCheckFailed,
     InternalInvariantViolation,
+    NotEquivalent,
+    NotIrreducible,
     Unsupported,
 )
 from galois_equiv.field import CyclicExtension, canonical_lambda
@@ -97,18 +99,22 @@ def with_group(rep, relations, tau):
             "a relation fails in the induced blocks",
             id="relation-fails",
         ),
-        pytest.param(
-            # sends the involution a to the order 3 element b
-            lambda: with_group(build_a5(), ["a a", "b b b", "a b a b a b a b a b"], {"a": "b", "b": "a"}),
-            "a relation fails in the induced blocks",
-            id="swapped-tau",
-        ),
         pytest.param(golden_ratio_rotation, "tau conjugation disagrees with tau images", id="tau-squared-moves-g"),
     ],
 )
 def test_build_induced_rejects_each_broken_hypothesis(build, message):
     with pytest.raises(InternalInvariantViolation, match=message):
         build_induced(build())
+
+
+def test_build_crossed_product_rejects_a_swapped_tau():
+    # tau sends the involution a to the order 3 element b.  rho's relations
+    # and tau^2 = 1 hold, so build_induced accepts it; the relations fail in
+    # rho o tau, and no X exists to carry them over from rho
+    rep = with_group(build_a5(), ["a a", "b b b", "a b a b a b a b a b"], {"a": "b", "b": "a"})
+    build_induced(rep)
+    with pytest.raises(NotEquivalent, match="^rho is not equivalent to its sigma/tau twist$"):
+        build_crossed_product(rep)
 
 
 def test_crossed_product_relations_hold(a5):
@@ -299,6 +305,21 @@ def test_endomorphism_dim_matches_the_dense_construction(build, expected):
     dim = endomorphism_dim(ind)
     assert dim == dense_endomorphism_dim(ind)
     assert dim == expected
+
+
+@pytest.mark.parametrize("build, expected", ENDOMORPHISM_CASES)
+def test_the_commutant_is_r_squared_wherever_the_crossed_product_is_built(build, expected):
+    # induce prints r^2 as endo_dim once build_crossed_product accepts rho;
+    # the three cases whose dimension is not r^2 (c3-tau-identity,
+    # c3-plus-c3 and cubic-involution) are rejected there
+    rep = build()
+    r = rep.ext.degree
+    if expected != r * r:
+        with pytest.raises((NotEquivalent, NotIrreducible)):
+            build_crossed_product(rep)
+        return
+    ind = build_crossed_product(rep).induced
+    assert endomorphism_dim(ind) == dense_endomorphism_dim(ind) == r * r
 
 
 @pytest.mark.parametrize("build, expected", ENDOMORPHISM_CASES)

@@ -135,3 +135,14 @@ def test_the_harness_self_test_passes_and_writes_nothing_in_the_checkout():
     )
     assert done.returncode == 0, done.stderr
     assert snapshot() == before
+
+
+def test_the_command_times_tool_prints_a_row_per_fixture():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "command_times.py"), "--repeat", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["| fixture | validate | lambda | equivariant | induce |", "|---|---|---|---|---|"]
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| c3_inversion", "| a5_3dim", "| 2a7_4dim"]
