@@ -28,7 +28,7 @@ from .errors import (
 from .field import FieldElement, canonical_lambda, norm, norm_witness
 from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, require_invertible
 from .linalg import solve_sylvester_space, twisted_norm_chain
-from .rep import CheckReport, Representation, evaluate_word, twist
+from .rep import CheckReport, Representation, evaluate_word, require_tau_period, twist
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -59,12 +59,14 @@ def twisted_images(rep: Representation) -> list[tuple[Mat, Mat]]:
 
 
 def compute_X(rep: Representation) -> Mat:
-    """The intertwiner X with X rho(g) = sigma(rho(tau^-1(g))) X, normalized so
-    its first nonzero entry (row-major) is 1.
+    """The intertwiner X with X rho(g) = sigma(rho(tau^-1(g))) X, exactly on
+    each generator g, normalized so its first nonzero entry (row-major) is 1.
 
-    Raises NotEquivalent when no nonzero intertwiner exists and NotIrreducible
-    when the intertwiner space has L-dimension above 1.
+    Raises a ParseError at group.tau unless rho o tau^r = rho, NotEquivalent
+    when no nonzero intertwiner exists and NotIrreducible when the
+    intertwiner space has L-dimension above 1.
     """
+    require_tau_period(rep)
     basis = solve_sylvester_space(twisted_images(rep))
     if not basis:
         raise NotEquivalent("rho is not equivalent to its sigma/tau twist")

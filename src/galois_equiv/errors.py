@@ -41,12 +41,8 @@ class BadWitness(GaloisEquivError):
     """A supplied norm witness does not verify against the computed invariant."""
 
 
-class EndomorphismCheckFailed(GaloisEquivError):
-    """A crossed-product element failed its defining commutation relations."""
-
-
 class ParseError(GaloisEquivError):
-    """Problem file could not be parsed; carries a human-readable location."""
+    """Bad input: a problem file that does not parse or breaks a hypothesis; carries a location."""
 
     def __init__(self, message: str, location: str = ""):
         self.location = location

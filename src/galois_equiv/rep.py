@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .errors import Singular, UnknownGenerator
+from .errors import ParseError, Singular, UnknownGenerator
 from .field import CyclicExtension, _modular_root
 from .linalg import IncrementalSpan, Mat, _insert_mod_p, _reduce_mod_p, inverse, require_invertible
 
@@ -183,6 +183,12 @@ def twist(rep: Representation, j: int) -> Representation:
             rep.group, rep.ext, images, lambda k: evaluate_word(prev, invert_word(words[k]))
         )
     return rep._twists[j]
+
+
+def require_tau_period(rep: Representation) -> None:
+    """A ParseError at group.tau unless rho o tau^r = rho, r the field degree."""
+    if twist(rep, rep.ext.degree).images != rep.images:
+        raise ParseError(f"rho o tau^{rep.ext.degree} is not rho", "group.tau")
 
 
 @dataclass

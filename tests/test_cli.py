@@ -588,7 +588,7 @@ def test_twists_are_built_from_the_short_tau_words(monkeypatch, capsys):
 
     monkeypatch.setattr(Mat, "__mul__", counted)
     # induce checks the relations in rho alone (the twists' follow from X)
-    for command, path, want in (("validate", A5, 28), ("induce", A5, 39), ("validate", A7D, 36), ("induce", A7D, 38)):
+    for command, path, want in (("validate", A5, 28), ("induce", A5, 31), ("validate", A7D, 36), ("induce", A7D, 30)):
         products.clear()
         main([command, path])
         assert products["mul"] == want, (command, path)
@@ -631,6 +631,39 @@ def test_a_tau_that_is_no_automorphism_is_bad_input_in_every_command(tmp_path, c
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: NotEquivalent: rho is not equivalent to its sigma/tau twist\n", command
+
+
+def conjugate_tau(path, by):
+    """The problem at path with tau replaced by g -> by tau(g) by^-1."""
+    data = json.loads(open(path).read())
+    data["group"]["tau"] = {g: f"{by} {w} {by}'" for g, w in data["group"]["tau"].items()}
+    return data
+
+
+def with_a_cubed(path):
+    data = json.loads(open(path).read())
+    data["group"]["relations"][0] = "a a a"
+    return data
+
+
+@pytest.mark.parametrize(
+    "problem, where, commands",
+    [
+        # tau' = b tau b^-1 is of order 2 in the group, but rho o tau'^2 is not rho
+        pytest.param(lambda: conjugate_tau(A5, "b"), "group.tau", ("lambda", "equivariant", "induce"), id="a5-tau-by-b"),
+        pytest.param(lambda: conjugate_tau(A7D, "y"), "group.tau", ("lambda", "equivariant", "induce"), id="2a7-tau-by-y"),
+        # a a a fails in rho; only induce checks rho's relations
+        pytest.param(lambda: with_a_cubed(A5), "group.relations[0]", ("induce",), id="a5-a-cubed"),
+    ],
+)
+def test_a_broken_hypothesis_exits_2_at_its_position(tmp_path, capsys, problem, where, commands):
+    path = write_problem(tmp_path, problem())
+    for command in commands:
+        assert main([command, path]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and captured.err.endswith(f" at {where}\n"), command
+        assert "InternalInvariantViolation" not in captured.err
 
 
 def write_conjugate(tmp_path, path, seed):

@@ -1,24 +1,19 @@
 """Block model of the induced representation and its crossed-product endomorphisms."""
 
+import copy
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from galois_equiv.errors import (
-    EndomorphismCheckFailed,
-    InternalInvariantViolation,
-    NotEquivalent,
-    NotIrreducible,
-    Unsupported,
-)
+from galois_equiv import induced
+from galois_equiv.errors import NotEquivalent, NotIrreducible, ParseError, Unsupported
 from galois_equiv.field import CyclicExtension, canonical_lambda
 from galois_equiv.linalg import Mat, inverse, kernel_of_linear_maps, matrix_norm, solve_sylvester_space
 from galois_equiv.rep import GroupData, Representation, parse_word
-from galois_equiv.equivariance import compute_X, twisted_images
+from galois_equiv.equivariance import twisted_images
 from galois_equiv.induced import (
-    CrossedProduct,
     build_crossed_product,
     build_induced,
     endomorphism_dim,
@@ -92,19 +87,21 @@ def with_group(rep, relations, tau):
 
 
 @pytest.mark.parametrize(
-    "build, message",
+    "build, location",
     [
         pytest.param(
             lambda: with_group(build_a5(), ["b b"], {"a": "a", "b": "a b b a b a b b"}),
-            "a relation fails in the induced blocks",
+            "group.relations[0]",
             id="relation-fails",
         ),
-        pytest.param(golden_ratio_rotation, "tau conjugation disagrees with tau images", id="tau-squared-moves-g"),
+        pytest.param(golden_ratio_rotation, "group.tau", id="tau-squared-moves-g"),
     ],
 )
-def test_build_induced_rejects_each_broken_hypothesis(build, message):
-    with pytest.raises(InternalInvariantViolation, match=message):
+def test_build_induced_rejects_each_broken_hypothesis(build, location):
+    # a broken hypothesis is bad input, named by its place in the problem file
+    with pytest.raises(ParseError) as info:
         build_induced(build())
+    assert info.value.location == location
 
 
 def test_build_crossed_product_rejects_a_swapped_tau():
@@ -133,18 +130,6 @@ def test_crossed_product_on_c3(c3):
     xi = dense_xi(cp)
     assert xi == Mat(c3.ext, [[0, 1], [1, 0]])
     assert xi * xi == Mat.identity(c3.ext, 2)
-
-
-def test_wrong_intertwiner_fails_the_endomorphism_check(a5):
-    with pytest.raises(EndomorphismCheckFailed):
-        CrossedProduct(build_induced(a5), Mat.identity(a5.ext, 3))
-
-
-def test_rescaled_intertwiner_is_still_an_endomorphism(a5):
-    x = compute_X(a5)
-    mu = a5.ext.element(["2", "-1"])  # 2 - sqrt5, of norm -1
-    cp = CrossedProduct(build_induced(a5), mu * x)
-    assert cp.lambda_rep == Fraction(1)
 
 
 def test_endomorphism_dimension_is_r_squared(a5, c3):
@@ -251,7 +236,7 @@ def dense_relations(cp, lam1, lam2):
         pytest.param(cubic_involution, 2, id="cubic-involution"),
     ],
 )
-def test_crossed_product_checks_match_the_dense_relations(build, rejected):
+def test_crossed_product_checks_match_the_dense_relations(build, rejected, monkeypatch):
     rep = build()
     ext = rep.ext
     ind = build_induced(rep)
@@ -261,24 +246,29 @@ def test_crossed_product_checks_match_the_dense_relations(build, rejected):
     m_t = dense_m(SimpleNamespace(induced=ind, ext=ext), ext.gen())
     assert m_t * p == p * m_t.galois()
     assert all(m_t * d == d * m_t for d in blocks)
-    rng = random.Random(17)
-    raised = 0
+    failed = 0
     for cand in (x, x.galois(), Mat.identity(ext, rep.dim), ext.gen() * x):
         xi = dense_xi(SimpleNamespace(induced=ind, x=cand, ext=ext))
         assert xi * p == p * xi.galois()
-        if not all(xi * d == d * xi for d in blocks):
-            raised += 1
-            with pytest.raises(EndomorphismCheckFailed, match="xi does not commute with a generator block"):
-                CrossedProduct(ind, cand)
-            continue
-        cp, wrong = CrossedProduct(ind, cand), CrossedProduct(ind, cand)
-        wrong.lambda_rep += 1
-        # a wrong lambda makes the last relation fail in both
-        for c in (cp, wrong):
-            lam1, lam2 = random_element(ext, rng), random_element(ext, rng)
-            assert c.relation_report(lam1, lam2) == dense_relations(c, lam1, lam2)
-    # of X, sigma(X), I and tX, the intertwiners are accepted and the rest rejected
-    assert raised == rejected
+        # xi commutes with the rn x rn generator blocks iff cand satisfies
+        # the n x n identity that compute_X certifies for X
+        commutes = all(xi * d == d * xi for d in blocks)
+        assert commutes == all(cand * a == b * cand for a, b in twisted_images(rep))
+        failed += not commutes
+    # of X, sigma(X), I and tX, the intertwiners commute and the rest do not
+    assert failed == rejected
+    if build is cubic_involution:
+        # reducible, so compute_X refuses it; build its crossed product on x
+        monkeypatch.setattr(induced, "compute_X", lambda _: x)
+    cp = build_crossed_product(rep)
+    wrong = copy.copy(cp)
+    wrong.lambda_rep += 1
+    # a wrong lambda makes the last relation fail in both
+    rng = random.Random(17)
+    for c in (cp, wrong):
+        lam1, lam2 = random_element(ext, rng), random_element(ext, rng)
+        assert c.relation_report(lam1, lam2) == dense_relations(c, lam1, lam2)
+    assert not dense_relations(wrong, lam1, lam2)[-1][1]
 
 
 ENDOMORPHISM_CASES = [
@@ -354,10 +344,8 @@ def test_schur_index_of_the_double_cover(a7d):
 def test_a_lambda_that_is_not_the_twisted_norm_of_x_is_decided_by_symbols(a5):
     # 3 lambda fails N(w) = lambda for w = det X lambda^-1, so Hilbert
     # symbols decide it: -3 is not a norm from Q(sqrt5), since (-3, 5)_3 = -1
-    x = compute_X(a5)
-    lam = matrix_norm(x)[0, 0].as_rational()
-    cp = CrossedProduct(build_induced(a5), x)
-    cp.lambda_rep = 3 * lam
+    cp = build_crossed_product(a5)
+    cp.lambda_rep *= 3
     report = schur_index(cp)
     assert report.invariant.lambda_rep == -3
     assert report.index == 2 and not report.invariant.is_trivial

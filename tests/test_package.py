@@ -18,6 +18,7 @@ import galois_equiv.cli
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 
 def test_library_has_no_assert_statements():
@@ -145,4 +146,44 @@ def test_the_command_times_tool_prints_a_row_per_fixture():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[:2] == ["| fixture | validate | lambda | equivariant | induce |", "|---|---|---|---|---|"]
-    assert [line.split(" | ")[0] for line in lines[2:]] == ["| c3_inversion", "| a5_3dim", "| 2a7_4dim"]
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| c3_inversion", "| a5_3dim", "| 2a7_4dim", "| total"]
+    # the total is the sum of the twelve cells
+    cells = [float(cell.split()[0]) for line in lines[2:5] for cell in line.strip("|").split(" | ")[1:]]
+    total = lines[5].strip("|").split(" | ")[1]
+    assert len(cells) == 12 and abs(float(total.split()[0]) - sum(cells)) <= 0.01 * 12
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_judges_a_median_against_its_relative_bound():
+    worse_than_bound = load_bench_pairs().worse_than_bound
+    # setup_s 0.0335 -> 0.0459 s is +37%, past a 25% bound
+    assert worse_than_bound(0.0335, 0.0459, "lower", 0.25)
+    assert not worse_than_bound(0.0335, 0.0400, "lower", 0.25)
+    assert not worse_than_bound(0.0335, 0.0100, "lower", 0.25)
+    # ok_frac 1.0 -> 0.85 is 15% worse, past a 10% bound; a rise is never worse
+    assert worse_than_bound(1.0, 0.85, "higher", 0.1)
+    assert not worse_than_bound(1.0, 0.95, "higher", 0.1)
+    assert not worse_than_bound(0.531, 1.0, "higher", 0.1)
+
+
+def test_bench_pairs_refuses_a_tree_with_bytecode_in_the_package(tmp_path, monkeypatch, capsys):
+    # bytecode in src/galois_equiv would shorten one side's setup_s; nothing runs
+    bench_pairs = load_bench_pairs()
+    (tmp_path / "src" / "galois_equiv" / "__pycache__").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, target: None)
+
+    def no_run(*args):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run", no_run)
+    assert bench_pairs.main(["--pairs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refusing to run: remove ") and str(tmp_path / "src" / "galois_equiv" / "__pycache__") in err

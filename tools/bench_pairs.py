@@ -14,8 +14,16 @@ the median of each side, the change of the medians, in how many pairs the
 working tree did better, and each side's min and max, against which a claimed
 gain can be read, and per workload the median ops attempted on each
 side (``peak_rss_mb`` grows with it, as the harness keeps every sample) and how
-many runs of each side reported ``correct: false``.  The exit status is 1 if
-any run did.
+many runs of each side reported ``correct: false``.  Each change of the
+medians is printed next to the metric's ``bound`` in BENCHMARK.json, a
+relative one, and marked "WORSE THAN BOUND" when the working tree's median is
+worse than the base's by more than it.  The exit status is 1 if any run
+reported ``correct: false`` or any median is worse than its bound.
+
+Each run has ``PYTHONDONTWRITEBYTECODE=1`` in its environment, so every run
+compiles the package afresh, as a fresh checkout does.  A tree that already
+holds ``src/galois_equiv/__pycache__`` is refused (exit status 2): its
+bytecode would shorten that side's ``setup_s``, which mostly times compiling.
 
 Nothing under ``bench/`` changes: the runs write only to the temporary
 directory and to the working tree's git-ignored ``.bench_out/`` and
@@ -27,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BYTECODE = Path("src", "galois_equiv", "__pycache__")
 
 
 def export(ref: str, target: Path) -> None:
@@ -48,8 +58,15 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result object that bench/run.py prints last, for one untraced run in tree."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(argv, cwd=tree, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def worse_than_bound(base: float, change: float, better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the base's by more than the relative bound."""
+    worse = change - base if better == "lower" else base - change
+    return worse > bound * abs(base)
 
 
 def main(argv=None) -> int:
@@ -62,13 +79,18 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]],
                         help="run only this workload (repeatable; default all)")
     args = parser.parse_args(argv)
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base = Path(tmp)
         export(args.base, base)
         trees = {"base": base, "change": ROOT}
+        stray = [str(tree / BYTECODE) for tree in trees.values() if (tree / BYTECODE).exists()]
+        if stray:
+            print(f"refusing to run: remove {', '.join(stray)} first; bytecode there shortens that side's setup_s",
+                  file=sys.stderr)
+            return 2
         failed = False
         for workload in workloads:
             values = {side: {name: [] for name in metrics} for side in trees}
@@ -85,15 +107,18 @@ def main(argv=None) -> int:
                     shown = " ".join(f"{name}={value:.6g}" for name, value in got.items())
                     print(f"{workload} pair {pair + 1} {side:6s} correct={result['correct']} "
                           f"attempted={result['attempted']} {shown}", flush=True)
-            print(f"# {workload}: median base / change, change of the medians, pairs where the change is better, "
-                  "[min, max] of base and of change")
-            for name, better in metrics.items():
+            print(f"# {workload}: median base / change, change of the medians and its bound, pairs where the "
+                  "change is better, [min, max] of base and of change")
+            for name, (better, bound) in metrics.items():
                 a, b = values["base"][name], values["change"][name]
                 ma, mb = statistics.median(a), statistics.median(b)
                 delta = f"{(mb - ma) / ma:+.1%}" if ma else "n/a"
                 wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(a, b))
-                print(f"#   {name:14s} {ma:12.6g} / {mb:<12.6g} {delta:>8s}  better in {wins} of {len(a)}  "
-                      f"[{min(a):.6g}, {max(a):.6g}] [{min(b):.6g}, {max(b):.6g}]")
+                worse = worse_than_bound(ma, mb, better, bound)
+                failed = failed or worse
+                print(f"#   {name:14s} {ma:12.6g} / {mb:<12.6g} {delta:>8s} (bound {bound:.0%})  "
+                      f"better in {wins} of {len(a)}  [{min(a):.6g}, {max(a):.6g}] [{min(b):.6g}, {max(b):.6g}]"
+                      + ("  WORSE THAN BOUND" if worse else ""))
             print(f"#   {'attempted':14s} {statistics.median(attempted['base']):12.6g} / "
                   f"{statistics.median(attempted['change']):<12.6g} (median ops run)")
             print(f"#   runs with correct=false: base {incorrect['base']} of {args.pairs}, "

@@ -16,7 +16,10 @@ on each side, in an order that alternates from round to round, so a drift in
 the machine's speed falls on both sides alike.  A cell then reads
 "base -> change (change of the best times)".  A cell whose stdout or exit
 code differs between the two sides is marked "DIFFERS", and the exit status
-is then 1.  Nothing is written in the checkout, bytecode included.
+is then 1.  A last row, "total", sums the twelve cells on each side: the
+benchmark's fixture-grid workload runs all of them, so a change that moves
+time from one command to another shows there.  Nothing is written in the
+checkout, bytecode included.
 """
 
 from __future__ import annotations
@@ -78,23 +81,28 @@ def main(argv=None) -> int:
                     results[side][fixture, command] = (code, out)
             order.reverse()
 
+    def shown(times: dict) -> str:
+        """One cell: the change's time in ms, after the base's and the change of the two when timed against one."""
+        new = times["change"] * 1e3
+        if "base" not in times:
+            return f"{new:.2f} ms"
+        old = times["base"] * 1e3
+        return f"{old:.2f} -> {new:.2f} ms ({(new - old) / old:+.0%})"
+
     differs = False
     print("| fixture | " + " | ".join(COMMANDS) + " |")
     print("|---" * (len(COMMANDS) + 1) + "|")
     for fixture in FIXTURES:
-        shown = []
-        for command in COMMANDS:
-            new = best["change"][fixture, command] * 1e3
-            if "base" not in roots:
-                shown.append(f"{new:.2f} ms")
-                continue
-            old = best["base"][fixture, command] * 1e3
-            text = f"{old:.2f} -> {new:.2f} ms ({(new - old) / old:+.0%})"
-            if results["base"][fixture, command] != results["change"][fixture, command]:
+        row = []
+        for cell in ((fixture, command) for command in COMMANDS):
+            text = shown({side: best[side][cell] for side in roots})
+            if "base" in roots and results["base"][cell] != results["change"][cell]:
                 differs = True
                 text += " DIFFERS"
-            shown.append(text)
-        print(f"| {fixture} | " + " | ".join(shown) + " |")
+            row.append(text)
+        print(f"| {fixture} | " + " | ".join(row) + " |")
+    total = shown({side: sum(best[side].values()) for side in roots})
+    print(f"| total | {total} |" + " |" * (len(COMMANDS) - 1))
     return 1 if differs else 0
 
 
