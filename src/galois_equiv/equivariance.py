@@ -65,9 +65,17 @@ def compute_X(rep: Representation) -> Mat:
     Raises a ParseError at group.tau unless rho o tau^r = rho, NotEquivalent
     when no nonzero intertwiner exists and NotIrreducible when the
     intertwiner space has L-dimension above 1.
+
+    By rho o tau^r = rho, N(X) = sigma^(r-1)(X) ... sigma(X) X commutes with
+    rho: it is lambda I if X is invertible and its space a line.  t -> theta_0
+    sends sigma^i(X) to K_i, X's image at theta_i, so the last root's kernel
+    K_(r-1) is M^-1, M = K_(r-2) ... K_0, scaled to 1 at its last nonzero
+    entry, with no elimination.  A prime in a denominator of X puts that
+    entry left of X's free column and is skipped, as elimination would skip
+    it.  If a K_i is not single or M is singular mod p, K_(r-1) is eliminated.
     """
     require_tau_period(rep)
-    basis = solve_sylvester_space(twisted_images(rep))
+    basis = solve_sylvester_space(twisted_images(rep), twisted=True)
     if not basis:
         raise NotEquivalent("rho is not equivalent to its sigma/tau twist")
     if len(basis) > 1:

@@ -11,12 +11,14 @@ instead solved over F_p at the field's split primes, lifted by CRT and
 rational reconstruction, and certified exactly.  The echelon form mod p is
 sparse, each row the list of its nonzero (column, value) pairs, since a
 condition row has at most 2n - 1 nonzeros; the same routine grows
-rep.burnside_dim's modular span and certifies require_invertible.
-Reconstruction writes each matrix's integer numerators over one denominator,
-running Euclid only for the coefficients that the denominator found so far
-does not explain.  The rational section, a dense reduced echelon form over Q
-and a restriction-of-scalars kernel on it, has no caller in the package: the
-tests keep the kernel as a dense oracle for the induced commutant.
+rep.burnside_dim's modular span and certifies require_invertible; rows past
+rank n^2 - 1 are only tested, and compute_X reads the last root per prime
+off N(X) = lambda I.  Reconstruction writes each matrix's integer
+numerators over one denominator, running Euclid only for the coefficients
+that the denominator found so far does not explain.  The rational section,
+a dense reduced echelon form over Q and a restriction-of-scalars kernel on
+it, has no caller in the package: the tests keep the kernel as a dense
+oracle for the induced commutant.
 """
 
 from __future__ import annotations
@@ -357,7 +359,7 @@ def kernel_of_linear_maps(maps: Sequence[Callable[[Mat], Mat]], ext: CyclicExten
     return [rational_vector_to_mat(ext, v, nrows, ncols) for v in kern]
 
 
-def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
+def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]], *, twisted: bool = False) -> list[Mat]:
     """L-basis of {X : X A_k = B_k X for all k}: the kernel of the
     conditions' reduced echelon form, one matrix per free column f, with 1 at
     f and 0 at the other free columns.
@@ -367,11 +369,12 @@ def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
     and lifted, with no budget:
 
     - Each split prime p of L (field._split_primes) that divides no entry
-      denominator gives r ring maps t -> theta_i to F_p.  Under each, the
-      system's kernel is taken in reduced echelon form mod p; a prime whose
-      maps disagree on the pivot columns is skipped.  A ring map only lowers
-      the rank, so each kernel is at least as large as over L, and an empty
-      one proves the space is 0.
+      denominator gives r ring maps t -> theta_i to F_p.  Under each but the
+      last for twisted pairs (see compute_X), the system's kernel is taken in
+      reduced echelon form mod p, and at rank n^2 - 1 the rows left are only
+      tested against its one vector; a prime whose maps disagree on the pivot
+      columns is skipped.  A ring map only lowers the rank, so each kernel is
+      at least as large as over L, and an empty one proves the space is 0.
     - The r images of each kernel entry are interpolated to its coefficients
       in 1, t, ..., t^(r-1) (inverse Vandermonde mod p) and combined by CRT
       with the earlier primes that had the same pivots.  A prime with fewer
@@ -402,7 +405,8 @@ def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
             continue
         images = []
         for theta in orbit:
-            pivots, kernel = _sylvester_kernel_mod_p([_reduce_mod_p(m, p, theta) for m in mats], n, p)
+            last = twisted and len(images) == len(orbit) - 1 and _norm_image_mod_p(images, n, p)
+            pivots, kernel = last or _sylvester_kernel_mod_p([_reduce_mod_p(m, p, theta) for m in mats], n, p)
             if not kernel:
                 return []
             images.append((pivots, kernel))
@@ -431,31 +435,49 @@ def solve_sylvester_space(pairs: Sequence[tuple[Mat, Mat]]) -> list[Mat]:
 
 
 def _sylvester_kernel_mod_p(reduced: list[list[int]], n: int, p: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """(pivot columns, kernel basis) mod p of the conditions X A = B X, for
-    the flattened images of A_1, B_1, A_2, B_2, ... mod p.  The basis has one
-    vector per free column f, in column order, 1 at f and 0 at the other free
-    columns."""
+    """(pivot columns, _kernel_mod_p basis) mod p of the conditions X A = B X,
+    for the flattened images of A_1, B_1, A_2, B_2, ... mod p.  Past rank
+    n^2 - 1 a row is in the span iff it is orthogonal to the one kernel
+    vector, so it is only tested."""
     echelon: dict[int, list[tuple[int, int]]] = {}
-    for a, b in zip(reduced[::2], reduced[1::2]):
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for m in range(n):
-                    row[i * n + m] += a[m * n + j]
-                    row[m * n + j] -= b[i * n + m]
-                _insert_mod_p(echelon, row, p)
-    # each row is 1 at its pivot and 0 left of it, so the pivot entries follow
-    # by back-substitution from the right
+    rows = ([(a[l * n + j] if k == i else 0) - (b[i * n + k] if l == j else 0) for k in range(n) for l in range(n)]
+            for a, b in zip(reduced[::2], reduced[1::2]) for i in range(n) for j in range(n))
+    for row in rows:
+        if len(echelon) == n * n - 1:
+            (v,) = kernel = _kernel_mod_p(echelon, n * n, p)
+            full = any(sum(map(mul, w, v)) % p for w in chain([row], rows))
+            return (tuple(range(n * n)), []) if full else (tuple(sorted(echelon)), kernel)
+        _insert_mod_p(echelon, row, p)
+    return tuple(sorted(echelon)), _kernel_mod_p(echelon, n * n, p)
+
+
+def _kernel_mod_p(echelon: dict[int, list[tuple[int, int]]], width: int, p: int) -> list[list[int]]:
+    """One vector per free column f of an echelon form, 1 at f and 0 at the
+    other free columns, by back-substitution from the right."""
     order = sorted(echelon, reverse=True)
-    kernel = []
-    for f in range(n * n):
-        if f not in echelon:
-            v = [0] * (n * n)
-            v[f] = 1
-            for pcol in order:
-                v[pcol] = -sum(v[j] * x for j, x in echelon[pcol]) % p
-            kernel.append(v)
-    return tuple(order[::-1]), kernel
+    kernel = [[int(j == f) for j in range(width)] for f in range(width) if f not in echelon]
+    for v in kernel:
+        for pcol in order:
+            v[pcol] = -sum(v[j] * x for j, x in echelon[pcol]) % p
+    return kernel
+
+
+def _norm_image_mod_p(images: list, n: int, p: int) -> tuple[tuple[int, ...], list[list[int]]] | None:
+    """The last root's (pivots, kernel): M^-1 for M = K_(r-2) ... K_0, 1 at its
+    last nonzero entry (see compute_X), or None unless each K_i is single and
+    M is invertible mod p.  Row j of M^-1 is x in the kernel (x, e_j) of [M^T | -I]."""
+    if all(len(kernel) == 1 for _, kernel in images):
+        m = images[0][1][0]
+        for _, (k,) in images[1:]:
+            m = [sum(k[i * n + l] * m[l * n + j] for l in range(n)) % p for i in range(n) for j in range(n)]
+        echelon: dict[int, list[tuple[int, int]]] = {}
+        for i in range(n):
+            _insert_mod_p(echelon, m[i::n] + [-(i == j) for j in range(n)], p)
+        if max(echelon) < n:
+            inv = [x for v in _kernel_mod_p(echelon, 2 * n, p) for x in v[:n]]
+            f = max(j for j, x in enumerate(inv) if x)
+            scale = pow(inv[f], -1, p)
+            return tuple(j for j in range(n * n) if j != f), [[x * scale % p for x in inv]]
 
 
 def _reduce_mod_p(a: Mat, p: int, root: int) -> list[int]:

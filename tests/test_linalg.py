@@ -603,18 +603,50 @@ def test_sylvester_space_is_an_l_basis_of_the_commutant():
             assert span.insert([e for row in m.num for e in row])
 
 
-@pytest.mark.parametrize("height", [3, 100, 1000])
-@pytest.mark.parametrize("build", [build_a5, build_a7_double], ids=["a5", "2a7"])
+def cubic_cycle():
+    """An absolutely irreducible rho over the cyclic cubic field, tau = 1:
+    g -> diag(t, sigma(t), sigma^2(t)) and h -> the 3-cycle (1 2 3)."""
+    ext = cyclic_cubic()
+    t = ext.element([0, 1])
+    group = GroupData.from_strings(["g", "h"], [], {"g": "g", "h": "h"})
+    diag = Mat(ext, [[t, 0, 0], [0, t.galois(1), 0], [0, 0, t.galois(2)]])
+    return Representation(group, ext, [diag, Mat(ext, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])])
+
+
+def count_kernels(monkeypatch):
+    """Record every modular kernel that solve_sylvester_space eliminates."""
+    calls, solve = [], linalg._sylvester_kernel_mod_p
+    monkeypatch.setattr(linalg, "_sylvester_kernel_mod_p", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+@pytest.mark.parametrize("build, height", [
+    pytest.param(build, height, id=f"{name}-{height}")
+    for name, build, heights in [("a5", build_a5, (3, 30, 100, 1000)), ("2a7", build_a7_double, (3, 30, 100, 1000)),
+                                 ("cubic", cubic_cycle, (0, 3, 100))]
+    for height in heights
+])
 def test_modular_solve_matches_the_exact_solve_on_conjugates(build, height, monkeypatch):
     rep = build()
-    y = random_mat(rep.ext, rep.dim, rep.dim, random.Random(f"{height}"), span=height)
-    pairs = twisted_images(conjugate(rep, y))
-    taken = take_primes(monkeypatch)
+    if height:
+        rep = conjugate(rep, random_mat(rep.ext, rep.dim, rep.dim, random.Random(f"{height}"), span=height))
+    pairs = twisted_images(rep)
+    r = rep.ext.degree
+    taken, kernels = take_primes(monkeypatch), count_kernels(monkeypatch)
     basis = solve_sylvester_space(pairs)
     assert basis == exact_sylvester_space(pairs)
     assert len(basis) == 1
+    # the generic solve eliminates at every root of every prime it takes
+    assert len(kernels) == r * len(taken)
     # from H = 100 on, X's coefficients outgrow one 61-bit prime
     assert len(taken) > 1 or height < 100
+    # compute_X reads the last root's kernel off N(X) = lambda I
+    taken.clear()
+    kernels.clear()
+    x, = basis
+    lead = next(e for e in x.flatten() if e)
+    assert compute_X(rep) == x * lead.inverse()
+    assert len(kernels) == (r - 1) * len(taken)
 
 
 def test_a_first_prime_with_a_larger_kernel_restarts_the_lift(monkeypatch):
@@ -764,8 +796,9 @@ def test_sparse_echelon_matches_the_dense_reference(make_ext):
     assert 0 in sizes and max(sizes) >= 2
 
 
-@pytest.mark.parametrize("build", [build_c3, build_a5, build_a7_double], ids=["c3", "a5", "2a7"])
-def test_modular_ranks_match_the_dense_echelon(build, monkeypatch):
+@pytest.mark.parametrize("build, inserted", [(build_c3, 0), (build_a5, 13), (build_a7_double, 23)],
+                         ids=["c3", "a5", "2a7"])
+def test_modular_ranks_match_the_dense_echelon(build, inserted, monkeypatch):
     rep = build()
     p, root = _modular_root(rep.ext, 1)
     burnside = rep_module._burnside_dim_mod_p(rep, p, root)
@@ -782,6 +815,14 @@ def test_modular_ranks_match_the_dense_echelon(build, monkeypatch):
         except Singular:
             assert rank < m.nrows
         assert sum(added) == rank
+    # the intertwiner's system at the first prime: once its rank is n^2 - 1,
+    # the rows left (1 of c3's 1, 5 of A5's 18, 9 of 2.A7's 32) are only
+    # tested against its one kernel vector
+    reduced = [linalg._reduce_mod_p(m, p, root) for pair in twisted_images(rep) for m in pair]
+    added.clear()
+    got = linalg._sylvester_kernel_mod_p(reduced, rep.dim, p)
+    assert got == dense_sylvester_kernel_mod_p(reduced, rep.dim, p)
+    assert len(got[1]) == 1 and len(added) == inserted
     monkeypatch.setattr(rep_module, "_insert_mod_p", dense_insert_mod_p)
     assert rep_module._burnside_dim_mod_p(rep, p, root) == burnside
 

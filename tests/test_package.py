@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -140,17 +141,25 @@ def test_the_harness_self_test_passes_and_writes_nothing_in_the_checkout():
 
 def test_the_command_times_tool_prints_a_row_per_fixture():
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "command_times.py"), "--repeat", "1"],
+        [sys.executable, str(ROOT / "tools" / "command_times.py"), "--repeat", "1", "--sweep"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[:2] == ["| fixture | validate | lambda | equivariant | induce |", "|---|---|---|---|---|"]
-    assert [line.split(" | ")[0] for line in lines[2:]] == ["| c3_inversion", "| a5_3dim", "| 2a7_4dim", "| total"]
+    assert [line.split(" | ")[0] for line in lines[2:6]] == ["| c3_inversion", "| a5_3dim", "| 2a7_4dim", "| total"]
     # the total is the sum of the twelve cells
     cells = [float(cell.split()[0]) for line in lines[2:5] for cell in line.strip("|").split(" | ")[1:]]
     total = lines[5].strip("|").split(" | ")[1]
     assert len(cells) == 12 and abs(float(total.split()[0]) - sum(cells)) <= 0.01 * 12
+    # --sweep: lambda and equivariant on the 16 height-sweep problems, 17 of
+    # whose 32 calls are answered, and the median of those
+    assert lines[6:9] == ["", "| problem | lambda | equivariant |", "|---|---|---|"]
+    rows = [line.strip("|").split(" | ") for line in lines[9:]]
+    assert [row[0].strip() for row in rows[:4]] == ["a5_3dim-H3-0", "a5_3dim-H3-1", "a5_3dim-H10-0", "a5_3dim-H10-1"]
+    assert len(rows) == 17 and rows[-1][0] == " median of 17 answered"
+    answered = [float(cell.split()[0]) for row in rows[:-1] for cell in row[1:] if "(exit" not in cell]
+    assert len(answered) == 17 and rows[-1][1].split()[0] == f"{statistics.median(answered):.2f}"
 
 
 def load_bench_pairs():
@@ -187,3 +196,43 @@ def test_bench_pairs_refuses_a_tree_with_bytecode_in_the_package(tmp_path, monke
     assert bench_pairs.main(["--pairs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("refusing to run: remove ") and str(tmp_path / "src" / "galois_equiv" / "__pycache__") in err
+
+
+def test_bench_pairs_judges_a_claimed_gain_by_the_pair_rule(tmp_path, monkeypatch, capsys):
+    bench_pairs = load_bench_pairs()
+    judge = bench_pairs.judge_claim
+    base = [8.52, 8.59, 8.41, 8.70, 8.55, 8.63, 8.47, 8.44, 8.81, 8.58]
+    change = [6.62, 6.56, 6.70, 6.49, 6.61, 6.58, 6.66, 6.52, 6.71, 6.60]
+    assert judge(base, change, "lower", 0, 0)[0]
+    # one pair lost in ten is allowed, two are not; a tie counts for neither
+    assert judge(base, change[:9] + [9.0], "lower", 0, 0)[0]
+    met, parts = judge(base, change[:8] + [8.81, 9.0], "lower", 0, 0)
+    assert not met and parts[1] == "better in 8 of 10 (at least 9/10) FAILS"
+    # better in every pair, but by less than the base's interquartile range
+    met, parts = judge(base, [x - 0.01 for x in base], "lower", 0, 0)
+    assert not met and parts[2].endswith("FAILS") and parts[1] == "better in 10 of 10 (at least 9/10)"
+    # a higher-is-better metric, fewer than ten pairs, more runs with correct=false
+    assert judge(change, base, "higher", 0, 0)[0]
+    assert not judge(base[:9], change[:9], "lower", 0, 0)[0]
+    met, parts = judge(base, change, "lower", 0, 1)
+    assert not met and parts[3].endswith("FAILS")
+
+    # main prints the verdict after the workload's table and exits 1 unless it is met
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, target: None)
+    runs = {"base": iter(base), "change": iter(change)}
+
+    def fake_run(tree, workload, seed, seconds):
+        value = next(runs["change" if tree == tmp_path else "base"])
+        metrics = {name: {"value": value if name == "op_p50_ref" else 1.0} for name in
+                   ["setup_s", "ops_per_kref", "op_p50_ref", "op_p90_ref", "ok_frac", "peak_rss_mb"]}
+        return {"correct": True, "attempted": 32, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    argv = ["--pairs", "10", "--workload", "height-sweep", "--claim", "height-sweep:op_p50_ref"]
+    assert bench_pairs.main(argv) == 0
+    assert "# claim height-sweep:op_p50_ref: claim met: 10 pairs (at least 10); " in capsys.readouterr().out
+    runs = {"base": iter(base), "change": iter(base[1:] + base[:1])}
+    assert bench_pairs.main(argv) == 1
+    assert "# claim height-sweep:op_p50_ref: claim not met: " in capsys.readouterr().out

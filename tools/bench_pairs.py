@@ -20,6 +20,14 @@ relative one, and marked "WORSE THAN BOUND" when the working tree's median is
 worse than the base's by more than it.  The exit status is 1 if any run
 reported ``correct: false`` or any median is worse than its bound.
 
+``--claim WORKLOAD:METRIC`` judges a gain claimed on one metric and prints
+"claim met" or "claim not met", with how each part of the rule reads: at least
+ten pairs, the working tree better in at least nine tenths of them (ties count
+for neither side), its median better than the base's by more than the distance
+between the base's quartiles, and no more runs of the working tree than of the
+base reporting ``correct: false``.  The exit status is 1 when the claim is not
+met.
+
 Each run has ``PYTHONDONTWRITEBYTECODE=1`` in its environment, so every run
 compiles the package afresh, as a fresh checkout does.  A tree that already
 holds ``src/galois_equiv/__pycache__`` is refused (exit status 2): its
@@ -69,6 +77,25 @@ def worse_than_bound(base: float, change: float, better: str, bound: float) -> b
     return worse > bound * abs(base)
 
 
+def judge_claim(base: list, change: list, better: str, incorrect_base: int,
+                incorrect_change: int) -> tuple[bool, list[str]]:
+    """Whether a gain claimed on one metric is met, given each side's values
+    pair by pair and its count of correct=false runs, and how each part of the
+    rule reads (those it fails end in "FAILS")."""
+    wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(base, change))
+    q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive") if len(base) > 1 else (base[0],) * 3
+    gain = statistics.median(base) - statistics.median(change)
+    gain = gain if better == "lower" else -gain
+    parts = [
+        (len(base) >= 10, f"{len(base)} pairs (at least 10)"),
+        (10 * wins >= 9 * len(base), f"better in {wins} of {len(base)} (at least 9/10)"),
+        (gain > q3 - q1, f"median better by {gain:.6g} (more than the base's interquartile range {q3 - q1:.6g})"),
+        (incorrect_change <= incorrect_base,
+         f"correct=false in {incorrect_change} runs of the change (at most the base's {incorrect_base})"),
+    ]
+    return all(ok for ok, _ in parts), [text if ok else f"{text} FAILS" for ok, text in parts]
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -78,9 +105,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]],
                         help="run only this workload (repeatable; default all)")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="judge a claimed gain on this metric of this workload (exit 1 unless met)")
     args = parser.parse_args(argv)
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    if args.claim:
+        claim = tuple(args.claim.split(":", 1))
+        if len(claim) != 2 or claim[0] not in workloads or claim[1] not in metrics:
+            parser.error(f"--claim {args.claim}: want WORKLOAD:METRIC, a workload that runs and an end-to-end metric")
 
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base = Path(tmp)
@@ -124,6 +157,12 @@ def main(argv=None) -> int:
             print(f"#   runs with correct=false: base {incorrect['base']} of {args.pairs}, "
                   f"change {incorrect['change']} of {args.pairs}")
             failed = failed or any(incorrect.values())
+            if args.claim and claim[0] == workload:
+                name = claim[1]
+                met, parts = judge_claim(values["base"][name], values["change"][name], metrics[name][0],
+                                         incorrect["base"], incorrect["change"])
+                print(f"# claim {args.claim}: {'claim met' if met else 'claim not met'}: " + "; ".join(parts))
+                failed = failed or not met
     return 1 if failed else 0
 
 

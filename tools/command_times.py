@@ -2,6 +2,7 @@
 
     python3 tools/command_times.py
     python3 tools/command_times.py --base HEAD~1 --repeat 30
+    python3 tools/command_times.py --base HEAD~1 --sweep
 
 Run from the root of a checkout.  Each cell of the table is the best wall
 time, in ms, of ``cli.main([command, fixture])`` with its output captured,
@@ -20,6 +21,14 @@ is then 1.  A last row, "total", sums the twelve cells on each side: the
 benchmark's fixture-grid workload runs all of them, so a change that moves
 time from one command to another shows there.  Nothing is written in the
 checkout, bytecode included.
+
+``--sweep`` adds a second table: ``lambda`` and ``equivariant`` on each of
+the conjugated problems that the benchmark's height-sweep workload runs,
+written by ``bench/workloads.write_conjugated_problems`` into a temporary
+directory, and a last row with the median of the answered calls (those that
+exit 0 or 3).  A call that exits 1 or 2 is timed only once, since some of
+them (an exhausted witness search) take over a second; its cell is marked
+with its exit code.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -38,9 +48,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from bench_pairs import ROOT, export  # noqa: E402
 from run import Program  # noqa: E402
+from workloads import write_conjugated_problems  # noqa: E402
 
 FIXTURES = ("c3_inversion", "a5_3dim", "2a7_4dim")
 COMMANDS = ("validate", "lambda", "equivariant", "induce")
+SWEEP_COMMANDS = ("lambda", "equivariant")
+FAILED = (1, 2)  # the exit codes of a failure: an error, bad input
 
 
 def run_once(cli, argv: list[str]) -> tuple[float, int, str]:
@@ -53,10 +66,61 @@ def run_once(cli, argv: list[str]) -> tuple[float, int, str]:
     return elapsed, code, out.getvalue()
 
 
+def time_cells(clis: dict, paths: dict, cells: list, repeat: int) -> tuple[dict, dict]:
+    """The best time and the (exit code, stdout) of each (problem, command)
+    cell on each side, over repeat rounds whose order of the sides alternates.
+    A cell whose call failed (exit 1 or 2) is not called again."""
+    best = {side: dict.fromkeys(cells, float("inf")) for side in clis}
+    results = {side: {} for side in clis}
+    order = list(clis)
+    for _ in range(repeat):
+        for problem, command in cells:
+            for side in order:
+                if results[side].get((problem, command), (0,))[0] in FAILED:
+                    continue
+                elapsed, code, out = run_once(clis[side], [command, paths[side][problem]])
+                best[side][problem, command] = min(best[side][problem, command], elapsed)
+                results[side][problem, command] = (code, out)
+        order.reverse()
+    return best, results
+
+
+def shown(times: dict) -> str:
+    """One cell: the change's time in ms, after the base's and the change of the two when timed against one."""
+    new = times["change"] * 1e3
+    if "base" not in times:
+        return f"{new:.2f} ms"
+    old = times["base"] * 1e3
+    return f"{old:.2f} -> {new:.2f} ms ({(new - old) / old:+.0%})"
+
+
+def print_table(header: str, problems, commands, best: dict, results: dict) -> bool:
+    """Print one row per problem and one column per command; returns whether
+    any cell's exit code or stdout differs between the sides."""
+    differs = False
+    print(f"| {header} | " + " | ".join(commands) + " |")
+    print("|---" * (len(commands) + 1) + "|")
+    for problem in problems:
+        row = []
+        for cell in ((problem, command) for command in commands):
+            text = shown({side: best[side][cell] for side in best})
+            code = results["change"][cell][0]
+            if code in FAILED:
+                text += f" (exit {code})"
+            if "base" in results and results["base"][cell] != results["change"][cell]:
+                differs = True
+                text += " DIFFERS"
+            row.append(text)
+        print(f"| {problem} | " + " | ".join(row) + " |")
+    return differs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git ref to time against the working tree, alternately")
     parser.add_argument("--repeat", type=int, default=15, help="calls per cell and side (default 15)")
+    parser.add_argument("--sweep", action="store_true",
+                        help="also time lambda and equivariant on the height-sweep workload's problems")
     args = parser.parse_args(argv)
 
     with contextlib.ExitStack() as stack:
@@ -66,43 +130,26 @@ def main(argv=None) -> int:
             export(args.base, roots["base"])
         roots["change"] = ROOT
         # each copy's fixtures by path: cli.fixture_path finds the package last imported
-        clis = {side: Program(root).cli for side, root in roots.items()}
-        cells = [(f, c) for f in FIXTURES for c in COMMANDS]
+        programs = {side: Program(root) for side, root in roots.items()}
+        clis = {side: program.cli for side, program in programs.items()}
         paths = {side: {f: str(root / "src" / "galois_equiv" / "fixtures" / f"{f}.json") for f in FIXTURES}
                  for side, root in roots.items()}
-        best = {side: dict.fromkeys(cells, float("inf")) for side in roots}
-        results = {side: {} for side in roots}
-        order = list(roots)
-        for _ in range(args.repeat):
-            for fixture, command in cells:
-                for side in order:
-                    elapsed, code, out = run_once(clis[side], [command, paths[side][fixture]])
-                    best[side][fixture, command] = min(best[side][fixture, command], elapsed)
-                    results[side][fixture, command] = (code, out)
-            order.reverse()
-
-    def shown(times: dict) -> str:
-        """One cell: the change's time in ms, after the base's and the change of the two when timed against one."""
-        new = times["change"] * 1e3
-        if "base" not in times:
-            return f"{new:.2f} ms"
-        old = times["base"] * 1e3
-        return f"{old:.2f} -> {new:.2f} ms ({(new - old) / old:+.0%})"
-
-    differs = False
-    print("| fixture | " + " | ".join(COMMANDS) + " |")
-    print("|---" * (len(COMMANDS) + 1) + "|")
-    for fixture in FIXTURES:
-        row = []
-        for cell in ((fixture, command) for command in COMMANDS):
-            text = shown({side: best[side][cell] for side in roots})
-            if "base" in roots and results["base"][cell] != results["change"][cell]:
-                differs = True
-                text += " DIFFERS"
-            row.append(text)
-        print(f"| {fixture} | " + " | ".join(row) + " |")
-    total = shown({side: sum(best[side].values()) for side in roots})
-    print(f"| total | {total} |" + " |" * (len(COMMANDS) - 1))
+        best, results = time_cells(clis, paths, [(f, c) for f in FIXTURES for c in COMMANDS], args.repeat)
+        differs = print_table("fixture", FIXTURES, COMMANDS, best, results)
+        total = shown({side: sum(best[side].values()) for side in roots})
+        print(f"| total | {total} |" + " |" * (len(COMMANDS) - 1))
+        if args.sweep:
+            # written once, by the working tree's package (the last imported), for both sides
+            workdir = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="command-times-sweep-")))
+            sweep = {path.stem: str(path) for _, _, path in write_conjugated_problems(programs["change"], workdir)}
+            cells = [(problem, command) for problem in sweep for command in SWEEP_COMMANDS]
+            best, results = time_cells(clis, dict.fromkeys(roots, sweep), cells, args.repeat)
+            print()
+            differs = print_table("problem", sweep, SWEEP_COMMANDS, best, results) or differs
+            answered = {side: [best[side][cell] for cell in cells if results[side][cell][0] not in FAILED]
+                        for side in roots}
+            median = shown({side: statistics.median(times) for side, times in answered.items()})
+            print(f"| median of {len(answered['change'])} answered | {median} |" + " |" * (len(SWEEP_COMMANDS) - 1))
     return 1 if differs else 0
 
 
