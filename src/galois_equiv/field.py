@@ -28,8 +28,10 @@ from .errors import (
 
 INF = math.inf
 
-# Deterministic Miller-Rabin witness set, valid for all n below this limit.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set, valid for all n below this limit:
+# no composite below psi_13 is a strong pseudoprime to all 13 bases (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
@@ -504,15 +506,17 @@ _split_prime_cache: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
 
 
 def _split_primes(ext: CyclicExtension):
-    """The primes p <= 2^61 - 1, descending, at which m has r distinct roots
-    theta_0, theta_i = s(theta_(i-1)) and no coefficient of s has p in its
-    denominator, each with the orbit (theta_0, ..., theta_(r-1)).  The maps
-    t -> theta_i are then the r ring maps from the p-integral elements of L to
-    F_p.  Primes are searched for on first use and kept for the process."""
+    """The primes p below _MR_LIMIT (about 2^81.46), descending, at which m
+    has r distinct roots theta_0, theta_i = s(theta_(i-1)) and no coefficient
+    of s has p in its denominator, each with the orbit (theta_0, ...,
+    theta_(r-1)).  The maps t -> theta_i are then the r ring maps from the
+    p-integral elements of L to F_p.  A residue mod p is three 30-bit digits,
+    as one mod a 61-bit prime is, so each prime adds a third more modulus.
+    Primes are searched for on first use and kept for the process."""
     found = _split_prime_cache.setdefault((ext.min_poly, ext.sigma_image), [])
     for i in itertools.count():
         if i == len(found):
-            found.append(_next_split_prime(ext, found[-1][0] - 2 if found else 2**61 - 1))
+            found.append(_next_split_prime(ext, found[-1][0] - 2 if found else _MR_LIMIT - 2))
         yield found[i]
 
 

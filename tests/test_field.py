@@ -275,6 +275,36 @@ def test_miller_rabin_matches_trial_division():
         assert is_prime(n) == slow(n)
 
 
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+# (Sorenson and Webster, Math. Comp. 86, 2017); psi_13 is _MR_LIMIT
+PSI_12 = 318665857834031151167461
+STRONG_PSEUDOPRIMES = {"psi1": 2047, "psi2": 1373653, "psi3": 25326001, "psi4": 3215031751, "psi5": 2152302898747,
+                       "psi6": 3474749660383, "psi7-8": 341550071728321, "psi9-11": 3825123056546413051,
+                       "psi12": PSI_12}
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES.values(), ids=STRONG_PSEUDOPRIMES.keys())
+def test_miller_rabin_rejects_the_least_strong_pseudoprimes(n):
+    assert not is_prime(n)
+    assert n < _MR_LIMIT == 3317044064679887385961981
+
+
+def test_psi_12_is_not_taken_for_a_prime():
+    # psi_12 = 399165290221 * 798330580441 passes bases 2 to 37 and fails
+    # base 41.  Both factors are above the trial-division bound, so it cannot
+    # be factored; taken for a prime, it would be canonical_lambda's answer
+    # over Q(sqrt 7), where the class is that of its inert factor 399165290221
+    assert PSI_12 == 399165290221 * 798330580441
+    with pytest.raises(FactorizationIncomplete):
+        factor(PSI_12)
+    with pytest.raises(FactorizationIncomplete):
+        canonical_lambda(PSI_12, CyclicExtension([-7, 0, 1], [0, -1]))
+    with pytest.raises(ValueError, match="^place must be a prime"):
+        hilbert_symbol(7, 3, PSI_12)
+    with pytest.raises(FactorizationIncomplete):
+        is_prime(_MR_LIMIT)
+
+
 def test_squarefree_part():
     # disc_core is the squarefree part of the discriminant b^2 - 4c, and
     # disc_primes the primes dividing it

@@ -12,7 +12,7 @@ from galois_equiv import linalg
 from galois_equiv import rep as rep_module
 from galois_equiv.equivariance import compute_X, twisted_images
 from galois_equiv.errors import Singular
-from galois_equiv.field import CyclicExtension, _modular_root, _split_primes, norm
+from galois_equiv.field import _MR_LIMIT, CyclicExtension, _modular_root, _split_primes, is_prime, norm
 from galois_equiv.linalg import (
     IncrementalSpan,
     Mat,
@@ -620,13 +620,16 @@ def count_kernels(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("build, height", [
-    pytest.param(build, height, id=f"{name}-{height}")
-    for name, build, heights in [("a5", build_a5, (3, 30, 100, 1000)), ("2a7", build_a7_double, (3, 30, 100, 1000)),
-                                 ("cubic", cubic_cycle, (0, 3, 100))]
-    for height in heights
+# per height, the number of split primes the lift takes, read off a run with
+# primes of about 2^81.46
+@pytest.mark.parametrize("build, height, primes", [
+    pytest.param(build, height, primes, id=f"{name}-{height}")
+    for name, build, heights in [("a5", build_a5, {3: 1, 30: 1, 100: 2, 1000: 2}),
+                                 ("2a7", build_a7_double, {3: 1, 30: 2, 100: 2, 1000: 3}),
+                                 ("cubic", cubic_cycle, {0: 1, 3: 1, 100: 2})]
+    for height, primes in heights.items()
 ])
-def test_modular_solve_matches_the_exact_solve_on_conjugates(build, height, monkeypatch):
+def test_modular_solve_matches_the_exact_solve_on_conjugates(build, height, primes, monkeypatch):
     rep = build()
     if height:
         rep = conjugate(rep, random_mat(rep.ext, rep.dim, rep.dim, random.Random(f"{height}"), span=height))
@@ -638,15 +641,16 @@ def test_modular_solve_matches_the_exact_solve_on_conjugates(build, height, monk
     assert len(basis) == 1
     # the generic solve eliminates at every root of every prime it takes
     assert len(kernels) == r * len(taken)
-    # from H = 100 on, X's coefficients outgrow one 61-bit prime
-    assert len(taken) > 1 or height < 100
+    # from H = 100 on, X's coefficients outgrow one prime, so the
+    # CRT path is taken
+    assert len(taken) == primes and (primes > 1 or height < 100)
     # compute_X reads the last root's kernel off N(X) = lambda I
     taken.clear()
     kernels.clear()
     x, = basis
     lead = next(e for e in x.flatten() if e)
     assert compute_X(rep) == x * lead.inverse()
-    assert len(kernels) == (r - 1) * len(taken)
+    assert len(kernels) == (r - 1) * len(taken) == (r - 1) * primes
 
 
 def test_a_first_prime_with_a_larger_kernel_restarts_the_lift(monkeypatch):
@@ -678,7 +682,8 @@ def test_a_first_prime_with_later_pivots_restarts_the_lift(monkeypatch):
 
 def test_a_later_prime_with_a_larger_kernel_is_dropped(monkeypatch):
     # A = Y diag(1, 12) Y^-1 is the identity mod 11 too, and its commutant
-    # Y diag(*, *) Y^-1 needs two primes, between which 11 comes
+    # Y diag(*, *) Y^-1 needs two primes (its 44-bit coefficients need a
+    # modulus of 88 bits, one prime gives 82), between which 11 comes
     ext = q5()
     y = Mat(ext, [[[977, -640], [-512, 301]], [[13, 859], [-998, -701]]])
     a = y * Mat(ext, [[1, 0], [0, 12]]) * inverse(y)
@@ -699,6 +704,14 @@ def test_a_prime_in_an_entry_denominator_is_skipped(monkeypatch):
     taken = take_primes(monkeypatch)
     assert solve_sylvester_space(pairs) == exact_sylvester_space(pairs)
     assert taken[0] == p and len(taken) > 1
+
+
+@pytest.mark.parametrize("build", [build_c3, build_a5, build_a7_double], ids=["c3", "a5", "2a7"])
+def test_the_split_primes_start_at_the_top_of_the_primality_range(build):
+    # the stream starts just below _MR_LIMIT (about 2^81.46), the top of the
+    # range is_prime certifies, so each prime is still three 30-bit digits
+    (p, _), = itertools.islice(_split_primes(build().ext), 1)
+    assert 2**80 < p < _MR_LIMIT and is_prime(p)
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +898,10 @@ def test_shared_denominator_reconstruction_matches_wang(make_ext, monkeypatch):
     zeros = [Fraction(0)] * (n * n * ext.degree - 3)
     # d1, d2 <= bound with d1 d2 > bound: after 1/d1 and -1/d2 the running
     # denominator d1 d2 exceeds bound, and u d1 d2 = 1 for the residue u of
-    # 1/(d1 d2), which is out of bounds, so Wang gives something else
-    d1, d2 = 2**20 + 7, 2**20 + 9
+    # 1/(d1 d2), which is out of bounds, so Wang gives something else; d1
+    # and d2 are consecutive odd numbers just above sqrt(bound), so coprime
+    d1 = math.isqrt(bound) + 1 | 1
+    d2 = d1 + 2
     values = [Fraction(1, d1), Fraction(-1, d2), Fraction(1, d1 * d2)] + zeros
     residues = residues_of(values, modulus)
     assert max(d1, d2) <= bound < d1 * d2 and wang_reference(residues[2], modulus) != values[2]

@@ -162,6 +162,23 @@ def test_the_command_times_tool_prints_a_row_per_fixture():
     assert len(answered) == 17 and rows[-1][1].split()[0] == f"{statistics.median(answered):.2f}"
 
 
+def test_the_command_times_tool_times_cold_calls():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "command_times.py"), "--repeat", "1", "--cold"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # after the in-process table, the same cells as fresh processes
+    assert lines[6:9] == ["", "| cold fixture | validate | lambda | equivariant | induce |", "|---|---|---|---|---|"]
+    assert [line.split(" | ")[0] for line in lines[9:]] == ["| c3_inversion", "| a5_3dim", "| 2a7_4dim", "| total"]
+    cells = [float(cell.split()[0]) for line in lines[9:12] for cell in line.strip("|").split(" | ")[1:]]
+    total = float(lines[12].strip("|").split(" | ")[1].split()[0])
+    # a fresh process starts an interpreter, so it takes longer than any in-process call
+    in_process = float(lines[5].strip("|").split(" | ")[1].split()[0])
+    assert len(cells) == 12 and abs(total - sum(cells)) <= 0.01 * 12 and total > in_process
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)

@@ -3,6 +3,7 @@
     python3 tools/command_times.py
     python3 tools/command_times.py --base HEAD~1 --repeat 30
     python3 tools/command_times.py --base HEAD~1 --sweep
+    python3 tools/command_times.py --base HEAD~1 --cold --repeat 9
 
 Run from the root of a checkout.  Each cell of the table is the best wall
 time, in ms, of ``cli.main([command, fixture])`` with its output captured,
@@ -29,6 +30,14 @@ directory, and a last row with the median of the answered calls (those that
 exit 0 or 3).  A call that exits 1 or 2 is timed only once, since some of
 them (an exhausted witness search) take over a second; its cell is marked
 with its exit code.
+
+``--cold`` adds a table of the same twelve cells run as fresh processes,
+``python -m galois_equiv.cli COMMAND FIXTURE`` with ``PYTHONPATH`` set to
+each copy's ``src/`` and no bytecode written, one at a time, alternating
+sides as above.  Each cell is the median wall time of ``--repeat`` processes,
+so it counts what the in-process table cannot see: starting the
+interpreter, importing the package, and the per-process state built on first
+use, such as a field's split primes.
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -66,11 +77,26 @@ def run_once(cli, argv: list[str]) -> tuple[float, int, str]:
     return elapsed, code, out.getvalue()
 
 
-def time_cells(clis: dict, paths: dict, cells: list, repeat: int) -> tuple[dict, dict]:
-    """The best time and the (exit code, stdout) of each (problem, command)
-    cell on each side, over repeat rounds whose order of the sides alternates.
-    A cell whose call failed (exit 1 or 2) is not called again."""
-    best = {side: dict.fromkeys(cells, float("inf")) for side in clis}
+class ColdCli:
+    """cli.main(argv) as a fresh python -m galois_equiv.cli process on the
+    package in root/src, its stdout passed on."""
+
+    def __init__(self, root: Path):
+        self.env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def main(self, argv: list[str]) -> int:
+        done = subprocess.run([sys.executable, "-m", "galois_equiv.cli", *argv], env=self.env,
+                              capture_output=True, text=True)
+        sys.stdout.write(done.stdout)
+        return done.returncode
+
+
+def time_cells(clis: dict, paths: dict, cells: list, repeat: int, summary=min) -> tuple[dict, dict]:
+    """The summary (by default the best) of the times and the (exit code,
+    stdout) of each (problem, command) cell on each side, over repeat rounds
+    whose order of the sides alternates.  A cell whose call failed (exit 1
+    or 2) is not called again."""
+    times = {side: {cell: [] for cell in cells} for side in clis}
     results = {side: {} for side in clis}
     order = list(clis)
     for _ in range(repeat):
@@ -79,10 +105,10 @@ def time_cells(clis: dict, paths: dict, cells: list, repeat: int) -> tuple[dict,
                 if results[side].get((problem, command), (0,))[0] in FAILED:
                     continue
                 elapsed, code, out = run_once(clis[side], [command, paths[side][problem]])
-                best[side][problem, command] = min(best[side][problem, command], elapsed)
+                times[side][problem, command].append(elapsed)
                 results[side][problem, command] = (code, out)
         order.reverse()
-    return best, results
+    return {side: {cell: summary(ts) for cell, ts in by_cell.items()} for side, by_cell in times.items()}, results
 
 
 def shown(times: dict) -> str:
@@ -115,12 +141,19 @@ def print_table(header: str, problems, commands, best: dict, results: dict) -> b
     return differs
 
 
+def print_total(best: dict, columns: int) -> None:
+    """The row of the sum of every cell on each side."""
+    print(f"| total | {shown({side: sum(cells.values()) for side, cells in best.items()})} |" + " |" * (columns - 1))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git ref to time against the working tree, alternately")
     parser.add_argument("--repeat", type=int, default=15, help="calls per cell and side (default 15)")
     parser.add_argument("--sweep", action="store_true",
                         help="also time lambda and equivariant on the height-sweep workload's problems")
+    parser.add_argument("--cold", action="store_true",
+                        help="also time each fixture cell as fresh CLI processes, median of --repeat")
     args = parser.parse_args(argv)
 
     with contextlib.ExitStack() as stack:
@@ -134,10 +167,16 @@ def main(argv=None) -> int:
         clis = {side: program.cli for side, program in programs.items()}
         paths = {side: {f: str(root / "src" / "galois_equiv" / "fixtures" / f"{f}.json") for f in FIXTURES}
                  for side, root in roots.items()}
-        best, results = time_cells(clis, paths, [(f, c) for f in FIXTURES for c in COMMANDS], args.repeat)
+        cells = [(f, c) for f in FIXTURES for c in COMMANDS]
+        best, results = time_cells(clis, paths, cells, args.repeat)
         differs = print_table("fixture", FIXTURES, COMMANDS, best, results)
-        total = shown({side: sum(best[side].values()) for side in roots})
-        print(f"| total | {total} |" + " |" * (len(COMMANDS) - 1))
+        print_total(best, len(COMMANDS))
+        if args.cold:
+            cold = {side: ColdCli(root) for side, root in roots.items()}
+            best, results = time_cells(cold, paths, cells, args.repeat, statistics.median)
+            print()
+            differs = print_table("cold fixture", FIXTURES, COMMANDS, best, results) or differs
+            print_total(best, len(COMMANDS))
         if args.sweep:
             # written once, by the working tree's package (the last imported), for both sides
             workdir = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="command-times-sweep-")))
