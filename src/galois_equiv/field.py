@@ -199,33 +199,41 @@ def hilbert_symbol(a, b, place) -> int:
     # 5.0 names the prime 5, while nan % 1 and -inf % 1 are nan
     if place != INF and not (isinstance(place, (int, float, Fraction)) and place % 1 == 0 and is_prime(int(place))):
         raise ValueError(f"place must be a prime or math.inf, got {place}")
-    return _symbol(a, b, place if place == INF else int(place))
+    place = place if place == INF else int(place)
+    return _symbol(a, place, _side(b, place))
 
 
-def _symbol(a: int, b: int, p) -> int:
-    """(a, b)_p for nonzero integers a, b and p = INF or a prime, unchecked; a
-    rational enters as its square-class integer num * den.
-
-    Odd p: with a = p^alpha u, b = p^beta v, the symbol is
-    (-1)^(alpha beta (p-1)/2) (u/p)^beta (v/p)^alpha.
-    p = 2: (-1)^(eps(u)eps(v) + alpha omega(v) + beta omega(u)) with
-    eps(x) = (x-1)/2 and omega(x) = (x^2-1)/8 taken mod 2.
-    """
+def _side(b: int, p):
+    """b's part of the symbol (a, b)_p, for a nonzero integer b and p = INF or
+    a prime, unchecked: whether b < 0 at INF; with b = p^beta v, at p = 2 the
+    parities of beta, eps(v) = (v-1)/2 and omega(v) = (v^2-1)/8, and at an odd
+    p the parity of beta and the Legendre symbol ((-1)^beta v / p)."""
     if p == INF:
-        return -1 if (a < 0 and b < 0) else 1
-    alpha, u = _split_prime(a, p)
+        return b < 0
     beta, v = _split_prime(b, p)
     if p == 2:
-        exponent = (u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
-        return -1 if exponent & 1 else 1
-    out = 1
-    if (alpha * beta * ((p - 1) // 2)) & 1:
-        out = -out
-    if beta & 1:
-        out *= legendre(u, p)
-    if alpha & 1:
-        out *= legendre(v, p)
-    return out
+        return beta & 1, v % 4 == 3, v % 8 in (3, 5)
+    return beta & 1, legendre(-v if beta & 1 else v, p)
+
+
+def _symbol(a: int, p, side) -> int:
+    """(a, b)_p for a nonzero integer a, p = INF or a prime and b's side at p
+    (see _side), unchecked; a rational enters as its square-class integer.
+
+    Odd p: with a = p^alpha u, b = p^beta v, the symbol is
+    (-1)^(alpha beta (p-1)/2) (u/p)^beta (v/p)^alpha = (u/p)^beta ((-1)^beta v / p)^alpha.
+    p = 2: (-1)^(eps(u)eps(v) + alpha omega(v) + beta omega(u)).
+    """
+    if p == INF:
+        return -1 if side and a < 0 else 1
+    alpha, u = _split_prime(a, p)
+    if p == 2:
+        beta, eps_v, omega_v = side
+        exponent = ((u % 4 == 3) & eps_v) ^ (alpha & omega_v) ^ (beta & (u % 8 in (3, 5)))
+        return -1 if exponent else 1
+    beta, c = side
+    out = legendre(u, p) if beta else 1
+    return -out if alpha & 1 and c == -1 else out
 
 
 def _split_prime(n: int, p: int) -> tuple[int, int]:
@@ -247,8 +255,8 @@ class CyclicExtension:
     at which m stays irreducible (a cyclic L has a positive density of such
     primes).  A failed check raises ValueError.  For r = 2 one factorization
     of the discriminant b^2 - 4c, made at the first norm query, gives
-    disc_core, the squarefree d with L = Q(sqrt d), and disc_primes, the
-    primes dividing d, which every norm test reads.
+    disc_core, the squarefree d with L = Q(sqrt d), disc_primes, the primes
+    dividing d, and the place table that every norm test reads.
 
     Since m is monic with integer coefficients, reducing an integer
     polynomial mod m keeps it integral.  sigma^i is held as a table of
@@ -295,6 +303,13 @@ class CyclicExtension:
 
     disc_core = functools.cached_property(lambda self: self._disc[0])
     disc_primes = functools.cached_property(lambda self: self._disc[1])
+
+    @functools.cached_property
+    def _places(self) -> tuple:
+        """The place table: inf, 2 and the odd primes of d ascending, each with
+        its bit in a class mask and d's side of the symbol there (see _side)."""
+        places = (INF, 2, *sorted(self.disc_primes - {2}))
+        return tuple((1 << i, v, _side(self.disc_core, v)) for i, v in enumerate(places))
 
     def _reduce(self, work: list[int]) -> list[int]:
         """An integer polynomial of degree at least r - 1, low degree first,
@@ -715,31 +730,28 @@ def _square_class(lam, ext: CyclicExtension) -> int:
     return lam.numerator * lam.denominator
 
 
-def _unfactored_places(q: int, ext: CyclicExtension) -> frozenset:
-    """The places v = inf, 2 or a prime of d with (q, d)_v = -1: no factoring of q."""
-    return frozenset(v for v in {INF, 2, *ext.disc_primes} if _symbol(q, ext.disc_core, v) == -1)
+def _class_mask(q: int, ext: CyclicExtension) -> int:
+    """The bits of the places of ext's place table (inf, 2 and the odd primes
+    of d) where (q, d) = -1: no factoring of q."""
+    mask = 0
+    for bit, v, side in ext._places:
+        if _symbol(q, v, side) == -1:
+            mask |= bit
+    return mask
 
 
-def _inert_places(fs, d: int) -> frozenset:
-    """The other places of q, read off its factorization fs: at an odd p not
-    dividing d, (q, d)_p = (d/p)^v_p(q), so they are the inert p of odd v_p(q)."""
-    return frozenset(p for p, e in fs if e % 2 and p != 2 and legendre(d, p) == -1)
-
-
-def _class_places(lam, ext: CyclicExtension) -> frozenset:
-    """The places where lam is not a local norm from the quadratic L, which
-    name the class of lam mod N(L*): those with (lam, d) = -1, read off the
-    square-class integer q = num * den of lam: at inf, 2 and the primes of d
-    with no factoring, and at the inert primes read off factor(q)."""
-    q = _square_class(lam, ext)
-    return _unfactored_places(q, ext) | _inert_places(factor(q)[1], ext.disc_core)
+def _inert_primes(fs, d: int) -> tuple[int, ...]:
+    """The other places where (q, d) = -1, read off q's factorization fs: at an
+    odd p not dividing d, (q, d)_p = (d/p)^v_p(q), so the inert p of odd v_p(q)."""
+    return tuple(p for p, e in fs if e % 2 and p != 2 and legendre(d, p) == -1)
 
 
 def is_norm(lam, ext: CyclicExtension) -> bool:
     """Decide lam in N(L*) for quadratic L: no place has Hilbert symbol (lam, d) = -1.
-    A -1 at inf, 2 or a prime of d decides it with no factor call."""
+    The class mask of q = num * den (see _class_mask) is read first: a set bit
+    decides it with no factor call, and otherwise q is factored once."""
     q = _square_class(lam, ext)
-    return not _unfactored_places(q, ext) and not _inert_places(factor(q)[1], ext.disc_core)
+    return not _class_mask(q, ext) and not _inert_primes(factor(q)[1], ext.disc_core)
 
 
 _WITNESS_BUDGET = 10**4
@@ -849,23 +861,25 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
     Trivial classes report 1.  A nontrivial class reports the
     smallest-absolute-value squarefree integer k with |k| >= 2 whose Hilbert
     symbols against d match those of lam at every place (ties broken toward
-    positive sign).  Unlike is_norm it always factors lam's square class.
+    positive sign).  The class of q = num * den is its mask (see _class_mask)
+    and its inert primes of odd exponent, so unlike is_norm it factors q.
     """
-    target = _class_places(lam, ext)
-    if not target:
+    q = _square_class(lam, ext)
+    mask = _class_mask(q, ext)
+    inert = _inert_primes(factor(q)[1], ext.disc_core)
+    if not mask and not inert:
         return Fraction(1)
     # At an odd p not dividing d, (k, d)_p = (d/p)^v_p(k), so every k in the
     # class is a multiple of step.  The squarefree kernel of lam is in the
     # class, and so is d when that kernel is -1, so the scan ends by
     # max(|kernel of lam|, |d|, 2).
-    inert = target - {INF, 2} - ext.disc_primes
     step = math.prod(inert)
     for k in itertools.count(step, step):
         if k < 2:
             continue
         _, fs = factor(k)
-        if any(e > 1 for _, e in fs) or _inert_places(fs, ext.disc_core) != inert:
+        if any(e > 1 for _, e in fs) or _inert_primes(fs, ext.disc_core) != inert:
             continue
         for cand in (k, -k):
-            if _unfactored_places(cand, ext) == target - inert:
+            if _class_mask(cand, ext) == mask:
                 return Fraction(cand)

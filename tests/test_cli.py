@@ -666,13 +666,13 @@ def test_a_broken_hypothesis_exits_2_at_its_position(tmp_path, capsys, problem, 
         assert "InternalInvariantViolation" not in captured.err
 
 
-def write_conjugate(tmp_path, path, seed):
+def write_conjugate(tmp_path, path, seed, height=2):
     """The problem file at path with every image conjugated by a seeded random T."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     data["representation"] = {
         name: [[[rational_to_string(c) for c in e.coeffs] for e in row] for row in m.rows]
-        for name, m in zip(load_problem(path).gen_names, conjugated_at(path, 2, seed))
+        for name, m in zip(load_problem(path).gen_names, conjugated_at(path, height, seed))
     }
     return write_problem(tmp_path, data)
 
@@ -990,3 +990,83 @@ def test_a_field_is_factored_only_by_a_norm_query(c0, tmp_path, capsys):
     capsys.readouterr()
     if c0 == -5:
         assert main(["equivariant", path]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the answer depends on the problem, not on how it is written
+
+
+def re_present(path, min_poly):
+    """The problem at path over its field t^2 - d re-presented as
+    Q[t']/(min_poly) with t' = (1 + sqrt d)/2: every entry a + b t becomes
+    (a - b) + 2b t', as t = 2t' - 1, and sigma(t') = 1 - t'."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["field"] = {"min_poly": min_poly, "sigma_image": [1, -1]}
+
+    def entry(e):
+        a, b = (Fraction(c) for c in ((e + [0])[:2] if isinstance(e, list) else (e, 0)))
+        return [rational_to_string(a - b), rational_to_string(2 * b)]
+
+    data["representation"] = {g: [[entry(e) for e in row] for row in m] for g, m in data["representation"].items()}
+    return data
+
+
+@pytest.mark.parametrize(
+    "fixture, min_poly",
+    [(A5, [-1, -1, 1]), (A7D, [2, -1, 1]), (C3, [1, -1, 1])],
+    ids=["a5-t2-t-1", "2a7-t2-t+2", "c3-t2-t+1"],
+)
+def test_a_re_presented_field_gives_the_same_answers(tmp_path, capsys, fixture, min_poly):
+    path = write_problem(tmp_path, re_present(fixture, min_poly))
+    answers = []
+    for p in (fixture, path):
+        code = main(["lambda", p])
+        lam = report_of(capsys)
+        assert main(["induce", p]) == code
+        answers.append((code, lam["lambda_canonical"], lam["is_trivial"], report_of(capsys)["schur_index"]))
+    assert answers[0] == answers[1]
+
+
+# Q8 = <a, b | a^4, a^2 b^2, a b a b^-1> over Q(i): a -> diag(t, -t), b -> [[0, -1], [1, 0]]
+Q8 = {
+    "field": {"min_poly": [1, 0, 1], "sigma_image": [0, -1]},
+    "group": {"generators": ["a", "b"], "relations": ["a a a a", "a a b b", "a b a b'"], "tau_order": 2},
+    "representation": {"a": [[[0, 1], 0], [0, [0, -1]]], "b": [[0, -1], [1, 0]]},
+    "options": {"seed": 0},
+}
+# the hand-built images, and their conjugates at height 3 and 10 by seeds 0-2
+Q8_CONJUGATES = {"hand-built": None, **{f"H{h}-{seed}": (h, seed) for h in (3, 10) for seed in range(3)}}
+
+
+def write_q8(tmp_path, tau, conjugate):
+    """The Q8 problem with this tau, conjugated at (height, seed) unless conjugate is None."""
+    path = write_problem(tmp_path, {**Q8, "group": {**Q8["group"], "tau": tau}}, "q8.json")
+    if conjugate is None:
+        return path
+    height, seed = conjugate
+    return write_conjugate(tmp_path, path, seed, height)
+
+
+@pytest.mark.parametrize("conjugate", Q8_CONJUGATES.values(), ids=Q8_CONJUGATES)
+def test_q8_with_tau_one_is_obstructed(tmp_path, capsys, conjugate):
+    # even n: the class of lambda is that of -2, which is not a norm from Q(i)
+    path = write_q8(tmp_path, {"a": "a", "b": "b"}, conjugate)
+    assert main(["lambda", path]) == 3
+    report = report_of(capsys)
+    assert (report["is_trivial"], report["lambda_canonical"]) == (False, "-2")
+    assert main(["induce", path]) == 3
+    assert report_of(capsys)["schur_index"] == 2
+
+
+@pytest.mark.parametrize("conjugate", Q8_CONJUGATES.values(), ids=Q8_CONJUGATES)
+def test_q8_with_tau_swapping_a_and_b_is_trivial(tmp_path, capsys, conjugate):
+    path = write_q8(tmp_path, {"a": "b", "b": "a"}, conjugate)
+    assert main(["lambda", path]) == 0
+    report = report_of(capsys)
+    assert (report["is_trivial"], report["lambda_canonical"]) == (True, "1")
+    if conjugate is None:
+        assert report["lambda_rep"] == "2"
+    assert main(["equivariant", path]) == 0
+    report = report_of(capsys)
+    assert (report["is_trivial"], report["verified"]) == (True, True)

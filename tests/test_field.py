@@ -749,6 +749,19 @@ def class_grid(d):
     return sorted(sign * lam for lam in lams for sign in (1, -1))
 
 
+def mask_places(q, ext):
+    """The places of ext's place table whose bit is set in the class mask of q."""
+    mask = field._class_mask(q, ext)
+    return {v for bit, v, _ in ext._places if mask & bit}
+
+
+def class_places(lam, ext):
+    """The places where (lam, d) = -1 as the norm tests see them: the class
+    mask of q = num * den and the inert primes read off factor(q)."""
+    q = lam.numerator * lam.denominator
+    return mask_places(q, ext) | set(field._inert_primes(factor(q)[1], ext.disc_core))
+
+
 def test_the_class_places_are_where_the_public_symbol_is_minus_one():
     # every prime of the grid and of d is at most 53, and the symbol is 1 at
     # any other odd prime; is_norm reads inf, 2 and the primes of d before it
@@ -758,9 +771,45 @@ def test_the_class_places_are_where_the_public_symbol_is_minus_one():
         ext = CyclicExtension([-d, 0, 1], [0, -1])
         for lam in class_grid(d):
             expected = {v for v in places if hilbert_symbol(lam, d, v) == -1}
-            assert field._class_places(lam, ext) == expected, (lam, d)
+            assert class_places(lam, ext) == expected, (lam, d)
             assert is_norm(lam, ext) == (not expected)
             assert canonical_lambda(lam, ext) == oracle_canonical_lambda(lam, ext), (lam, d)
+
+
+@pytest.mark.parametrize("d", [-1, 2, -2, -3, 5, -7, 13, 6, -6, 10, -10, 15, -15, 30, -30, 105, -105])
+def test_the_class_mask_is_where_the_public_symbol_is_minus_one(d):
+    # each prime of d enters lambda at valuation 0, 1 and 2, independently of
+    # the others: a mask that divided one prime of d out of q before reading
+    # the next would go wrong once d has two odd primes
+    ext = CyclicExtension([-d, 0, 1], [0, -1])
+    primes = [p for p, _ in factor(d)[1]]
+    places = [INF, 2] + [p for p in primes if p != 2]
+    assert [(bit, v) for bit, v, _ in ext._places] == [(1 << i, v) for i, v in enumerate(places)]
+    cofactors = [c for c in (1, 2, 3, 7, 11) if math.gcd(c, d) == 1][:3]
+    for exponents in itertools.product(range(3), repeat=len(primes)):
+        for c in cofactors:
+            for sign in (1, -1):
+                lam = Fraction(sign * c * math.prod(p**e for p, e in zip(primes, exponents)))
+                expected = {v for _, v, _ in ext._places if hilbert_symbol(lam, d, v) == -1}
+                assert mask_places(lam.numerator, ext) == expected, lam
+                assert canonical_lambda(lam, ext) == oracle_canonical_lambda(lam, ext), lam
+
+
+# t^2 + b t + c with b^2 - 4c = f^2 d: the roots (1 + sqrt d)/2 of t^2 - t - 1,
+# t^2 - t + 2 and t^2 - t + 1 (f = 1), -2 + sqrt(-5) (f = 2) and 2 sqrt 3 (f = 4)
+RE_PRESENTED = {5: [-1, -1, 1], -7: [2, -1, 1], -3: [1, -1, 1], -5: [9, 4, 1], 3: [-12, 0, 1]}
+
+
+@pytest.mark.parametrize("d", RE_PRESENTED)
+def test_a_re_presented_field_decides_the_same_classes(d):
+    plain = CyclicExtension([-d, 0, 1], [0, -1])
+    b = RE_PRESENTED[d][1]
+    other = CyclicExtension(RE_PRESENTED[d], [-b, -1])
+    assert (other.disc_core, other.disc_primes) == (plain.disc_core, plain.disc_primes)
+    assert other._places == plain._places
+    for lam in class_grid(d):
+        assert is_norm(lam, other) == is_norm(lam, plain), lam
+        assert canonical_lambda(lam, other) == canonical_lambda(lam, plain), lam
 
 
 def test_a_norm_test_makes_no_primality_test_and_no_public_symbol_call(monkeypatch):

@@ -179,6 +179,37 @@ def test_the_command_times_tool_times_cold_calls():
     assert len(cells) == 12 and abs(total - sum(cells)) <= 0.01 * 12 and total > in_process
 
 
+# six norm queries, one past factor's reach: is_norm answers -1000003 *
+# 1000033 over Q(i) by its sign alone, and canonical_lambda cannot factor it
+NORM_QUERIES = [(-7, "-2"), (5, "-1"), (-1, "2"), (-1, str(-1000003 * 1000033)), (2, "7/3"), (13, "-3/4")]
+NORMS_SCRIPT = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+import command_times
+command_times.make_queries = lambda seed: [(d, Fraction(lam)) for d, lam in {queries}]
+sys.exit(command_times.main(["--repeat", "2", "--norms"]))
+"""
+
+
+def test_the_command_times_tool_times_the_norm_queries():
+    # the workload's queries are replaced by six, so no benchmark runs
+    done = subprocess.run(
+        [sys.executable, "-c", NORMS_SCRIPT.format(queries=NORM_QUERIES), str(ROOT / "tools")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # after the in-process fixture table, one row per query in order and the median row
+    assert lines[6:9] == ["", "| d lambda | norm query |", "|---|---|"]
+    rows = [line.strip("| ").split(" | ") for line in lines[9:]]
+    assert [row[0] for row in rows[:-1]] == [f"{d} {lam}" for d, lam in NORM_QUERIES]
+    assert [row[1].endswith(" (exit 1)") for row in rows[:-1]] == [False, False, False, True, False, False]
+    # five answered: the median is the middle cell, as printed
+    answered = sorted(float(row[1].split()[0]) for row in rows[:-1] if "(exit" not in row[1])
+    assert rows[-1] == ["median of 5 answered", f"{answered[2]:.2f} ms"]
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     module = importlib.util.module_from_spec(spec)

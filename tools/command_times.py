@@ -4,6 +4,7 @@
     python3 tools/command_times.py --base HEAD~1 --repeat 30
     python3 tools/command_times.py --base HEAD~1 --sweep
     python3 tools/command_times.py --base HEAD~1 --cold --repeat 9
+    python3 tools/command_times.py --base HEAD~1 --norms
 
 Run from the root of a checkout.  Each cell of the table is the best wall
 time, in ms, of ``cli.main([command, fixture])`` with its output captured,
@@ -38,6 +39,14 @@ sides as above.  Each cell is the median wall time of ``--repeat`` processes,
 so it counts what the in-process table cannot see: starting the
 interpreter, importing the package, and the per-process state built on first
 use, such as a field's split primes.
+
+``--norms`` adds a table of the field layer alone: each query of the
+benchmark's norm-queries workload (``bench/workloads.make_queries(0)``) run
+as that workload runs it, ``is_norm`` and ``canonical_lambda``, then
+``norm_witness`` when lambda is a norm, under the benchmark's deadline, and a
+last row with the median of the answered queries.  A query that fails (exit
+1: an error or the deadline) or takes over 0.1 s is timed only once, since
+the unit-path witness searches take over half a second each.
 """
 
 from __future__ import annotations
@@ -45,7 +54,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -58,13 +69,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from bench_pairs import ROOT, export  # noqa: E402
-from run import Program  # noqa: E402
-from workloads import write_conjugated_problems  # noqa: E402
+from run import DEADLINE_S, DeadlineExceeded, Program, _on_alarm  # noqa: E402
+from workloads import field_for, make_queries, norm_query, query_key, write_conjugated_problems  # noqa: E402
 
 FIXTURES = ("c3_inversion", "a5_3dim", "2a7_4dim")
 COMMANDS = ("validate", "lambda", "equivariant", "induce")
 SWEEP_COMMANDS = ("lambda", "equivariant")
 FAILED = (1, 2)  # the exit codes of a failure: an error, bad input
+NORM_ONCE_S = 0.1  # a norm query slower than this is timed once
 
 
 def run_once(cli, argv: list[str]) -> tuple[float, int, str]:
@@ -91,22 +103,56 @@ class ColdCli:
         return done.returncode
 
 
-def time_cells(clis: dict, paths: dict, cells: list, repeat: int, summary=min) -> tuple[dict, dict]:
+def cli_call(clis: dict, paths: dict):
+    """call(side, (problem, command)) for time_cells: one cli.main([command, problem's path])."""
+    return lambda side, cell: run_once(clis[side], [cell[1], paths[side][cell[0]]])
+
+
+def norm_call(programs: dict, queries: dict):
+    """call(side, (key, command)) for time_cells: the norm query named key, as
+    workloads.norm_query runs it, under the benchmark's deadline.  Its time
+    is that of norm_query alone; its exit code is 1 on any failure, and its
+    output the answer or the failure's kind."""
+    fields = {side: {} for side in programs}
+
+    def call(side, cell):
+        d, lam = queries[cell[0]]
+        if d not in fields[side]:
+            fields[side][d] = field_for(programs[side], d)
+        signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+        began = perf_counter()
+        try:
+            decided, canonical, witness = norm_query(programs[side], fields[side][d], lam)
+            elapsed = perf_counter() - began
+            code, out = 0, f"{decided} {canonical} {witness and witness.coeffs}"
+        except (Exception, DeadlineExceeded) as exc:
+            elapsed = perf_counter() - began
+            code, out = 1, type(exc).__name__
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        return elapsed, code, out
+
+    return call
+
+
+def time_cells(call, sides, cells: list, repeat: int, summary=min, once_after=math.inf) -> tuple[dict, dict]:
     """The summary (by default the best) of the times and the (exit code,
-    stdout) of each (problem, command) cell on each side, over repeat rounds
-    whose order of the sides alternates.  A cell whose call failed (exit 1
-    or 2) is not called again."""
-    times = {side: {cell: [] for cell in cells} for side in clis}
-    results = {side: {} for side in clis}
-    order = list(clis)
+    output) of each cell on each side, over repeat rounds whose order of the
+    sides alternates; call(side, cell) makes one timed call.  A cell whose
+    call failed (exit 1 or 2) or took over once_after seconds is not called
+    again."""
+    times = {side: {cell: [] for cell in cells} for side in sides}
+    results = {side: {} for side in sides}
+    order = list(sides)
     for _ in range(repeat):
-        for problem, command in cells:
+        for cell in cells:
             for side in order:
-                if results[side].get((problem, command), (0,))[0] in FAILED:
+                done = times[side][cell]
+                if done and (results[side][cell][0] in FAILED or done[0] > once_after):
                     continue
-                elapsed, code, out = run_once(clis[side], [command, paths[side][problem]])
-                times[side][problem, command].append(elapsed)
-                results[side][problem, command] = (code, out)
+                elapsed, code, out = call(side, cell)
+                done.append(elapsed)
+                results[side][cell] = (code, out)
         order.reverse()
     return {side: {cell: summary(ts) for cell, ts in by_cell.items()} for side, by_cell in times.items()}, results
 
@@ -146,6 +192,13 @@ def print_total(best: dict, columns: int) -> None:
     print(f"| total | {shown({side: sum(cells.values()) for side, cells in best.items()})} |" + " |" * (columns - 1))
 
 
+def print_median(best: dict, results: dict, cells: list, columns: int) -> None:
+    """The row of the median of the answered cells (exit 0 or 3) on each side."""
+    answered = {side: [best[side][cell] for cell in cells if results[side][cell][0] not in FAILED] for side in best}
+    median = shown({side: statistics.median(times) for side, times in answered.items()})
+    print(f"| median of {len(answered['change'])} answered | {median} |" + " |" * (columns - 1))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git ref to time against the working tree, alternately")
@@ -154,6 +207,8 @@ def main(argv=None) -> int:
                         help="also time lambda and equivariant on the height-sweep workload's problems")
     parser.add_argument("--cold", action="store_true",
                         help="also time each fixture cell as fresh CLI processes, median of --repeat")
+    parser.add_argument("--norms", action="store_true",
+                        help="also time the norm-queries workload's queries on the field layer alone")
     args = parser.parse_args(argv)
 
     with contextlib.ExitStack() as stack:
@@ -168,12 +223,12 @@ def main(argv=None) -> int:
         paths = {side: {f: str(root / "src" / "galois_equiv" / "fixtures" / f"{f}.json") for f in FIXTURES}
                  for side, root in roots.items()}
         cells = [(f, c) for f in FIXTURES for c in COMMANDS]
-        best, results = time_cells(clis, paths, cells, args.repeat)
+        best, results = time_cells(cli_call(clis, paths), roots, cells, args.repeat)
         differs = print_table("fixture", FIXTURES, COMMANDS, best, results)
         print_total(best, len(COMMANDS))
         if args.cold:
             cold = {side: ColdCli(root) for side, root in roots.items()}
-            best, results = time_cells(cold, paths, cells, args.repeat, statistics.median)
+            best, results = time_cells(cli_call(cold, paths), roots, cells, args.repeat, statistics.median)
             print()
             differs = print_table("cold fixture", FIXTURES, COMMANDS, best, results) or differs
             print_total(best, len(COMMANDS))
@@ -182,13 +237,18 @@ def main(argv=None) -> int:
             workdir = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="command-times-sweep-")))
             sweep = {path.stem: str(path) for _, _, path in write_conjugated_problems(programs["change"], workdir)}
             cells = [(problem, command) for problem in sweep for command in SWEEP_COMMANDS]
-            best, results = time_cells(clis, dict.fromkeys(roots, sweep), cells, args.repeat)
+            best, results = time_cells(cli_call(clis, dict.fromkeys(roots, sweep)), roots, cells, args.repeat)
             print()
             differs = print_table("problem", sweep, SWEEP_COMMANDS, best, results) or differs
-            answered = {side: [best[side][cell] for cell in cells if results[side][cell][0] not in FAILED]
-                        for side in roots}
-            median = shown({side: statistics.median(times) for side, times in answered.items()})
-            print(f"| median of {len(answered['change'])} answered | {median} |" + " |" * (len(SWEEP_COMMANDS) - 1))
+            print_median(best, results, cells, len(SWEEP_COMMANDS))
+        if args.norms:
+            signal.signal(signal.SIGALRM, _on_alarm)
+            queries = {query_key(d, lam): (d, lam) for d, lam in make_queries(0)}
+            cells = [(key, "norm query") for key in queries]
+            best, results = time_cells(norm_call(programs, queries), roots, cells, args.repeat, once_after=NORM_ONCE_S)
+            print()
+            differs = print_table("d lambda", queries, ["norm query"], best, results) or differs
+            print_median(best, results, cells, 1)
     return 1 if differs else 0
 
 
