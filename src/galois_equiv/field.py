@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     FactorizationIncomplete,
@@ -256,7 +256,8 @@ class CyclicExtension:
     primes).  A failed check raises ValueError.  For r = 2 one factorization
     of the discriminant b^2 - 4c, made at the first norm query, gives
     disc_core, the squarefree d with L = Q(sqrt d), disc_primes, the primes
-    dividing d, and the place table that every norm test reads.
+    dividing d, the place table that every norm test reads, and next to it
+    canonical_lambda's table of class representatives, filled as queries need.
 
     Since m is monic with integer coefficients, reducing an integer
     polynomial mod m keeps it integral.  sigma^i is held as a table of
@@ -310,6 +311,12 @@ class CyclicExtension:
         its bit in a class mask and d's side of the symbol there (see _side)."""
         places = (INF, 2, *sorted(self.disc_primes - {2}))
         return tuple((1 << i, v, _side(self.disc_core, v)) for i, v in enumerate(places))
+
+    @functools.cached_property
+    def _representatives(self) -> tuple[dict[int, int], Iterator[int], int]:
+        """canonical_lambda's table: a class mask -> the first signed j = 2, -2,
+        3, ... squarefree with no inert prime; the next j to scan; mask(-1)."""
+        return {}, itertools.count(2), _class_mask(-1, self)
 
     def _reduce(self, work: list[int]) -> list[int]:
         """An integer polynomial of degree at least r - 1, low degree first,
@@ -535,13 +542,24 @@ def _split_primes(ext: CyclicExtension):
         yield found[i]
 
 
+# The product of the odd primes below 2000 (to 43, product 6541380665835015, then the odd
+# numbers prime to those): a split-prime candidate sharing a factor with it is composite.
+_SMALL_ODD_PRIMES = math.prod((p for p in range(45, 2000, 2) if math.gcd(p, 6541380665835015) == 1),
+                              start=6541380665835015)
+
+
 def _next_split_prime(ext: CyclicExtension, p: int) -> tuple[int, tuple[int, ...]]:
-    """The first split prime at or below the odd p, and its root orbit."""
+    """The first split prime at or below the odd p > 2000, and its root orbit.
+    One gcd passes over a p with a small factor, and for r = 2 one pow (Euler's
+    criterion) a p where b^2 - 4c is no square, so m has no root mod p."""
     r = ext.degree
     s_den = math.lcm(*(c.denominator for c in ext.sigma_image))
     s_num = [c.numerator * (s_den // c.denominator) for c in ext.sigma_image]
+    disc = ext._m_coeffs[1] ** 2 - 4 * ext._m_coeffs[0]
     while True:
-        root = _root_fp([c.numerator % p for c in ext.min_poly], p) if s_den % p and is_prime(p) else None
+        candidate = (math.gcd(p, _SMALL_ODD_PRIMES) == 1 and s_den % p
+                     and (r > 2 or pow(disc, (p - 1) // 2, p) != p - 1) and is_prime(p))
+        root = _root_fp([c.numerator % p for c in ext.min_poly], p) if candidate else None
         if root is not None:
             orbit = [root]
             inv = pow(s_den, -1, p)
@@ -863,23 +881,30 @@ def canonical_lambda(lam, ext: CyclicExtension) -> Fraction:
     symbols against d match those of lam at every place (ties broken toward
     positive sign).  The class of q = num * den is its mask (see _class_mask)
     and its inert primes of odd exponent, so unlike is_norm it factors q.
+
+    As (k, d)_p = (d/p)^v_p(k) at an odd p not dividing d, the class holds the
+    k = step * j, step the product of those primes and j squarefree with no
+    inert prime, with mask(step) ^ mask(j) = mask(q), the symbol being
+    multiplicative (Serre, A Course in Arithmetic, III.1).  Past j = +-1 the
+    first such j is read from the field's table, which the scan extends only
+    until the target mask is in it.  The scan ends: the kernel of q over step
+    is such a j, and so is d (-2 if d = -1) when that kernel is -1.
     """
     q = _square_class(lam, ext)
     mask = _class_mask(q, ext)
     inert = _inert_primes(factor(q)[1], ext.disc_core)
     if not mask and not inert:
         return Fraction(1)
-    # At an odd p not dividing d, (k, d)_p = (d/p)^v_p(k), so every k in the
-    # class is a multiple of step.  The squarefree kernel of lam is in the
-    # class, and so is d when that kernel is -1, so the scan ends by
-    # max(|kernel of lam|, |d|, 2).
     step = math.prod(inert)
-    for k in itertools.count(step, step):
-        if k < 2:
-            continue
-        _, fs = factor(k)
-        if any(e > 1 for _, e in fs) or _inert_primes(fs, ext.disc_core) != inert:
-            continue
-        for cand in (k, -k):
-            if _class_mask(cand, ext) == mask:
-                return Fraction(cand)
+    target = mask ^ _class_mask(step, ext)
+    table, cursor, minus = ext._representatives
+    if step > 1 and target in (0, minus):
+        return Fraction(step if target == 0 else -step)
+    while target not in table:
+        j = next(cursor)
+        _, fs = factor(j)
+        if all(e == 1 for _, e in fs) and not _inert_primes(fs, ext.disc_core):
+            m = _class_mask(j, ext)
+            table.setdefault(m, j)
+            table.setdefault(m ^ minus, -j)
+    return Fraction(step * table[target])

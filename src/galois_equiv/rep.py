@@ -8,6 +8,7 @@ e.g. "a b' a".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -226,7 +227,7 @@ def burnside_dim(rep: Representation) -> int:
     """L-dimension of the span of all word images, grown by word length.
 
     Each pass extends only the products that enlarged the span, so a pass
-    that adds nothing ends the loop, after at most dim^2 passes.  The images
+    that adds nothing, or a span of dim^2, ends the loop.  The images
     alone suffice: by Cayley-Hamilton each inverse is a polynomial in its
     image.  The loop runs over F_p first (t -> a root of m mod p is a ring
     map, so independence mod p lifts to L); a dim_p below dim^2 is redone
@@ -239,7 +240,8 @@ def burnside_dim(rep: Representation) -> int:
     if _burnside_dim_mod_p(rep, *_modular_root(rep.ext, den)) == n * n:
         return n * n
     span = IncrementalSpan(rep.ext, n * n)
-    _grow_span(Mat.identity(rep.ext, n), rep.images, mul, lambda m: span.insert([e for row in m.num for e in row]))
+    _grow_span(Mat.identity(rep.ext, n), rep.images, mul,
+               lambda m: span.insert([e for row in m.num for e in row]), n * n)
     return span.dim
 
 
@@ -252,13 +254,16 @@ def _burnside_dim_mod_p(rep: Representation, p: int, root: int) -> int:
     def product(a: list[int], b: list[int]) -> list[int]:
         return [sum(map(mul, a[i:i + n], b[j::n])) % p for i in range(0, n * n, n) for j in range(n)]
 
-    _grow_span([int(i == j) for i in range(n) for j in range(n)], gens, product, lambda v: _insert_mod_p(rows, v, p))
+    _grow_span([int(i == j) for i in range(n) for j in range(n)], gens, product,
+               lambda v: _insert_mod_p(rows, v, p), n * n)
     return len(rows)
 
 
-def _grow_span(ident, gens, product, insert) -> None:
-    """Insert ident, then m * g for each generator g and each m that grew the span."""
+def _grow_span(ident, gens, product, insert, full: int) -> None:
+    """Insert ident, then m * g for each generator g and each m that grew the span, up to full elements."""
     insert(ident)
-    frontier = [ident]
+    size, frontier = 1, [ident]
     while frontier:
-        frontier = [c for m in frontier for g in gens if insert(c := product(m, g))]
+        grown = (c for m in frontier for g in gens if insert(c := product(m, g)))
+        frontier = list(itertools.islice(grown, full - size))
+        size += len(frontier)

@@ -1028,6 +1028,43 @@ def test_a_re_presented_field_gives_the_same_answers(tmp_path, capsys, fixture, 
     assert answers[0] == answers[1]
 
 
+def with_generators_reversed(path):
+    """The problem at path with its generators listed in the reverse order."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["group"]["generators"].reverse()
+    return data
+
+
+def with_a_product_generator(path):
+    """The problem at path with a redundant generator z = a b, for a and b its
+    first and last generators: the relation z' a b, tau(z) the word tau(a)
+    tau(b), and rho(z) = rho(a) rho(b)."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    group, images = data["group"], load_problem(path).representation().images
+    a, b = group["generators"][0], group["generators"][-1]
+    group["generators"].append("z")
+    group["relations"].append(f"z' {a} {b}")
+    group["tau"]["z"] = f"{group['tau'][a]} {group['tau'][b]}"
+    data["representation"]["z"] = cli._mat_json(images[0] * images[-1])
+    return data
+
+
+@pytest.mark.parametrize("fixture", [A5, A7D, C3], ids=["a5", "2a7", "c3"])
+@pytest.mark.parametrize("present", [with_generators_reversed, with_a_product_generator], ids=["reversed", "z=ab"])
+def test_a_re_presented_group_gives_the_same_answers(tmp_path, capsys, fixture, present):
+    # the answer belongs to the group, tau and rho, not to how the group is presented
+    path = write_problem(tmp_path, present(fixture))
+    answers = []
+    for p in (fixture, path):
+        code = main(["lambda", p])
+        lam = report_of(capsys)
+        assert main(["induce", p]) == code
+        answers.append((code, lam["lambda_canonical"], lam["is_trivial"], report_of(capsys)["schur_index"]))
+    assert answers[0] == answers[1]
+
+
 # Q8 = <a, b | a^4, a^2 b^2, a b a b^-1> over Q(i): a -> diag(t, -t), b -> [[0, -1], [1, 0]]
 Q8 = {
     "field": {"min_poly": [1, 0, 1], "sigma_image": [0, -1]},

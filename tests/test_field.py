@@ -289,6 +289,38 @@ def test_miller_rabin_rejects_the_least_strong_pseudoprimes(n):
     assert n < _MR_LIMIT == 3317044064679887385961981
 
 
+def oracle_next_split_prime(ext, p):
+    """The split-prime search with no pre-check: Miller-Rabin, then
+    Cantor-Zassenhaus, on every odd candidate from p down."""
+    s_den = math.lcm(*(c.denominator for c in ext.sigma_image))
+    s_num = [c.numerator * (s_den // c.denominator) for c in ext.sigma_image]
+    while True:
+        root = field._root_fp([c.numerator % p for c in ext.min_poly], p) if s_den % p and is_prime(p) else None
+        if root is not None:
+            orbit = [root]
+            for _ in range(ext.degree - 1):
+                x = orbit[-1]
+                orbit.append(sum(c * pow(x, k, p) for k, c in enumerate(s_num)) * pow(s_den, -1, p) % p)
+            if len(set(orbit)) == ext.degree:
+                return p, tuple(orbit)
+        p -= 2
+
+
+@pytest.mark.parametrize("ext", [q5(), qm7(), qm3(), CyclicExtension([-1, -1, 1], [1, -1])],
+                         ids=["q5", "qm7", "qm3", "t2-t-1"])
+def test_the_split_prime_pre_checks_pass_over_no_split_prime(ext):
+    # a candidate sharing a factor with the odd primes below 2000, or where
+    # b^2 - 4c is no square, has no root: the same primes and orbits follow
+    assert field._SMALL_ODD_PRIMES == math.prod(p for p in range(3, 2000, 2) if is_prime(p))
+    got, want = [], []
+    for found, search in ((got, field._next_split_prime), (want, oracle_next_split_prime)):
+        p = _MR_LIMIT - 2
+        for _ in range(5):
+            found.append(search(ext, p))
+            p = found[-1][0] - 2
+    assert got == want
+
+
 def test_psi_12_is_not_taken_for_a_prime():
     # psi_12 = 399165290221 * 798330580441 passes bases 2 to 37 and fails
     # base 41.  Both factors are above the trial-division bound, so it cannot
@@ -703,8 +735,8 @@ def test_canonical_lambda_is_idempotent_and_class_invariant():
             assert (c == 1) == is_norm(lam, ext)
 
 
-def test_canonical_lambda_matches_the_linear_scan():
-    exts = [
+def linear_scan_fields():
+    return [
         q5(),
         qm7(),
         qm3(),
@@ -716,12 +748,86 @@ def test_canonical_lambda_matches_the_linear_scan():
         CyclicExtension([5, 0, 1], [0, -1]),
         CyclicExtension([-15, 0, 1], [0, -1]),
     ]
-    for ext in exts:
-        for num in range(-30, 31):
-            for den in (1, 2, 3, 4, 9, 10):
-                if num:
-                    lam = Fraction(num, den)
-                    assert canonical_lambda(lam, ext) == oracle_canonical_lambda(lam, ext), (lam, ext)
+
+
+LINEAR_SCAN_GRID = [Fraction(num, den) for num in range(-30, 31) if num for den in (1, 2, 3, 4, 9, 10)]
+
+
+def test_canonical_lambda_matches_the_linear_scan():
+    for ext in linear_scan_fields():
+        for lam in LINEAR_SCAN_GRID:
+            assert canonical_lambda(lam, ext) == oracle_canonical_lambda(lam, ext), (lam, ext)
+
+
+def table_fields():
+    """The linear-scan fields and Q(sqrt d) for d = +-30, +-105 and -21,
+    whose classes are first met further along the scan: over Q(sqrt -21)
+    the class of 6 first at the split prime 5."""
+    return linear_scan_fields() + [CyclicExtension([-d, 0, 1], [0, -1]) for d in (30, -30, 105, -105, -21)]
+
+
+def same_field(ext):
+    return CyclicExtension(ext.min_poly, ext.sigma_image)
+
+
+def scan_factorings(lam, ext, answer):
+    """How many integers the linear scan once factored to answer lam on a
+    fresh field: b^2 - 4c, q = num * den, and each k = step, 2 step, ... from
+    2 to |answer|, step the product of q's inert primes of odd exponent."""
+    if answer == 1:
+        return 2
+    step = math.prod(field._inert_primes(factor(lam.numerator * lam.denominator)[1], ext.disc_core))
+    return 2 + abs(answer.numerator) // step - (step == 1)
+
+
+class CountedFactor:
+    """field.factor, keeping the integers factored since reset(limit) and
+    failing past limit of them, so that a scan that would not end fails."""
+
+    def __init__(self, monkeypatch):
+        self.factored, self.limit = [], math.inf
+        monkeypatch.setattr(field, "factor", self)
+
+    def reset(self, limit):
+        self.factored, self.limit = [], limit
+
+    def __call__(self, n, *args, **kwargs):
+        self.factored.append(n)
+        if len(self.factored) > self.limit:
+            raise AssertionError(f"factored {self.factored[:4]}... past {self.limit} integers")
+        return factor(n, *args, **kwargs)
+
+
+def test_a_warm_field_factors_only_q_and_a_fresh_one_no_more_than_the_scan(monkeypatch):
+    fields = [(warm, {lam: oracle_canonical_lambda(lam, warm) for lam in LINEAR_SCAN_GRID})
+              for warm in table_fields()]
+    counted = CountedFactor(monkeypatch)
+    for warm, answers in fields:
+        for lam, want in answers.items():
+            for ext in (same_field(warm), warm):
+                counted.reset(scan_factorings(lam, warm, want))
+                assert canonical_lambda(lam, ext) == want, (lam, warm)
+        for lam, want in answers.items():
+            counted.reset(1)
+            assert canonical_lambda(lam, warm) == want, (lam, warm)
+            assert counted.factored == [lam.numerator * lam.denominator], (lam, warm)
+
+
+def test_a_field_answers_as_the_linear_scan_whatever_it_answered_before(monkeypatch):
+    # canonical_lambda keeps each class's first representative on the field,
+    # so one field object asked the grid in three shuffled orders must answer
+    # as the scan does, whatever queries filled its table
+    assert canonical_lambda(6, CyclicExtension([21, 0, 1], [0, -1])) == 5
+    fields = [(ext, {lam: oracle_canonical_lambda(lam, ext) for lam in LINEAR_SCAN_GRID}) for ext in table_fields()]
+    counted = CountedFactor(monkeypatch)
+    rng = random.Random(61)
+    for ext, answers in fields:
+        for _ in range(3):
+            order = list(answers)
+            rng.shuffle(order)
+            for lam in order:
+                counted.reset(scan_factorings(lam, ext, answers[lam]))
+                assert canonical_lambda(lam, ext) == answers[lam], (lam, ext)
 
 
 def test_canonical_lambda_of_a_product_of_two_inert_primes_is_fast():

@@ -200,14 +200,18 @@ def test_the_command_times_tool_times_the_norm_queries():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    # after the in-process fixture table, one row per query in order and the median row
-    assert lines[6:9] == ["", "| d lambda | norm query |", "|---|---|"]
+    # after the in-process fixture table, one row per query in order and the
+    # median row, with each query asked on the shared field and on a fresh one
+    assert lines[6:9] == ["", "| d lambda | shared field | fresh field |", "|---|---|---|"]
     rows = [line.strip("| ").split(" | ") for line in lines[9:]]
     assert [row[0] for row in rows[:-1]] == [f"{d} {lam}" for d, lam in NORM_QUERIES]
-    assert [row[1].endswith(" (exit 1)") for row in rows[:-1]] == [False, False, False, True, False, False]
-    # five answered: the median is the middle cell, as printed
-    answered = sorted(float(row[1].split()[0]) for row in rows[:-1] if "(exit" not in row[1])
-    assert rows[-1] == ["median of 5 answered", f"{answered[2]:.2f} ms"]
+    medians = []
+    for column in (1, 2):
+        assert [row[column].endswith(" (exit 1)") for row in rows[:-1]] == [False, False, False, True, False, False]
+        # five answered: the median is the middle cell, as printed
+        answered = sorted(float(row[column].split()[0]) for row in rows[:-1] if "(exit" not in row[column])
+        medians.append(f"{answered[2]:.2f} ms")
+    assert rows[-1] == ["median of 5 answered", *medians]
 
 
 def load_bench_pairs():

@@ -203,6 +203,35 @@ def test_a_prime_where_the_span_drops_falls_back_to_the_exact_loop(monkeypatch):
     assert burnside_dim(rep) == 4
 
 
+@pytest.mark.parametrize("build", [pytest.param(build_a5, id="a5"), pytest.param(build_a7_double, id="2a7")])
+@pytest.mark.parametrize("path", ["mod-p", "exact"])
+def test_a_full_span_takes_no_further_insert(build, path, monkeypatch):
+    # once the span holds n^2 elements no product can grow it: on 2.A7 the
+    # mod-p pass once made 8 of its 33 inserts after that, and on A5 2 of 19
+    rep = build()
+    full = rep.dim ** 2
+    sizes = []
+    if path == "mod-p":
+        insert_mod_p = rep_module._insert_mod_p
+
+        def recording(echelon, v, p):
+            sizes.append(len(echelon))
+            return insert_mod_p(echelon, v, p)
+
+        monkeypatch.setattr(rep_module, "_insert_mod_p", recording)
+    else:
+        insert = IncrementalSpan.insert
+
+        def recording(span, v):
+            sizes.append(span.dim)
+            return insert(span, v)
+
+        monkeypatch.setattr(rep_module, "_burnside_dim_mod_p", lambda rep, p, root: 0)
+        monkeypatch.setattr(IncrementalSpan, "insert", recording)
+    assert burnside_dim(rep) == full
+    assert sizes and max(sizes) == full - 1
+
+
 @pytest.mark.parametrize(
     "min_poly, sigma_image",
     [([-5, 0, 1], [0, -1]), ([3, 0, 1], [0, -1]), ([7, 0, 1], [0, -1]), ([-1, -2, 1, 1], [-2, 0, 1])],

@@ -44,9 +44,13 @@ use, such as a field's split primes.
 benchmark's norm-queries workload (``bench/workloads.make_queries(0)``) run
 as that workload runs it, ``is_norm`` and ``canonical_lambda``, then
 ``norm_witness`` when lambda is a norm, under the benchmark's deadline, and a
-last row with the median of the answered queries.  A query that fails (exit
-1: an error or the deadline) or takes over 0.1 s is timed only once, since
-the unit-path witness searches take over half a second each.
+last row with the median of the answered queries in each column.  The
+"shared field" column asks every query on one field object per d, as the
+workload does, so a query can find what earlier ones left on the field; the
+"fresh field" column asks each on a field built just before the call,
+outside the timed span, as a one-shot CLI call does.  A query that fails
+(exit 1: an error or the deadline) or takes over 0.1 s is timed only once,
+since the unit-path witness searches take over half a second each.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ COMMANDS = ("validate", "lambda", "equivariant", "induce")
 SWEEP_COMMANDS = ("lambda", "equivariant")
 FAILED = (1, 2)  # the exit codes of a failure: an error, bad input
 NORM_ONCE_S = 0.1  # a norm query slower than this is timed once
+NORM_COLUMNS = ("shared field", "fresh field")
 
 
 def run_once(cli, argv: list[str]) -> tuple[float, int, str]:
@@ -109,20 +114,22 @@ def cli_call(clis: dict, paths: dict):
 
 
 def norm_call(programs: dict, queries: dict):
-    """call(side, (key, command)) for time_cells: the norm query named key, as
-    workloads.norm_query runs it, under the benchmark's deadline.  Its time
-    is that of norm_query alone; its exit code is 1 on any failure, and its
-    output the answer or the failure's kind."""
+    """call(side, (key, column)) for time_cells: the norm query named key, as
+    workloads.norm_query runs it, under the benchmark's deadline, on the
+    side's one field for d ("shared field") or on one built for this call
+    ("fresh field").  Its time is that of norm_query alone; its exit code is
+    1 on any failure, and its output the answer or the failure's kind."""
     fields = {side: {} for side in programs}
 
     def call(side, cell):
         d, lam = queries[cell[0]]
         if d not in fields[side]:
             fields[side][d] = field_for(programs[side], d)
+        ext = field_for(programs[side], d) if cell[1] == "fresh field" else fields[side][d]
         signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
         began = perf_counter()
         try:
-            decided, canonical, witness = norm_query(programs[side], fields[side][d], lam)
+            decided, canonical, witness = norm_query(programs[side], ext, lam)
             elapsed = perf_counter() - began
             code, out = 0, f"{decided} {canonical} {witness and witness.coeffs}"
         except (Exception, DeadlineExceeded) as exc:
@@ -192,11 +199,19 @@ def print_total(best: dict, columns: int) -> None:
     print(f"| total | {shown({side: sum(cells.values()) for side, cells in best.items()})} |" + " |" * (columns - 1))
 
 
-def print_median(best: dict, results: dict, cells: list, columns: int) -> None:
-    """The row of the median of the answered cells (exit 0 or 3) on each side."""
-    answered = {side: [best[side][cell] for cell in cells if results[side][cell][0] not in FAILED] for side in best}
-    median = shown({side: statistics.median(times) for side, times in answered.items()})
-    print(f"| median of {len(answered['change'])} answered | {median} |" + " |" * (columns - 1))
+def print_median(best: dict, results: dict, groups: list, columns: int) -> None:
+    """The row of the median of the answered cells (exit 0 or 3) of each group
+    of cells, on each side, one group per column from the first.  The row is
+    named by the first group's count; another group's differing count is
+    shown in its cell."""
+    texts, counts = [], []
+    for cells in groups:
+        answered = {side: [best[side][cell] for cell in cells if results[side][cell][0] not in FAILED]
+                    for side in best}
+        counts.append(len(answered["change"]))
+        texts.append(shown({side: statistics.median(times) for side, times in answered.items()})
+                     + (f" (of {counts[-1]})" if counts[-1] != counts[0] else ""))
+    print(f"| median of {counts[0]} answered | " + " | ".join(texts) + " |" + " |" * (columns - len(groups)))
 
 
 def main(argv=None) -> int:
@@ -240,15 +255,16 @@ def main(argv=None) -> int:
             best, results = time_cells(cli_call(clis, dict.fromkeys(roots, sweep)), roots, cells, args.repeat)
             print()
             differs = print_table("problem", sweep, SWEEP_COMMANDS, best, results) or differs
-            print_median(best, results, cells, len(SWEEP_COMMANDS))
+            print_median(best, results, [cells], len(SWEEP_COMMANDS))
         if args.norms:
             signal.signal(signal.SIGALRM, _on_alarm)
             queries = {query_key(d, lam): (d, lam) for d, lam in make_queries(0)}
-            cells = [(key, "norm query") for key in queries]
+            cells = [(key, column) for key in queries for column in NORM_COLUMNS]
             best, results = time_cells(norm_call(programs, queries), roots, cells, args.repeat, once_after=NORM_ONCE_S)
             print()
-            differs = print_table("d lambda", queries, ["norm query"], best, results) or differs
-            print_median(best, results, cells, 1)
+            differs = print_table("d lambda", queries, NORM_COLUMNS, best, results) or differs
+            print_median(best, results, [cells[i::len(NORM_COLUMNS)] for i in range(len(NORM_COLUMNS))],
+                         len(NORM_COLUMNS))
     return 1 if differs else 0
 
 
