@@ -20,11 +20,10 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as resource_files
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GaloisEquivError, ParseError, Singular
 from .field import CyclicExtension, FieldElement, _rational_pair, factor, rational_to_string
@@ -126,8 +125,7 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     ext: CyclicExtension
     group: GroupData
     gen_names: list[str]

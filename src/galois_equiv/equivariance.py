@@ -13,7 +13,6 @@ equivariant_form still rescales by norm_witness(lambda), keeping Y and rho'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -28,7 +27,7 @@ from .errors import (
 from .field import FieldElement, canonical_lambda, norm, norm_witness
 from .linalg import IncrementalSpan, Mat, inverse, matrix_norm, require_invertible
 from .linalg import solve_sylvester_space, twisted_norm_chain
-from .rep import CheckReport, Representation, evaluate_word, require_tau_period, twist
+from .rep import CheckReport, Representation, require_tau_period, twist
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -181,8 +180,7 @@ def hilbert90(x: Mat, seed: int = 0) -> Mat:
     return y
 
 
-@dataclass
-class EquivarianceCertificate:
+class EquivarianceCertificate(NamedTuple):
     """Everything needed to re-verify the decision and construction."""
 
     x: Mat
@@ -246,8 +244,12 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
     """Re-check every claim in a certificate against rep, from scratch.  A
     witness of norm lambda^-1 decides the class trivial, as in decide_lambda;
     without one decide_lambda re-decides it, so at r > 2 a certificate with no
-    valid witness has no decision entries.  Y is certified invertible first,
-    so the identities with Y^-1 are products."""
+    valid witness has no decision entries.  Y and rho' are given exactly
+    when the class is trivial.  Y is certified invertible first, so the
+    identities with Y^-1 are products: rho' Y = Y rho, and then
+    sigma o rho' = rho' o tau is sigma(rho'(g)) Y = Y rho(tau(g)), read from
+    the twist rho o tau that twisted_images built; no word is evaluated over
+    rho'."""
     entries = []
     ext = rep.ext
     ident = Mat.identity(ext, rep.dim)
@@ -269,20 +271,21 @@ def verify_certificate(cert: EquivarianceCertificate, rep: Representation) -> Ch
     if cert.witness is not None:
         entries.append(("witness norm is lambda^-1", witnessed))
 
-    if cert.y is not None:
-        require_invertible(cert.y)
-        solves = cert.witness is not None and cert.y.galois() * (cert.witness * cert.x) == cert.y
+    y, rho_prime = cert.y, cert.rho_prime
+    constructed = y is not None and rho_prime is not None
+    entries.append(("Y and rho' are given exactly when trivial", constructed == cert.is_trivial))
+
+    if y is not None:
+        require_invertible(y)
+        solves = cert.witness is not None and y.galois() * (cert.witness * cert.x) == y
         entries.append(("Y solves sigma(Y)^-1 Y = mu X", solves))
 
-    if cert.rho_prime is not None:
-        rp = Representation(rep.group, ext, list(cert.rho_prime))
-        if cert.y is not None:  # rp, like rep, has one image per generator
-            conjugates = all(a * cert.y == cert.y * b for a, b in zip(rp.images, rep.images))
-            entries.append(("rho' is Y rho Y^-1", conjugates))
-        equi_ok = all(
-            evaluate_word(rp, rep.group.tau_apply(((k, 1),))) == image.galois() for k, image in enumerate(rp.images)
-        )
-        entries.append(("rho' commutes with the sigma/tau twist", equi_ok))
+    if rho_prime is not None:
+        given = y is not None and len(rho_prime) == len(rep.images)
+        conjugates = given and all(a * y == y * b for a, b in zip(rho_prime, rep.images))
+        entries.append(("rho' is Y rho Y^-1", conjugates))
+        twisted = given and all(a.galois() * y == y * t for a, t in zip(rho_prime, twist(rep, 1).images))
+        entries.append(("rho' commutes with the sigma/tau twist", twisted))
 
     return CheckReport(entries)
 

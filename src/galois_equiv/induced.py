@@ -8,9 +8,8 @@ shift: v -> P sigma(v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError
 from .field import FieldElement
@@ -20,8 +19,7 @@ from .rep import Representation, Word, check_relations, evaluate_word, require_t
 from .equivariance import LambdaInvariant, compute_X, decide_lambda, _scalar_of
 
 
-@dataclass
-class InducedRep:
+class InducedRep(NamedTuple):
     """Block model of the induced representation.  twists[i] is
     rho o tau^-i; generator g of H maps to diag(sigma^i twists[i](g)), and
     tau to v -> P sigma(v) for the block shift P, which moves block i-1 to
@@ -135,8 +133,7 @@ def endomorphism_dim(ind: InducedRep) -> int:
     )
 
 
-@dataclass
-class SchurReport:
+class SchurReport(NamedTuple):
     index: int
     invariant: LambdaInvariant
     symbol: Optional[tuple[Fraction, int]]  # (canonical lambda, disc core) when index 2

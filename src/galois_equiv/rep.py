@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, Singular, UnknownGenerator
 from .field import CyclicExtension, _modular_root
@@ -192,8 +191,7 @@ def require_tau_period(rep: Representation) -> None:
         raise ParseError(f"rho o tau^{rep.ext.degree} is not rho", "group.tau")
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Named checks and whether each holds."""
 
     entries: list[tuple[str, bool]]

@@ -1,14 +1,42 @@
 """Shared constructions: the bundled example representations in object form,
 the crossed product's endomorphisms as dense rn x rn matrices, and the
-Leibniz determinant."""
+Leibniz determinant; and a time limit on each test."""
 
+import faulthandler
 import itertools
+import os
+import sys
 
 import pytest
 
 from galois_equiv.field import CyclicExtension
 from galois_equiv.linalg import Mat
 from galois_equiv.rep import GroupData, Representation
+
+# A test still running after this many seconds has hung (the slowest takes
+# about 6 s): every thread's traceback goes to the terminal and the run ends.
+# faulthandler's watchdog is a thread, so SIGALRM and ITIMER_REAL stay free for
+# the deadlines of bench/run.py and tools/command_times.py.
+TEST_TIME_LIMIT_S = 120
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())  # the terminal, not a test's captured stderr
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=item.config.stash[_STDERR])
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
 
 ALPHA = ["1/2", "1/2"]  # (1 + sqrt5)/2
 NEG_ALPHA = ["-1/2", "-1/2"]

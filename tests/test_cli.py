@@ -1,6 +1,5 @@
 """Front-end behavior: file parsing, reports, exit codes, certificate round trips."""
 
-import dataclasses
 import json
 import random
 import sys
@@ -21,7 +20,7 @@ from galois_equiv.errors import ParseError, Singular
 from galois_equiv.field import rational_to_string
 from galois_equiv.induced import build_induced
 from galois_equiv.linalg import Mat, inverse, matrix_norm, solve_sylvester_space
-from galois_equiv.rep import evaluate_word
+from galois_equiv.rep import evaluate_word, parse_word
 
 A5 = fixture_path("a5_3dim.json")
 C3 = fixture_path("c3_inversion.json")
@@ -576,6 +575,16 @@ def test_each_command_computes_each_stage_once(monkeypatch, tmp_path, capsys):
     assert counts == {"compute_X": 1, "verify_certificate": 1}
 
 
+@pytest.mark.parametrize("path, want", [(C3, 2), (A5, 1)], ids=["c3", "a5"])
+def test_equivariant_inverts_only_what_it_builds(monkeypatch, capsys, path, want):
+    # c3's g' letter in the twist and Y^-1 in rho' = Y rho Y^-1; the
+    # certificate check reads rho' through Y and inverts no rho'(g)
+    counts = count_calls(monkeypatch, [inverse])
+    assert main(["equivariant", path]) == 0
+    assert counts == {"inverse": want}
+    capsys.readouterr()
+
+
 def test_twists_are_built_from_the_short_tau_words(monkeypatch, capsys):
     # twist j evaluates the words tau(g) on twist j - 1, not tau^j(g) on rho:
     # on A5 tau^2(b) has 43 letters and tau(b) 8
@@ -784,7 +793,7 @@ def test_equivariant_out_rejects_a_certificate_that_reads_back_changed(monkeypat
     # a seed lost in the file leaves a certificate that still verifies, but
     # it is not the one computed
     read = cli.certificate_from_json
-    monkeypatch.setattr(cli, "certificate_from_json", lambda *a: dataclasses.replace(read(*a), seed=1))
+    monkeypatch.setattr(cli, "certificate_from_json", lambda *a: read(*a)._replace(seed=1))
     assert main(["equivariant", A5, "--out", str(tmp_path / "cert.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1051,8 +1060,52 @@ def with_a_product_generator(path):
     return data
 
 
+def substitute(word, images):
+    """word with each letter x replaced by the word images[x], and x' by that word's inverse."""
+    letters = []
+    for token in word.split():
+        image = images[token.rstrip("'")].split()
+        letters += [w[:-1] if w.endswith("'") else w + "'" for w in reversed(image)] if token.endswith("'") else image
+    return " ".join(letters)
+
+
+def with_a_nielsen_move(path):
+    """The problem at path with its last generator b replaced by a b, for a
+    its first (g by g' when there is one generator): the relations and tau
+    are rewritten through old b = a' b, and rho(b) becomes rho(a) rho(b)."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    group, problem = data["group"], load_problem(path)
+    a, b = group["generators"][0], group["generators"][-1]
+    move, back = ({b: f"{a} {b}"}, {b: f"{a}' {b}"}) if a != b else ({a: f"{a}'"}, {a: f"{a}'"})
+    new = {g: move.get(g, g) for g in group["generators"]}  # each new generator as a word in the old ones
+    old = {g: back.get(g, g) for g in group["generators"]}
+    group["relations"] = [substitute(w, old) for w in group["relations"]]
+    group["tau"] = {g: substitute(substitute(w, group["tau"]), old) for g, w in new.items()}
+    rep = problem.representation()
+    data["representation"] = {
+        g: cli._mat_json(evaluate_word(rep, parse_word(w, problem.gen_names))) for g, w in new.items()
+    }
+    return data
+
+
+def with_an_inner_conjugated_tau(path):
+    """The problem at path with tau' = inn(h) tau inn(h)^-1 for h its first
+    generator: tau'(g) = h tau(h' g h) h', and tau'^r is still 1."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    group = data["group"]
+    h = group["generators"][0]
+    group["tau"] = {g: " ".join([h, substitute(f"{h}' {g} {h}", group["tau"]), h + "'"]) for g in group["generators"]}
+    return data
+
+
 @pytest.mark.parametrize("fixture", [A5, A7D, C3], ids=["a5", "2a7", "c3"])
-@pytest.mark.parametrize("present", [with_generators_reversed, with_a_product_generator], ids=["reversed", "z=ab"])
+@pytest.mark.parametrize(
+    "present",
+    [with_generators_reversed, with_a_product_generator, with_a_nielsen_move, with_an_inner_conjugated_tau],
+    ids=["reversed", "z=ab", "b=ab", "inner-tau"],
+)
 def test_a_re_presented_group_gives_the_same_answers(tmp_path, capsys, fixture, present):
     # the answer belongs to the group, tau and rho, not to how the group is presented
     path = write_problem(tmp_path, present(fixture))

@@ -1,7 +1,6 @@
 """Intertwiner computation, the norm invariant, and the Hilbert 90 construction."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -239,7 +238,7 @@ def test_the_odd_n_decision_eliminates_nothing_over_l(monkeypatch, build, height
 
 
 def test_verify_certificate_reports_a_y_without_witness(a5):
-    cert = replace(equivariant_form(a5, seed=0), witness=None)
+    cert = equivariant_form(a5, seed=0)._replace(witness=None)
     entries = verify_certificate(cert, a5).entries
     assert [e for e, holds in entries if not holds] == ["Y solves sigma(Y)^-1 Y = mu X"]
 
@@ -308,6 +307,24 @@ def test_a_witnessed_certificate_is_decided_by_its_witness(monkeypatch, a5):
     assert counts == {}
 
 
+@pytest.mark.parametrize("build", [build_c3, build_a5], ids=["c3", "a5"])
+def test_verify_certificate_reads_rho_prime_through_y(monkeypatch, build):
+    # rho' is checked by products with Y against rho and the twist rho o tau
+    # that the intertwiner check built: no representation of rho', no word
+    rep = build()
+    cert = equivariant_form(rep, seed=0)
+    counts = count_calls(monkeypatch, [evaluate_word])
+    init = Representation.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["Representation"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Representation, "__init__", counted_init)
+    assert verify_certificate(cert, rep).ok
+    assert counts == {}
+
+
 def test_an_obstruction_certificate_is_decided_once(monkeypatch, a7d):
     cert = equivariant_form(a7d)
     assert not cert.is_trivial and cert.witness is None
@@ -321,21 +338,21 @@ def tampered_certificates(cert, rep):
     a_prime, b_prime = cert.rho_prime
     bumped = Mat(rep.ext, [[e + int(i == j == 0) for j, e in enumerate(row)] for i, row in enumerate(b_prime.rows)])
     return [
-        ("2Y", replace(cert, y=2 * cert.y)),
-        ("sigma(Y)", replace(cert, y=cert.y.galois())),
-        ("random Y", replace(cert, y=random_invertible(rep.ext, 3, random.Random(79)))),
-        ("rho' perturbed", replace(cert, rho_prime=(a_prime, bumped))),
-        ("2 witness", replace(cert, witness=2 * cert.witness)),
-        ("2X", replace(cert, x=2 * cert.x)),
-        ("3 lambda", replace(cert, lambda_rep=3 * cert.lambda_rep)),
+        ("2Y", cert._replace(y=2 * cert.y)),
+        ("sigma(Y)", cert._replace(y=cert.y.galois())),
+        ("random Y", cert._replace(y=random_invertible(rep.ext, 3, random.Random(79)))),
+        ("rho' perturbed", cert._replace(rho_prime=(a_prime, bumped))),
+        ("2 witness", cert._replace(witness=2 * cert.witness)),
+        ("2X", cert._replace(x=2 * cert.x)),
+        ("3 lambda", cert._replace(lambda_rep=3 * cert.lambda_rep)),
     ]
 
 
 # the entries each tampering falsifies; a rational multiple of Y is another solution
 FALSIFIED = {
     "2Y": set(),
-    "sigma(Y)": {"Y solves sigma(Y)^-1 Y = mu X", "rho' is Y rho Y^-1"},
-    "random Y": {"Y solves sigma(Y)^-1 Y = mu X", "rho' is Y rho Y^-1"},
+    "sigma(Y)": {"Y solves sigma(Y)^-1 Y = mu X", "rho' is Y rho Y^-1", "rho' commutes with the sigma/tau twist"},
+    "random Y": {"Y solves sigma(Y)^-1 Y = mu X", "rho' is Y rho Y^-1", "rho' commutes with the sigma/tau twist"},
     "rho' perturbed": {"rho' is Y rho Y^-1", "rho' commutes with the sigma/tau twist"},
     "2 witness": {"witness norm is lambda^-1", "Y solves sigma(Y)^-1 Y = mu X"},
     "2X": {"twisted norm of X is lambda_rep I", "Y solves sigma(Y)^-1 Y = mu X"},
@@ -354,7 +371,32 @@ def test_verify_certificate_rejects_tampered_certificates(a5):
     for name, bad in tampered_certificates(cert, a5):
         entries = dict(verify_certificate(bad, a5).entries)
         assert {e for e, holds in entries.items() if not holds} == FALSIFIED[name], name
-        # the two identities with an inverse agree with their inverse-based forms
+        # the three identities with an inverse agree with their inverse-based forms
         y_inv = inverse(bad.y)
         assert entries["Y solves sigma(Y)^-1 Y = mu X"] == (inverse(bad.y.galois()) * bad.y == bad.witness * bad.x)
         assert entries["rho' is Y rho Y^-1"] == (bad.rho_prime == tuple(bad.y * m * y_inv for m in a5.images))
+        assert entries["rho' commutes with the sigma/tau twist"] == all(
+            a.galois() == bad.y * evaluate_word(a5, a5.group.tau_apply(((k, 1),))) * y_inv
+            for k, a in enumerate(bad.rho_prime)
+        )
+
+
+GIVEN = "Y and rho' are given exactly when trivial"
+CONJUGATES, TWISTED = "rho' is Y rho Y^-1", "rho' commutes with the sigma/tau twist"
+
+
+def test_a_trivial_certificate_carries_its_construction(a5, a7d):
+    # a trivial decision is certified only together with the Y and rho' it
+    # constructs, and an obstruction carries neither
+    cert = equivariant_form(a5, seed=0)
+    for bad, falsified in [
+        (cert._replace(y=None, rho_prime=None), {GIVEN}),
+        (cert._replace(y=None), {GIVEN, CONJUGATES, TWISTED}),
+        (cert._replace(rho_prime=None), {GIVEN}),
+        (cert._replace(rho_prime=cert.rho_prime[:1]), {CONJUGATES, TWISTED}),
+    ]:
+        assert {e for e, holds in verify_certificate(bad, a5).entries if not holds} == falsified
+    obstruction = equivariant_form(a7d)
+    assert dict(verify_certificate(obstruction, a7d).entries)[GIVEN] is True
+    dressed = obstruction._replace(y=Mat.identity(a7d.ext, 4), rho_prime=a7d.images)
+    assert dict(verify_certificate(dressed, a7d).entries)[GIVEN] is False
